@@ -13,6 +13,7 @@ convex surrogate for the realization order of the underlying system.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -150,13 +151,17 @@ def _as_square(M) -> np.ndarray:
     return arr
 
 
-def _antidiagonal_flat_indices(n: int) -> list[np.ndarray]:
-    """Flat index list of each anti-diagonal k = 0..2n-2 of an n-by-n matrix."""
+@functools.lru_cache(maxsize=64)
+def _antidiagonal_flat_indices(n: int) -> tuple[np.ndarray, ...]:
+    """Flat index arrays (read-only, cached per n) of each anti-diagonal
+    k = 0..2n-2 of an n-by-n matrix."""
     out = []
     for k in range(2 * n - 1):
         i = np.arange(max(0, k - n + 1), min(k, n - 1) + 1)
-        out.append(i * n + (k - i))
-    return out
+        idx = i * n + (k - i)
+        idx.setflags(write=False)
+        out.append(idx)
+    return tuple(out)
 
 
 def hankel_adjoint(M) -> np.ndarray:

@@ -148,6 +148,8 @@ def compute_path(
         the breakpoints.
     solver_opts : SolverOptions, optional
         Forwarded to every exact solve; rank_tol also feeds the certificates.
+        Solves after the first start from the previous breakpoint's
+        splitting state, so opts.rho only sets the first solve's start.
 
     Returns
     -------
@@ -193,8 +195,10 @@ def compute_path(
     max_solves = int((t_max - t_first) / math.sqrt(eps) * 10) + 100
 
     t_i = t_first
+    warm = None
     while True:
-        res = solve_constrained(g_o, t_i, solver_opts)
+        # each breakpoint solve starts from the previous one's splitting state
+        res = solve_constrained(g_o, t_i, solver_opts, warm_start=warm)
         if not res.converged:
             result.partial = True
             raise PathAborted(
@@ -202,6 +206,7 @@ def compute_path(
                 f"(primal {res.primal_residual:.3g}, dual {res.dual_residual:.3g})",
                 result,
             )
+        warm = res.admm_state
         result.breakpoints.append(t_i)
         result.exact_solutions.append(res)
         result.singular_values.append(hankel_singular_values(t_i * res.g_tilde.values))

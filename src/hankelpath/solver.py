@@ -11,7 +11,7 @@ scaled dual update, until primal and dual residuals fall below tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,7 +61,12 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Solution of the constrained fit at one t, with iteration diagnostics."""
+    """Solution of the constrained fit at one t, with iteration diagnostics.
+
+    admm_state is the splitting state (X, U_dual, rho) the iteration stopped
+    at, read-only, for warm-starting a solve at a nearby t; None when the
+    closed-form branch ran.
+    """
 
     g_tilde: ImpulseResponse
     t: float
@@ -71,6 +76,7 @@ class SolveResult:
     primal_residual: float
     dual_residual: float
     converged: bool
+    admm_state: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def project_simplex_l1(s, radius: float) -> np.ndarray:
@@ -84,36 +90,52 @@ def project_simplex_l1(s, radius: float) -> np.ndarray:
     if radius <= 0:
         raise ValueError("radius must be positive")
     s = np.asarray(s, dtype=float)
-    if np.any(s < 0):
+    if s.size and s.min() < 0:
         raise ValueError("entries must be nonnegative")
     if s.sum() <= radius:
         return s
     d = np.sort(s)[::-1]
-    cumulative = np.cumsum(d) - radius
-    counts = np.arange(1, d.size + 1)
-    support = np.nonzero(d - cumulative / counts > 0)[0]
-    k = support.max() + 1
-    theta = cumulative[k - 1] / k
-    return np.maximum(s - theta, 0.0)
+    # candidate thresholds (cumsum_k - radius) / k; the support is the prefix
+    # of sorted entries that stay above their threshold
+    theta = d.cumsum()
+    theta -= radius
+    theta /= np.arange(1, d.size + 1)
+    k = np.flatnonzero(d > theta)[-1]
+    return np.maximum(s - theta[k], 0.0)
 
 
 def project_nuclear_ball(M, radius: float) -> np.ndarray:
     """Frobenius-nearest matrix with nuclear norm <= radius.
 
-    Computed as U diag(project_simplex_l1(S, radius)) V^T on the full SVD;
+    Computed as U diag(project_simplex_l1(S, radius)) V^T on the SVD;
     matrices already inside the ball pass through untouched, so the map is
     idempotent, and as a projection onto a convex set it is non-expansive.
+
+    An exactly symmetric input (every Hankel iterate of the solver) takes the
+    cheaper eigendecomposition Q diag(lam) Q^T instead: |lam| are its singular
+    values, so the projection shrinks |lam| on the simplex and keeps the
+    signs.  The result is symmetrized bit for bit, so the solver's iterates
+    stay on this branch.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     arr = np.asarray(M, dtype=float)
+    if arr.ndim == 2 and np.array_equal(arr, arr.T):
+        lam, Q = np.linalg.eigh(arr)
+        mag = np.abs(lam)
+        if mag.sum() <= radius:
+            return arr
+        P = (Q * np.copysign(project_simplex_l1(mag, radius), lam)) @ Q.T
+        return 0.5 * (P + P.T)
     U, S, Vh = np.linalg.svd(arr, full_matrices=False)
     if S.sum() <= radius:
         return arr
     return (U * project_simplex_l1(S, radius)) @ Vh
 
 
-def solve_constrained(g_o, t: float, opts: SolverOptions | None = None) -> SolveResult:
+def solve_constrained(
+    g_o, t: float, opts: SolverOptions | None = None, *, warm_start=None
+) -> SolveResult:
     """Solve the constrained fit problem at constraint level t.
 
     Parameters
@@ -123,13 +145,18 @@ def solve_constrained(g_o, t: float, opts: SolverOptions | None = None) -> Solve
     t : float
         Positive regularization parameter.
     opts : SolverOptions, optional
+    warm_start : tuple (X, U_dual, rho), optional
+        Splitting state to start from instead of zeros and opts.rho, usually
+        the admm_state of a solve at a nearby t.  X and U_dual must be
+        n-by-n; they are copied, not modified.  The stopping rule is the same
+        as for a cold start.
 
     Returns
     -------
     SolveResult
-        Deterministic for fixed inputs and options (zero initialization, no
-        randomness).  Non-convergence is reported through converged=False
-        with residuals populated, never as an exception.
+        Deterministic for fixed inputs, options and start (no randomness).
+        Non-convergence is reported through converged=False with residuals
+        populated, never as an exception.
 
     Notes
     -----
@@ -144,6 +171,22 @@ def solve_constrained(g_o, t: float, opts: SolverOptions | None = None) -> Solve
     gvec = g_o.values
     k_max = gvec.size
     n = g_o.n
+
+    if warm_start is None:
+        X = np.zeros((n, n))
+        U_dual = np.zeros((n, n))
+        rho = float(opts.rho)
+    else:
+        X0, U0, rho = warm_start
+        X = np.array(X0, dtype=float)
+        U_dual = np.array(U0, dtype=float)
+        rho = float(rho)
+        if X.shape != (n, n) or U_dual.shape != (n, n):
+            raise ValueError(
+                f"warm start must be {n}-by-{n}, got {X.shape} and {U_dual.shape}"
+            )
+        if not np.isfinite(rho) or rho <= 0:
+            raise ValueError("warm-start rho must be positive")
 
     nuc0 = nuclear_norm(hankel_embed(g_o).entries)
     if nuc0 <= t:
@@ -173,21 +216,23 @@ def solve_constrained(g_o, t: float, opts: SolverOptions | None = None) -> Solve
     idx = embed_indices(n)
     flat_idx = idx.ravel()
     w = multiplicities(n)
-    rho = float(opts.rho)
+    # loop invariants: the fit term's linear part 2 t g_o and curvature 2 t^2;
+    # the diagonal of the normal equations changes only with rho
+    fit_rhs = 2.0 * t * gvec
+    fit_curv = 2.0 * t * t
+    denom = fit_curv + rho * w
 
-    X = np.zeros((n, n))
-    U_dual = np.zeros((n, n))
     g_tilde = np.zeros(k_max)
     r_pri = r_dual = np.inf
     converged = False
     it = 0
     for it in range(1, opts.max_iters + 1):
-        rhs = 2.0 * t * gvec + rho * adjoint_fast(X - U_dual, flat_idx, k_max)
-        g_tilde = rhs / (2.0 * t * t + rho * w)
+        g_tilde = (fit_rhs + rho * adjoint_fast(X - U_dual, flat_idx, k_max)) / denom
         Hg = g_tilde[idx]
         X_new = project_nuclear_ball(Hg + U_dual, 1.0)
-        U_dual += Hg - X_new
-        r_pri = float(np.linalg.norm(Hg - X_new))
+        step = Hg - X_new
+        U_dual += step
+        r_pri = float(np.linalg.norm(step))
         r_dual = rho * float(np.linalg.norm(X_new - X))
         X = X_new
         if r_pri <= eps_pri and r_dual <= eps_dual:
@@ -198,12 +243,16 @@ def solve_constrained(g_o, t: float, opts: SolverOptions | None = None) -> Solve
             if r_pri > 10.0 * r_dual and rho < 1e8:
                 rho *= 2.0
                 U_dual /= 2.0
+                denom = fit_curv + rho * w
             elif r_dual > 10.0 * r_pri and rho > 1e-8:
                 rho /= 2.0
                 U_dual *= 2.0
+                denom = fit_curv + rho * w
 
     result_g = ImpulseResponse(g_tilde)
     obj = float(np.sum((t * g_tilde - gvec) ** 2))
+    X.setflags(write=False)
+    U_dual.setflags(write=False)
     return SolveResult(
         g_tilde=result_g,
         t=float(t),
@@ -213,4 +262,5 @@ def solve_constrained(g_o, t: float, opts: SolverOptions | None = None) -> Solve
         primal_residual=r_pri,
         dual_residual=r_dual,
         converged=converged,
+        admm_state=(X, U_dual, rho),
     )

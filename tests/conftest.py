@@ -1,7 +1,15 @@
+import os
+import pathlib
+
 import numpy as np
 import pytest
 
 import hankelpath as hp
+
+# Subprocess tests (CLI, demos) import the package from src/ like the
+# in-process tests, installed or not.
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 # Frozen acceptance fixture: 6th-order system, one dominant complex pole pair
 # near the unit circle plus four weak small-residue poles, k_max = 31.  Chosen

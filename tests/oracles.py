@@ -117,6 +117,21 @@ def theta_scan_simplex(s, radius, points=2_000_001):
     return np.maximum(s - thetas[idx], 0.0)
 
 
+def simplex_sort_loop(s, radius):
+    """Sort-based threshold for the budgeted nonnegative projection, one
+    sorted entry at a time in plain Python floats."""
+    values = [float(v) for v in s]
+    if math.fsum(values) <= radius:
+        return np.array(values)
+    running = 0.0
+    theta = 0.0
+    for k, v in enumerate(sorted(values, reverse=True), start=1):
+        running += v
+        if v > (running - radius) / k:
+            theta = (running - radius) / k
+    return np.array([max(v - theta, 0.0) for v in values])
+
+
 def bisect_gap_crossing(gap_fn, eps, lo, hi, iters=100):
     """Plain bisection for the smallest t in [lo, hi] with gap_fn(t) = eps."""
     if gap_fn(hi) <= eps:

@@ -71,6 +71,18 @@ class TestAdjoint:
     def test_ones(self):
         np.testing.assert_array_equal(hp.hankel_adjoint(np.ones((2, 2))), [1.0, 2.0, 1.0])
 
+    def test_cached_indices_read_only_and_repeatable(self):
+        from hankelpath.hankel import _antidiagonal_flat_indices
+
+        rng = np.random.RandomState(3)
+        M = rng.randn(5, 5)
+        first = hp.hankel_adjoint(M)
+        assert _antidiagonal_flat_indices(5) is _antidiagonal_flat_indices(5)
+        with pytest.raises(ValueError):
+            _antidiagonal_flat_indices(5)[2][0] = 0
+        np.testing.assert_array_equal(hp.hankel_adjoint(M), first)
+        np.testing.assert_allclose(first, adjoint_double_sum(M), rtol=0, atol=1e-12)
+
     def test_matches_double_sum_oracle(self):
         rng = np.random.RandomState(1)
         for _ in range(100):

@@ -5,7 +5,7 @@ import pytest
 
 import hankelpath as hp
 
-from oracles import solve_k3_oracle, theta_scan_simplex
+from oracles import simplex_sort_loop, solve_k3_oracle, theta_scan_simplex
 
 
 class TestProjectSimplexL1:
@@ -36,6 +36,19 @@ class TestProjectSimplexL1:
                 assert abs(got.sum() - radius) < 1e-12
             assert np.all(got >= 0)
 
+    def test_against_sort_loop_with_ties_and_zeros(self):
+        rng = np.random.RandomState(15)
+        for _ in range(200):
+            n = rng.randint(1, 40)
+            s = np.abs(rng.randn(n)) * rng.uniform(0.01, 10)
+            s[rng.rand(n) < 0.2] = 0.0
+            if rng.rand() < 0.5:
+                s = np.round(s, 1)  # ties
+            radius = rng.uniform(0.1, 3.0)
+            np.testing.assert_allclose(
+                hp.project_simplex_l1(s, radius), simplex_sort_loop(s, radius), rtol=0, atol=1e-12
+            )
+
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
             hp.project_simplex_l1(np.array([-0.1, 0.5]), 1.0)
@@ -43,6 +56,40 @@ class TestProjectSimplexL1:
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
             hp.project_simplex_l1(np.array([0.5]), 0.0)
+
+
+def _svd_projection(M, radius):
+    """Reference nuclear-ball projection through the SVD."""
+    U, S, Vh = np.linalg.svd(M)
+    if S.sum() <= radius:
+        return M
+    return (U * hp.project_simplex_l1(S, radius)) @ Vh
+
+
+def _symmetric(rng, eigenvalues):
+    """Bit-symmetric matrix with the given spectrum and a random eigenbasis."""
+    n = len(eigenvalues)
+    Q, _ = np.linalg.qr(rng.randn(n, n))
+    M = (Q * np.asarray(eigenvalues, dtype=float)) @ Q.T
+    return 0.5 * (M + M.T)
+
+
+def _symmetric_cases(seed):
+    """Indefinite, rank-deficient, repeated-eigenvalue and inside-the-ball
+    symmetric matrices."""
+    rng = np.random.RandomState(seed)
+    cases = []
+    for _ in range(20):
+        n = rng.randint(2, 9)
+        scale = rng.uniform(0.5, 5.0)
+        indefinite = rng.randn(n) * scale
+        deficient = indefinite.copy()
+        deficient[rng.choice(n, size=n // 2, replace=False)] = 0.0
+        repeated = np.repeat(rng.uniform(-1.0, 1.0, size=2) * scale, [n - n // 2, n // 2])
+        inside = rng.randn(n)
+        inside *= rng.uniform(0.1, 0.9) / np.abs(inside).sum()
+        cases += [_symmetric(rng, lam) for lam in (indefinite, deficient, repeated, inside)]
+    return cases
 
 
 class TestProjectNuclearBall:
@@ -68,6 +115,9 @@ class TestProjectNuclearBall:
             P1 = hp.project_nuclear_ball(M, 1.0)
             P2 = hp.project_nuclear_ball(P1, 1.0)
             assert np.linalg.norm(P2 - P1) <= 1e-12
+        for M in _symmetric_cases(24):
+            P1 = hp.project_nuclear_ball(M, 1.0)
+            assert np.linalg.norm(hp.project_nuclear_ball(P1, 1.0) - P1) <= 1e-12
 
     def test_non_expansive(self):
         rng = np.random.RandomState(12)
@@ -79,6 +129,37 @@ class TestProjectNuclearBall:
                 hp.project_nuclear_ball(A, 1.0) - hp.project_nuclear_ball(B, 1.0)
             )
             assert dist <= np.linalg.norm(A - B) + 1e-10
+        cases = _symmetric_cases(25)
+        for A, B in zip(cases, cases[1:]):
+            if A.shape == B.shape:
+                dist = np.linalg.norm(
+                    hp.project_nuclear_ball(A, 1.0) - hp.project_nuclear_ball(B, 1.0)
+                )
+                assert dist <= np.linalg.norm(A - B) + 1e-10
+
+
+class TestSymmetricProjection:
+    def test_cases_are_symmetric_and_mostly_outside(self):
+        cases = _symmetric_cases(20)
+        assert all(np.array_equal(M, M.T) for M in cases)
+        outside = sum(hp.nuclear_norm(M) > 1.0 for M in cases)
+        assert 40 <= outside < len(cases)
+
+    def test_matches_svd_projection(self):
+        for M in _symmetric_cases(21):
+            P = hp.project_nuclear_ball(M, 1.0)
+            assert np.max(np.abs(P - _svd_projection(M, 1.0))) <= 1e-12
+
+    def test_inside_returned_unchanged(self):
+        for M in _symmetric_cases(22):
+            if hp.nuclear_norm(M) < 1.0 - 1e-12:
+                assert np.array_equal(hp.project_nuclear_ball(M, 1.0), M)
+
+    def test_output_bit_symmetric(self):
+        for M in _symmetric_cases(23):
+            P = hp.project_nuclear_ball(M, 1.0)
+            assert np.array_equal(P, P.T)
+            assert hp.nuclear_norm(P) <= 1.0 + 1e-12
 
 
 class TestSolveConstrained:
@@ -193,3 +274,57 @@ class TestSolverOptions:
         opts = hp.SolverOptions()
         with pytest.raises(dataclasses.FrozenInstanceError):
             opts.rho = 2.0
+
+
+class TestWarmStart:
+    def test_reaches_cold_solution(self, sixth_order_impulse):
+        g_o = sixth_order_impulse
+        t_max = hp.compute_t_max(g_o)
+        budget = 1e-6 * (1 + g_o.norm() ** 2)
+        for t_from, t_to in ((0.3, 0.35), (0.2, 0.6), (0.5, 0.45)):
+            start = hp.solve_constrained(g_o, t_from * t_max)
+            warm = hp.solve_constrained(g_o, t_to * t_max, warm_start=start.admm_state)
+            cold = hp.solve_constrained(g_o, t_to * t_max)
+            assert warm.converged and cold.converged
+            assert np.linalg.norm(warm.g_tilde.values - cold.g_tilde.values) <= 1e-6
+            assert abs(warm.objective - cold.objective) <= budget
+
+    def test_state_is_bit_symmetric_and_start_untouched(self, sixth_order_impulse):
+        g_o = sixth_order_impulse
+        t_max = hp.compute_t_max(g_o)
+        start = hp.solve_constrained(g_o, 0.3 * t_max)
+        X, U, rho = start.admm_state
+        assert np.array_equal(X, X.T) and np.array_equal(U, U.T) and rho > 0
+        before = (X.copy(), U.copy())
+        hp.solve_constrained(g_o, 0.4 * t_max, warm_start=start.admm_state)
+        assert np.array_equal(X, before[0]) and np.array_equal(U, before[1])
+
+    def test_closed_form_branch_has_no_state(self, rank1_impulse):
+        res = hp.solve_constrained(rank1_impulse, 2.0 * hp.compute_t_max(rank1_impulse))
+        assert res.admm_state is None
+
+    def test_wrong_shape_rejected(self, sixth_order_impulse):
+        n = sixth_order_impulse.n
+        good = np.zeros((n, n))
+        for start in (
+            (np.zeros((3, 3)), good, 1.0),
+            (good, np.zeros((n, n + 1)), 1.0),
+            (good.ravel(), good, 1.0),
+        ):
+            with pytest.raises(ValueError):
+                hp.solve_constrained(sixth_order_impulse, 0.1, warm_start=start)
+        with pytest.raises(ValueError):
+            hp.solve_constrained(sixth_order_impulse, 0.1, warm_start=(good, good, 0.0))
+
+    def test_path_solves_start_from_previous_breakpoint(self, sixth_order_impulse, sixth_order_path):
+        pr = sixth_order_path
+        assert pr.m == 5
+        first, second = pr.exact_solutions[:2]
+        again = hp.solve_constrained(
+            sixth_order_impulse, pr.breakpoints[1], warm_start=first.admm_state
+        )
+        assert np.array_equal(again.g_tilde.values, second.g_tilde.values)
+        assert again.iterations == second.iterations
+
+    def test_rank1_path_solve_count(self, rank1_impulse):
+        assert hp.compute_path(rank1_impulse, eps=1e-4).m == 44
