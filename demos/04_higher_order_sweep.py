@@ -4,10 +4,7 @@ A system with ten strong modes and ninety weak ones is, for fitting purposes,
 a ~10th-order system in disguise.  Sweeping the constraint level with a
 coarse tolerance maps that out: the effective rank of the fitted Hankel
 matrix climbs breakpoint by breakpoint, and the singular-value table shows
-where each additional order stops paying for itself.
-
-Harder instances need more solver iterations than the default budget; the
-knob is SolverOptions(max_iters=...).  Takes ~10 s.
+where each additional order stops paying for itself.  Takes a few seconds.
 """
 
 import time
@@ -27,7 +24,7 @@ print("data sigma_j/sigma_1:", np.array2string(sig[:12] / sig[0], precision=3))
 
 eps = 12.0
 start = time.perf_counter()
-path = hp.compute_path(g_o, eps=eps, solver_opts=hp.SolverOptions(max_iters=200000))
+path = hp.compute_path(g_o, eps=eps)
 elapsed = time.perf_counter() - start
 print("\neps = %g: %d exact solves in %.1f s" % (eps, path.m, elapsed))
 

@@ -7,6 +7,12 @@ with H the Hankel embedding.  The solver alternates a closed-form coefficient
 update (the normal equations are diagonal because adjoint(embed(g)) equals
 multiplicities * g), a nuclear-ball projection of the embedded iterate, and a
 scaled dual update, until primal and dual residuals fall below tolerances.
+
+That splitting step is a fixed-point map of z = X + U_dual, and the loop
+extrapolates it by safeguarded type-II Anderson acceleration (Walker & Ni,
+SIAM J. Numer. Anal. 2011; the safeguard after Zhang, O'Donoghue & Boyd,
+SIAM J. Optim. 2020).  Every iteration is still a splitting step from a
+consistent state, and convergence is decided on that step alone.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dposv
 
 from .hankel import (
     ImpulseResponse,
@@ -28,6 +35,11 @@ from .hankel import (
 
 #: Nuclear-norm slack allowed on a converged solution.
 FEAS_SLACK = 1e-6
+
+#: Number of past differences the Anderson-accelerated loop keeps.
+AA_MEM = 5
+#: Tikhonov weight of the Anderson normal equations, relative to their trace.
+AA_REG = 1e-10
 
 
 @dataclass(frozen=True)
@@ -49,14 +61,16 @@ class SolverOptions:
     adapt_rho: bool = True
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
+        if not (np.isfinite(self.rho) and self.rho > 0):
+            raise ValueError("rho must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         for name in ("primal_tol", "dual_tol"):
             tol = getattr(self, name)
-            if tol is not None and tol <= 0:
-                raise ValueError(f"{name} must be positive")
+            if tol is not None and not (np.isfinite(tol) and tol > 0):
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0.0 < self.rank_tol < 1.0:
+            raise ValueError("rank_tol must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -162,6 +176,17 @@ def solve_constrained(
     -----
     When ||H(g_o)||_* <= t the unconstrained optimum g_o / t is feasible and
     is returned exactly with zero iterations.
+
+    One splitting step maps z = X + U_dual, with X = Pi(z) on the nuclear
+    ball, to T(z) = H(g) + U_dual.  After each step the loop extrapolates
+    z_aa = T(z) - (dZ + dF) gamma over the last AA_MEM differences of z and
+    of f = T(z) - z, with gamma the regularized least-squares fit of f by
+    dF, and restarts from the consistent state (Pi(z_aa), z_aa - Pi(z_aa)).
+    The extrapolation is taken only while ||f|| has not grown since the last
+    one; otherwise, and whenever residual balancing changes rho, the history
+    is dropped and the plain step taken.  The residual test runs on each
+    plain step, so the returned g_tilde, residuals and admm_state are those
+    of a genuine step.
     """
     if opts is None:
         opts = SolverOptions()
@@ -225,29 +250,78 @@ def solve_constrained(
     g_tilde = np.zeros(k_max)
     r_pri = r_dual = np.inf
     converged = False
+    # Anderson history over z = X + U_dual: ring buffers of the differences
+    # between consecutive steps of T(z) = H(g) + U_dual (dT = dZ + dF) and of
+    # the residual f = T(z) - z, and the Gram matrix of the dF rows
+    dT = np.empty((AA_MEM, n * n))
+    dF = np.empty((AA_MEM, n * n))
+    gram = np.empty((AA_MEM, AA_MEM))
+    eye = np.eye(AA_MEM)
+    filled = slot = 0
+    prev = None  # flat (T(z), f) of the previous step
+    f_ref = np.inf  # ||f|| where the last extrapolation was taken
+    z = X + U_dual
     it = 0
     for it in range(1, opts.max_iters + 1):
         g_tilde = (fit_rhs + rho * adjoint_fast(X - U_dual, flat_idx, k_max)) / denom
         Hg = g_tilde[idx]
-        X_new = project_nuclear_ball(Hg + U_dual, 1.0)
+        Tz = Hg + U_dual
+        X_new = project_nuclear_ball(Tz, 1.0)
         step = Hg - X_new
-        U_dual += step
         r_pri = float(np.linalg.norm(step))
         r_dual = rho * float(np.linalg.norm(X_new - X))
+        # the plain ADMM state after this step: (Pi(T(z)), T(z) - Pi(T(z)))
         X = X_new
+        U_dual += step
         if r_pri <= eps_pri and r_dual <= eps_dual:
             converged = True
             break
-        if opts.adapt_rho:
-            # residual balancing keeps both residuals decreasing together
-            if r_pri > 10.0 * r_dual and rho < 1e8:
-                rho *= 2.0
-                U_dual /= 2.0
-                denom = fit_curv + rho * w
-            elif r_dual > 10.0 * r_pri and rho > 1e-8:
-                rho /= 2.0
-                U_dual *= 2.0
-                denom = fit_curv + rho * w
+        if opts.adapt_rho and (
+            (r_pri > 10.0 * r_dual and rho < 1e8) or (r_dual > 10.0 * r_pri and rho > 1e-8)
+        ):
+            # residual balancing keeps both residuals decreasing together; a
+            # new rho changes the map T, so the history is dropped
+            factor = 2.0 if r_pri > r_dual else 0.5
+            rho *= factor
+            U_dual /= factor
+            denom = fit_curv + rho * w
+            filled = slot = 0
+            prev = None
+            f_ref = np.inf
+            z = X + U_dual
+            continue
+        f = Tz - z
+        fnorm = float(np.linalg.norm(f))
+        Tz_flat = Tz.ravel()
+        f_flat = f.ravel()
+        if fnorm > f_ref:
+            # the last extrapolation did not reduce the residual: restart
+            filled = slot = 0
+            f_ref = np.inf
+        elif prev is not None:
+            np.subtract(Tz_flat, prev[0], out=dT[slot])
+            np.subtract(f_flat, prev[1], out=dF[slot])
+            filled = min(filled + 1, AA_MEM)
+            row = dF[:filled] @ dF[slot]
+            gram[slot, :filled] = row
+            gram[:filled, slot] = row
+            slot = (slot + 1) % AA_MEM
+        prev = (Tz_flat, f_flat)
+        if filled:
+            # Cholesky solve of the regularized normal equations; when they
+            # are not numerically positive definite (info > 0, say all
+            # differences zero) the plain step is taken
+            G = gram[:filled, :filled]
+            _, gamma, info = dposv(G + AA_REG * np.trace(G) * eye[:filled, :filled],
+                                   dF[:filled] @ f_flat)
+            if info == 0:
+                z = Tz - (gamma @ dT[:filled]).reshape(n, n)
+                z = 0.5 * (z + z.T)
+                X = project_nuclear_ball(z, 1.0)
+                U_dual = z - X
+                f_ref = fnorm
+                continue
+        z = Tz
 
     result_g = ImpulseResponse(g_tilde)
     obj = float(np.sum((t * g_tilde - gvec) ** 2))

@@ -4,12 +4,17 @@ Nothing here shares code with the implementation paths it checks: adjoint
 values come from explicit double sums, 2x2 singular values from the closed
 form, the k_max = 3 solver oracle from a dense feasible-set grid refined by
 projected gradient steps with an exact two-block projection, and breakpoints
-from plain interval bisection.
+from plain interval bisection.  The exception is the plain ADMM loop, which
+reuses the library's projection and adjoint and so checks only the
+accelerated loop around them.
 """
 
 import math
 
 import numpy as np
+
+import hankelpath as hp
+from hankelpath.hankel import adjoint_fast, embed_indices
 
 
 def adjoint_double_sum(M):
@@ -143,3 +148,60 @@ def bisect_gap_crossing(gap_fn, eps, lo, hi, iters=100):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def plain_admm(g_o, t, opts=None):
+    """The unaccelerated ADMM loop of solve_constrained, from a cold start:
+    one splitting step per iteration, the same residual test and residual
+    balancing.  Only for t below ||H(g_o)||_*.  Returns (g_tilde, objective,
+    iterations, converged)."""
+    if opts is None:
+        opts = hp.SolverOptions()
+    g_o = hp.as_impulse(g_o)
+    gvec = g_o.values
+    k_max = gvec.size
+    n = g_o.n
+    X = np.zeros((n, n))
+    U_dual = np.zeros((n, n))
+    rho = float(opts.rho)
+
+    norm_go = np.linalg.norm(gvec)
+    primal_tol = opts.primal_tol if opts.primal_tol is not None else 1e-9 * (1 + norm_go)
+    dual_tol = opts.dual_tol if opts.dual_tol is not None else 1e-9 * (1 + norm_go)
+    scale = n * min(1.0, 2.0 * t * t)
+    floor = 4e-15 * n * (1 + norm_go)
+    eps_pri = max(primal_tol * scale, floor)
+    eps_dual = max(dual_tol * scale, floor)
+
+    idx = embed_indices(n)
+    flat_idx = idx.ravel()
+    w = hp.multiplicities(n)
+    fit_rhs = 2.0 * t * gvec
+    fit_curv = 2.0 * t * t
+    denom = fit_curv + rho * w
+
+    g_tilde = np.zeros(k_max)
+    converged = False
+    it = 0
+    for it in range(1, opts.max_iters + 1):
+        g_tilde = (fit_rhs + rho * adjoint_fast(X - U_dual, flat_idx, k_max)) / denom
+        Hg = g_tilde[idx]
+        X_new = hp.project_nuclear_ball(Hg + U_dual, 1.0)
+        step = Hg - X_new
+        U_dual += step
+        r_pri = float(np.linalg.norm(step))
+        r_dual = rho * float(np.linalg.norm(X_new - X))
+        X = X_new
+        if r_pri <= eps_pri and r_dual <= eps_dual:
+            converged = True
+            break
+        if opts.adapt_rho:
+            if r_pri > 10.0 * r_dual and rho < 1e8:
+                rho *= 2.0
+                U_dual /= 2.0
+                denom = fit_curv + rho * w
+            elif r_dual > 10.0 * r_pri and rho > 1e-8:
+                rho /= 2.0
+                U_dual *= 2.0
+                denom = fit_curv + rho * w
+    return g_tilde, float(np.sum((t * g_tilde - gvec) ** 2)), it, converged

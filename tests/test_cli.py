@@ -71,6 +71,12 @@ class TestSolve:
         proc = run_cli("solve", "--input", impulse_file, "--t", 0.0, "--out", tmp_path)
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize("flag", ["--rho", "--rank-tol"])
+    def test_non_finite_option_is_usage_error(self, tmp_path, impulse_file, flag):
+        proc = run_cli("solve", "--input", impulse_file, "--t", 0.5, flag, "nan", "--out", tmp_path)
+        assert proc.returncode == 1
+        assert flag[2:].replace("-", "_") in proc.stderr
+
     def test_missing_input_is_io_error(self, tmp_path):
         proc = run_cli("solve", "--input", tmp_path / "nope.csv", "--t", 1.0, "--out", tmp_path)
         assert proc.returncode == 2

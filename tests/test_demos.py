@@ -8,7 +8,14 @@ import sys
 import pytest
 
 DEMO_DIR = pathlib.Path(__file__).resolve().parent.parent / "demos"
-DEMOS = ["01_hankel_rank_and_order.py", "02_single_solve_tradeoff.py", "03_certified_path.py"]
+# demo 04 runs its order-100 path at the default iteration budget, so it also
+# fails if the solver's iteration counts regress
+DEMOS = [
+    "01_hankel_rank_and_order.py",
+    "02_single_solve_tradeoff.py",
+    "03_certified_path.py",
+    "04_higher_order_sweep.py",
+]
 
 
 @pytest.mark.parametrize("demo", DEMOS)

@@ -5,7 +5,7 @@ import pytest
 
 import hankelpath as hp
 
-from oracles import simplex_sort_loop, solve_k3_oracle, theta_scan_simplex
+from oracles import plain_admm, simplex_sort_loop, solve_k3_oracle, theta_scan_simplex
 
 
 class TestProjectSimplexL1:
@@ -263,12 +263,19 @@ class TestSolveConstrained:
 
 class TestSolverOptions:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            hp.SolverOptions(rho=0.0)
-        with pytest.raises(ValueError):
-            hp.SolverOptions(max_iters=0)
-        with pytest.raises(ValueError):
-            hp.SolverOptions(primal_tol=-1.0)
+        for bad in (
+            dict(rho=0.0),
+            dict(max_iters=0),
+            dict(primal_tol=-1.0),
+            dict(rho=np.nan),
+            dict(rho=np.inf),
+            dict(primal_tol=np.nan),
+            dict(dual_tol=np.inf),
+            dict(rank_tol=np.nan),
+            dict(rank_tol=1.0),
+        ):
+            with pytest.raises(ValueError):
+                hp.SolverOptions(**bad)
 
     def test_frozen(self):
         opts = hp.SolverOptions()
@@ -328,3 +335,61 @@ class TestWarmStart:
 
     def test_rank1_path_solve_count(self, rank1_impulse):
         assert hp.compute_path(rank1_impulse, eps=1e-4).m == 44
+
+
+def _stopping_threshold(g_o, t):
+    """The residual threshold solve_constrained stops on at default options
+    (primal and dual alike)."""
+    norm_go = np.linalg.norm(g_o.values)
+    floor = 4e-15 * g_o.n * (1 + norm_go)
+    return max(1e-9 * (1 + norm_go) * g_o.n * min(1.0, 2.0 * t * t), floor)
+
+
+class TestAndersonAcceleration:
+    FRACTIONS = (0.1, 0.3, 0.6, 0.9)
+
+    @pytest.fixture(params=["sixth_order_impulse", "rank1_impulse"])
+    def g_o(self, request):
+        return request.getfixturevalue(request.param)
+
+    def test_matches_plain_admm(self, g_o):
+        budget = 1e-6 * (1 + g_o.norm() ** 2)  # acceptance criterion 3
+        t_max = hp.compute_t_max(g_o)
+        accelerated = plain = 0
+        for frac in self.FRACTIONS:
+            t = frac * t_max
+            res = hp.solve_constrained(g_o, t)
+            g_ref, obj_ref, ref_iters, ref_converged = plain_admm(g_o, t)
+            assert res.converged and ref_converged
+            assert np.linalg.norm(res.g_tilde.values - g_ref) <= 1e-6
+            assert abs(res.objective - obj_ref) <= budget
+            accelerated += res.iterations
+            plain += ref_iters
+        assert accelerated < plain
+
+    def test_residuals_meet_stopping_thresholds(self, g_o):
+        t_max = hp.compute_t_max(g_o)
+        for frac in self.FRACTIONS:
+            t = frac * t_max
+            res = hp.solve_constrained(g_o, t)
+            threshold = _stopping_threshold(g_o, t)
+            assert res.converged
+            assert 0.0 <= res.primal_residual <= threshold
+            assert 0.0 <= res.dual_residual <= threshold
+
+    def test_rank1_small_t_within_default_budget(self, rank1_impulse):
+        # this solve ran out of the default budget under over-relaxation
+        assert hp.solve_constrained(rank1_impulse, 4.3e-5).converged
+
+    @pytest.mark.parametrize("rho", [1e-6, 1e6])
+    def test_cold_solves_from_extreme_rho(self, sixth_order_impulse, rho):
+        # residual balancing moves rho many times here, and each move restarts
+        # the acceleration history
+        g_o = sixth_order_impulse
+        t_max = hp.compute_t_max(g_o)
+        for frac in self.FRACTIONS:
+            res = hp.solve_constrained(g_o, frac * t_max, hp.SolverOptions(rho=rho))
+            ref = hp.solve_constrained(g_o, frac * t_max)
+            assert res.converged
+            assert res.admm_state[2] != rho
+            assert np.linalg.norm(res.g_tilde.values - ref.g_tilde.values) <= 1e-6
