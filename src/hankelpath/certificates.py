@@ -16,6 +16,10 @@ W is matched to the fit residual by a small regularized least-squares solve
 over the truncated subspace (with its spectral norm capped at one, so the
 certificate is always a genuine subgradient certificate); called without the
 data vector the construction reduces to the plain W = 0 form.
+
+One matched certificate costs one n x n SVD, one k_max x n x n tensor of
+anti-diagonal sums (O(n^4), from which every cut's least-squares matrix is
+sliced), and per cut r one ridge solve of size min((n - r)^2, k_max).
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from .hankel import (
     DEFAULT_RANK_TOL,
     ImpulseResponse,
     as_impulse,
-    embed_indices,
     hankel_adjoint,
     hankel_embed,
 )
@@ -75,7 +78,20 @@ def _orth_component(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     return x - h * (np.dot(h, x) / np.dot(h, h))
 
 
-def _match_subgradient(U, S, Vh, res, idx, k_max):
+def _antidiagonal_tensor(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """T[k, i, j] = adjoint(u_i v_j^T)[k] for all column pairs of U and V.
+
+    Built by n shifted outer-product adds, O(n^4): row p of U meets row q of
+    V on anti-diagonal p + q.
+    """
+    n = U.shape[0]
+    T = np.zeros((2 * n - 1, n, n))
+    for p in range(n):
+        T[p : p + n] += U[p][None, :, None] * V[:, None, :]
+    return T
+
+
+def _match_subgradient(U, S, Vh, res, k_max):
     """Best certificate direction over candidate truncation ranks.
 
     For each cut r the direction adjoint(U_r V_r^T + W) with W supported on
@@ -83,6 +99,10 @@ def _match_subgradient(U, S, Vh, res, idx, k_max):
     (ridge least squares, spectral norm of W capped at 1).  Every candidate is
     a valid subgradient pullback; the one with the smallest raw gap at t*
     wins.  Returns (h, raw_gap).
+
+    Everything is read off one tensor T = _antidiagonal_tensor(U, V): the
+    matrix A mapping vec(W) to adjoint(U_2 W V_2^T) is T's trailing block,
+    adjoint(U_r V_r^T) a partial sum of its diagonal slices.
     """
     n = U.shape[0]
     rhat = res / np.linalg.norm(res)
@@ -90,35 +110,41 @@ def _match_subgradient(U, S, Vh, res, idx, k_max):
     def raw_gap(h):
         return float(np.sum(res**2) - np.dot(h, res) ** 2 / np.dot(h, h))
 
+    T = _antidiagonal_tensor(U, Vh.T)
+    diag = np.arange(n)
+    h0_of_cut = np.cumsum(T[:, diag, diag], axis=1)
+    # rhat^T A of each cut is a trailing block of this n x n matrix
+    rhat_T = np.tensordot(rhat, T, axes=1)
     noise_floor = np.finfo(float).eps * S[0] * n
     best_gap, best_h = np.inf, None
     for cut in range(1, n + 1):
         if cut > 1 and S[cut - 1] <= noise_floor:
             break
-        h0 = hankel_adjoint(U[:, :cut] @ Vh[:cut, :])
+        h0 = h0_of_cut[:, cut - 1]
         candidates = [h0]
         if cut < n:
-            U2 = U[:, cut:]
-            V2 = Vh[cut:, :].T
             m = n - cut
-            # columns are the anti-diagonal sums of u_i v_j^T
-            cols = np.einsum("ik,jl->ijkl", U2, V2).reshape(n * n, m * m)
-            A = np.zeros((k_max, m * m))
-            np.add.at(A, idx.ravel(), cols)
-            PA = A - np.outer(rhat, rhat @ A)
+            A = T[:, cut:, cut:].reshape(k_max, m * m)
+            PA = A - np.outer(rhat, rhat_T[cut:, cut:].ravel())
             Ph0 = h0 - rhat * np.dot(rhat, h0)
-            AtA = PA.T @ PA
-            mu = RIDGE_REL * (np.trace(AtA) / max(1, AtA.shape[0]))
+            # the ridge solution (PA^T PA + mu I)^-1 PA^T (-Ph0) equals
+            # PA^T (PA PA^T + mu I)^-1 (-Ph0); both Gram matrices have the
+            # same trace, so mu is the same whichever one is solved
+            small = m * m <= k_max
+            G = PA.T @ PA if small else PA @ PA.T
+            mu = RIDGE_REL * (np.trace(G) / (m * m))
             try:
-                z = np.linalg.solve(AtA + mu * np.eye(AtA.shape[0]), -PA.T @ Ph0)
+                if small:
+                    z = np.linalg.solve(G + mu * np.eye(m * m), -PA.T @ Ph0)
+                else:
+                    z = PA.T @ np.linalg.solve(G + mu * np.eye(k_max), -Ph0)
             except np.linalg.LinAlgError:
                 z = None
             if z is not None:
-                Z = z.reshape(m, m)
-                spectral = np.linalg.norm(Z, 2)
+                spectral = np.linalg.norm(z.reshape(m, m), 2)
                 if spectral > 1.0:
-                    Z = Z / spectral
-                candidates.append(h0 + hankel_adjoint(U2 @ Z @ V2.T))
+                    z = z / spectral
+                candidates.append(h0 + A @ z)
         for h in candidates:
             gap = raw_gap(h)
             if gap < best_gap:
@@ -160,7 +186,6 @@ def subgradient_vector(
     """
     g_star = as_impulse(g_tilde_star)
     H = hankel_embed(g_star)
-    n = g_star.n
     k_max = g_star.k_max
     U, S, Vh = np.linalg.svd(H.entries)
 
@@ -172,13 +197,12 @@ def subgradient_vector(
             residual_dir_norm=0.0,
         )
 
-    base_rank = int(np.sum(S > rank_tol * S[0]))
-    h = hankel_adjoint(U[:, :base_rank] @ Vh[:base_rank, :])
-
-    if g_o is not None:
-        res = float(t_star) * g_star.values - as_impulse(g_o).values
-        if np.linalg.norm(res) > 1e-15:
-            h, _ = _match_subgradient(U, S, Vh, res, embed_indices(n), k_max)
+    res = None if g_o is None else float(t_star) * g_star.values - as_impulse(g_o).values
+    if res is not None and np.linalg.norm(res) > 1e-15:
+        h, _ = _match_subgradient(U, S, Vh, res, k_max)
+    else:
+        base_rank = int(np.sum(S > rank_tol * S[0]))
+        h = hankel_adjoint(U[:, :base_rank] @ Vh[:base_rank, :])
 
     a = float(np.linalg.norm(_orth_component(g_star.values, h)))
     return GapCertificate(

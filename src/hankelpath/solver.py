@@ -17,6 +17,7 @@ consistent state, and convergence is decided on that step alone.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,8 +64,8 @@ class SolverOptions:
     def __post_init__(self):
         if not (np.isfinite(self.rho) and self.rho > 0):
             raise ValueError("rho must be positive and finite")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
+            raise ValueError("max_iters must be an integer >= 1")
         for name in ("primal_tol", "dual_tol"):
             tol = getattr(self, name)
             if tol is not None and not (np.isfinite(tol) and tol > 0):

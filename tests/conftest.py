@@ -18,6 +18,9 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PY
 FIXTURE_SEED = 10
 FIXTURE_BANDS = [(2, (0.88, 0.92), 0.1), (4, (0.15, 0.3), 0.002)]
 FIXTURE_K_MAX = 31
+# The order-100 system of demos/04: ten strong modes, ninety weak ones.
+ORDER100_SEED = 4
+ORDER100_BANDS = [(10, (0.9, 0.96), 3.0), (90, (0.1, 0.6), 0.02)]
 
 
 @pytest.fixture(scope="session")
@@ -40,3 +43,8 @@ def rank1_impulse():
     """Single pole 0.5, residue 1: H(g) is rank one with nuclear norm 4/3 - ish."""
     spec = hp.SystemSpec(poles=(0.5,), residues=(1.0,))
     return hp.impulse_response(spec, 15)
+
+
+@pytest.fixture(scope="session")
+def order100_spec():
+    return hp.random_system(100, ORDER100_SEED, bands=ORDER100_BANDS)

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import hankelpath as hp
+from hankelpath.certificates import _match_subgradient
+from hankelpath.hankel import embed_indices
 
-from oracles import bisect_gap_crossing
+from oracles import bisect_gap_crossing, match_subgradient_reference
 
 
 def _gap_fn(cert, g_o):
@@ -51,6 +55,79 @@ class TestSubgradientVector:
         proj = h * np.dot(h, res.g_tilde.values) / np.dot(h, h)
         a_ref = np.linalg.norm(res.g_tilde.values - proj)
         assert abs(cert.residual_dir_norm - a_ref) < 1e-12
+
+
+class TestMatchSubgradient:
+    """The anti-diagonal-tensor construction against the n^2 x m^2 build."""
+
+    @staticmethod
+    def _assert_matches_reference(g, res):
+        g = hp.as_impulse(g)
+        U, S, Vh = np.linalg.svd(hp.hankel_embed(g).entries)
+        h, gap = _match_subgradient(U, S, Vh, res, g.k_max)
+        h_ref, gap_ref = match_subgradient_reference(
+            U, S, Vh, res, embed_indices(g.n), g.k_max
+        )
+        assert abs(gap - gap_ref) <= 1e-12 * np.sum(res**2)
+        assert np.linalg.norm(h - h_ref) <= 1e-6 * np.linalg.norm(h_ref)
+
+    def _check_path(self, g_o, path):
+        g_o = hp.as_impulse(g_o)
+        checked = 0
+        for t, sol in zip(path.breakpoints, path.exact_solutions):
+            res = t * sol.g_tilde.values - g_o.values
+            # a perfect fit (t = t_max) has no residual to match
+            if np.linalg.norm(res) > 1e-15:
+                self._assert_matches_reference(sol.g_tilde, res)
+                checked += 1
+        assert checked >= path.m - 1
+
+    def test_fixture_path(self, sixth_order_impulse, sixth_order_path):
+        self._check_path(sixth_order_impulse, sixth_order_path)
+
+    def test_rank1_path(self, rank1_impulse):
+        self._check_path(rank1_impulse, hp.compute_path(rank1_impulse, eps=1e-4))
+
+    def test_order100_path(self, order100_spec):
+        g_o = hp.impulse_response(order100_spec, 51)
+        self._check_path(g_o, hp.compute_path(g_o, eps=12.0))
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_random_low_rank(self, n):
+        # g is a sum of r exponentials, so H(g) has rank r and the cuts run
+        # to r; at n = 2 and 5 some cuts leave a discarded block with
+        # m^2 <= k_max entries, at n = 16 every cut leaves more.  The residual is a KKT residual -lam*adjoint(U_r
+        # V_r^T + U_2 W V_2^T) with ||W||_2 < 1, exact or perturbed.
+        rng = np.random.RandomState(40 + n)
+        k_max = 2 * n - 1
+        for trial in range(12):
+            r = int(rng.randint(1, min(n, 4) + 1)) if n > 2 else 1
+            poles = rng.uniform(-0.95, 0.95, r)
+            g = (rng.normal(size=r)[:, None] * poles[:, None] ** np.arange(k_max)).sum(0)
+            g = g / hp.nuclear_norm(hp.hankel_embed(g).entries)
+            U, S, Vh = np.linalg.svd(hp.hankel_embed(g).entries)
+            rank = int(np.sum(S > 1e-10 * S[0]))
+            W = rng.normal(size=(n - rank, n - rank))
+            W = W + W.T
+            W *= rng.uniform(0.0, 0.9) / np.linalg.norm(W, 2)
+            h = hp.hankel_adjoint(U[:, :rank] @ Vh[:rank] + U[:, rank:] @ W @ Vh[rank:])
+            res = -rng.uniform(0.1, 2.0) * h
+            if trial % 2:
+                res = res + 1e-4 * np.linalg.norm(res) * rng.normal(size=k_max) / np.sqrt(k_max)
+            self._assert_matches_reference(g, res)
+
+    def test_peak_memory_wide_system(self, order100_spec):
+        # one certificate at n = 41 took 81 MB with the n^2 x m^2 build
+        g_o = hp.impulse_response(order100_spec, 81)
+        t = 0.3 * hp.compute_t_max(g_o)
+        sol = hp.solve_constrained(g_o, t)
+        tracemalloc.start()
+        try:
+            hp.subgradient_vector(sol.g_tilde, t, g_o=g_o)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestDualityGap:

@@ -266,6 +266,8 @@ class TestSolverOptions:
         for bad in (
             dict(rho=0.0),
             dict(max_iters=0),
+            dict(max_iters=2.5),
+            dict(max_iters=np.inf),
             dict(primal_tol=-1.0),
             dict(rho=np.nan),
             dict(rho=np.inf),
