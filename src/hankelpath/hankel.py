@@ -90,7 +90,9 @@ class HankelMatrix:
     """Square matrix with constant anti-diagonals plus its generating vector.
 
     The generating vector is kept alongside the dense entries so repeated
-    embed/adjoint round trips cannot drift off the Hankel manifold.
+    embed/adjoint round trips cannot drift off the Hankel manifold.  Both are
+    read-only copies: the caller's arrays stay writable, and later writes to
+    them do not change the matrix.
     """
 
     entries: np.ndarray
@@ -98,10 +100,10 @@ class HankelMatrix:
     n: int
 
     def __post_init__(self):
-        ent = np.asarray(self.entries, dtype=float)
+        ent = np.array(self.entries, dtype=float)
         ent.setflags(write=False)
         object.__setattr__(self, "entries", ent)
-        vec = np.asarray(self.vector, dtype=float)
+        vec = np.array(self.vector, dtype=float)
         vec.setflags(write=False)
         object.__setattr__(self, "vector", vec)
 

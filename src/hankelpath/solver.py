@@ -13,10 +13,16 @@ extrapolates it by safeguarded type-II Anderson acceleration (Walker & Ni,
 SIAM J. Numer. Anal. 2011; the safeguard after Zhang, O'Donoghue & Boyd,
 SIAM J. Optim. 2020).  Every iteration is still a splitting step from a
 consistent state, and convergence is decided on that step alone.
+
+When one residual exceeds the other tenfold, residual balancing scales the
+penalty rho by sqrt(r_pri / r_dual) clipped to [0.1, 10] (Wohlberg, ADMM
+penalty parameter selection by residual balancing, 2017).  Each change of
+rho changes the map and drops the Anderson history.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -38,9 +44,11 @@ from .hankel import (
 FEAS_SLACK = 1e-6
 
 #: Number of past differences the Anderson-accelerated loop keeps.
-AA_MEM = 5
+AA_MEM = 16
 #: Tikhonov weight of the Anderson normal equations, relative to their trace.
 AA_REG = 1e-10
+#: Largest factor by which one residual-balancing step scales rho.
+BALANCE_MAX = 10.0
 
 
 @dataclass(frozen=True)
@@ -280,11 +288,15 @@ def solve_constrained(
         if opts.adapt_rho and (
             (r_pri > 10.0 * r_dual and rho < 1e8) or (r_dual > 10.0 * r_pri and rho > 1e-8)
         ):
-            # residual balancing keeps both residuals decreasing together; a
-            # new rho changes the map T, so the history is dropped
-            factor = 2.0 if r_pri > r_dual else 0.5
-            rho *= factor
-            U_dual /= factor
+            # residual balancing keeps both residuals decreasing together:
+            # rho scales by sqrt(r_pri / r_dual) clipped to [0.1, 10], by 10
+            # when r_dual is zero; a new rho changes the map T, so the
+            # history is dropped
+            factor = BALANCE_MAX if r_dual == 0.0 else math.sqrt(r_pri / r_dual)
+            factor = min(max(factor, 1.0 / BALANCE_MAX), BALANCE_MAX)
+            rho_new = min(max(rho * factor, 1e-8), 1e8)
+            U_dual *= rho / rho_new
+            rho = rho_new
             denom = fit_curv + rho * w
             filled = slot = 0
             prev = None

@@ -48,3 +48,16 @@ def rank1_impulse():
 @pytest.fixture(scope="session")
 def order100_spec():
     return hp.random_system(100, ORDER100_SEED, bands=ORDER100_BANDS)
+
+
+@pytest.fixture(scope="session")
+def order100_path(order100_spec):
+    """(g_o, path) of the order-100 system at k_max = 51 (n = 26), eps = 12."""
+    g_o = hp.impulse_response(order100_spec, 51)
+    return g_o, hp.compute_path(g_o, eps=12.0)
+
+
+@pytest.fixture(scope="session")
+def wide_held_out_impulse():
+    """A held-out member of the order-100 family (seed 5) at k_max = 81 (n = 41)."""
+    return hp.impulse_response(hp.random_system(100, 5, bands=ORDER100_BANDS), 81)

@@ -156,9 +156,10 @@ def bisect_gap_crossing(gap_fn, eps, lo, hi, iters=100):
 
 def plain_admm(g_o, t, opts=None):
     """The unaccelerated ADMM loop of solve_constrained, from a cold start:
-    one splitting step per iteration, the same residual test and residual
-    balancing.  Only for t below ||H(g_o)||_*.  Returns (g_tilde, objective,
-    iterations, converged)."""
+    one splitting step per iteration, the same residual test and the same
+    residual balancing (one sqrt(r_pri / r_dual) step, Wohlberg 2017).
+    Only for t below ||H(g_o)||_*.  Returns (g_tilde, objective, iterations,
+    converged)."""
     if opts is None:
         opts = hp.SolverOptions()
     g_o = hp.as_impulse(g_o)
@@ -199,15 +200,16 @@ def plain_admm(g_o, t, opts=None):
         if r_pri <= eps_pri and r_dual <= eps_dual:
             converged = True
             break
-        if opts.adapt_rho:
-            if r_pri > 10.0 * r_dual and rho < 1e8:
-                rho *= 2.0
-                U_dual /= 2.0
-                denom = fit_curv + rho * w
-            elif r_dual > 10.0 * r_pri and rho > 1e-8:
-                rho /= 2.0
-                U_dual *= 2.0
-                denom = fit_curv + rho * w
+        if opts.adapt_rho and (
+            (r_pri > 10.0 * r_dual and rho < 1e8) or (r_dual > 10.0 * r_pri and rho > 1e-8)
+        ):
+            # rho scaled by sqrt(r_pri / r_dual) clipped to [0.1, 10], and by
+            # 10 when r_dual is zero, then kept inside [1e-8, 1e8]
+            factor = 10.0 if r_dual == 0.0 else min(max(math.sqrt(r_pri / r_dual), 0.1), 10.0)
+            rho_new = min(max(rho * factor, 1e-8), 1e8)
+            U_dual *= rho / rho_new
+            rho = rho_new
+            denom = fit_curv + rho * w
     return g_tilde, float(np.sum((t * g_tilde - gvec) ** 2)), it, converged
 
 

@@ -88,9 +88,8 @@ class TestMatchSubgradient:
     def test_rank1_path(self, rank1_impulse):
         self._check_path(rank1_impulse, hp.compute_path(rank1_impulse, eps=1e-4))
 
-    def test_order100_path(self, order100_spec):
-        g_o = hp.impulse_response(order100_spec, 51)
-        self._check_path(g_o, hp.compute_path(g_o, eps=12.0))
+    def test_order100_path(self, order100_path):
+        self._check_path(*order100_path)
 
     @pytest.mark.parametrize("n", [2, 5, 16])
     def test_random_low_rank(self, n):

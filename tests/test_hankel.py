@@ -48,6 +48,19 @@ class TestEmbed:
         H = hp.hankel_embed(hp.ImpulseResponse(np.array([1.0, 2.0])))
         np.testing.assert_array_equal(H.entries, [[1.0, 2.0], [2.0, 0.0]])
 
+    def test_caller_array_stays_writable_and_detached(self):
+        g = np.ones(5)
+        H = hp.hankel_embed(g)
+        g /= 2
+        np.testing.assert_array_equal(H.vector, np.ones(5))
+        np.testing.assert_array_equal(H.entries, np.ones((3, 3)))
+        M = np.ones((3, 3))
+        H = hp.HankelMatrix(entries=M, vector=np.ones(5), n=3)
+        M[0, 0] = 7.0
+        assert H.entries[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            H.entries[0, 0] = 2.0
+
     def test_symmetry_and_linearity(self):
         rng = np.random.RandomState(0)
         for _ in range(50):

@@ -395,3 +395,33 @@ class TestAndersonAcceleration:
             assert res.converged
             assert res.admm_state[2] != rho
             assert np.linalg.norm(res.g_tilde.values - ref.g_tilde.values) <= 1e-6
+
+    def test_wide_held_out_solve_within_default_budget(self, wide_held_out_impulse):
+        # a held-out breakpoint that needs most of the default budget: with
+        # rho steps of 2 or 1/2 the Anderson history is dropped too often
+        # for the solve to converge in 5,000 iterations
+        res = hp.solve_constrained(wide_held_out_impulse, 63.47)
+        assert res.converged
+
+    def test_order100_path_iteration_total(self, order100_path):
+        _, path = order100_path
+        assert path.m == 10
+        assert sum(r.iterations for r in path.exact_solutions) <= 3000
+
+
+class TestResidualBalancing:
+    def test_zero_dual_residual_scales_rho_by_the_cap(self):
+        # scalar H(g): once X sits on the ball's boundary X_new == X exactly,
+        # so balancing fires with r_dual == 0 and multiplies rho by 10
+        res = hp.solve_constrained([2.0], 1.0)
+        assert res.converged and res.dual_residual == 0.0
+        assert res.admm_state[2] == 1e4
+        np.testing.assert_allclose(res.g_tilde.values, [1.0], atol=1e-8)
+
+    def test_rho_capped_at_upper_bound(self):
+        # one step of 10 from 3e7 would overshoot 1e8
+        cold = hp.solve_constrained([2.0], 1.0)
+        X, U, _ = cold.admm_state
+        res = hp.solve_constrained([2.0], 1.0, warm_start=(X, U, 3e7))
+        assert res.converged
+        assert res.admm_state[2] == 1e8
