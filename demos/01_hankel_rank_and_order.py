@@ -28,7 +28,7 @@ sigma = hp.hankel_singular_values(g)
 print("\nleading singular values:", np.array2string(sigma[:6], precision=3))
 print("numerical rank (tol 1e-8):", int(np.sum(sigma > 1e-8 * sigma[0])),
       "== system order", spec.order)
-print("nuclear norm:", hp.nuclear_norm(H.entries))
+print("nuclear norm (t_max):", hp.compute_t_max(g))
 
 # the embedding and its adjoint form an exact transform pair
 w = hp.multiplicities(H.n)

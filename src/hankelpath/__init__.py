@@ -13,23 +13,20 @@ order can be read off the path.
 
 from .hankel import (
     DEFAULT_RANK_TOL,
-    CompactSvd,
     HankelMatrix,
     ImpulseResponse,
     as_impulse,
-    basis_matrix,
-    compact_svd,
+    compute_t_max,
     hankel_adjoint,
     hankel_embed,
+    hankel_singular_values,
     multiplicities,
-    nuclear_norm,
     read_impulse_csv,
     read_impulse_json,
     write_impulse_csv,
     write_impulse_json,
 )
 from .solver import (
-    FEAS_SLACK,
     SolveResult,
     SolverOptions,
     project_nuclear_ball,
@@ -50,8 +47,6 @@ from .path import (
     PathSample,
     bootstrap_gap,
     compute_path,
-    compute_t_max,
-    hankel_singular_values,
     segment_owner,
 )
 from .systems import (
@@ -69,8 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_RANK_TOL",
-    "FEAS_SLACK",
-    "CompactSvd",
     "DegenerateCertificateError",
     "GapCertificate",
     "HankelMatrix",
@@ -84,10 +77,8 @@ __all__ = [
     "SystemSpec",
     "approx_objective",
     "as_impulse",
-    "basis_matrix",
     "bootstrap_gap",
     "check_truncation",
-    "compact_svd",
     "compute_path",
     "compute_t_max",
     "duality_gap",
@@ -97,7 +88,6 @@ __all__ = [
     "impulse_response",
     "multiplicities",
     "next_breakpoint",
-    "nuclear_norm",
     "project_nuclear_ball",
     "project_simplex_l1",
     "random_system",

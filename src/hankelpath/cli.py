@@ -18,15 +18,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from ._textio import fmt17
-from .certificates import duality_gap
 from .hankel import (
     ImpulseResponse,
-    as_impulse,
     read_impulse_csv,
     read_impulse_json,
     write_impulse_csv,
 )
-from .path import PathAborted, bootstrap_gap, compute_path, compute_t_max, hankel_singular_values, segment_owner
+from .path import PathAborted, compute_path, compute_t_max, hankel_singular_values
 from .solver import SolverOptions, solve_constrained
 from .systems import impulse_response, random_system, write_system_json
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,25 +87,19 @@ def as_impulse(g) -> ImpulseResponse:
 
 @dataclass(frozen=True, eq=False)
 class HankelMatrix:
-    """Square matrix with constant anti-diagonals plus its generating vector.
+    """Square matrix with constant anti-diagonals.
 
-    The generating vector is kept alongside the dense entries so repeated
-    embed/adjoint round trips cannot drift off the Hankel manifold.  Both are
-    read-only copies: the caller's arrays stay writable, and later writes to
-    them do not change the matrix.
+    The entries are a read-only copy: the caller's array stays writable, and
+    later writes to it do not change the matrix.
     """
 
     entries: np.ndarray
-    vector: np.ndarray
     n: int
 
     def __post_init__(self):
         ent = np.array(self.entries, dtype=float)
         ent.setflags(write=False)
         object.__setattr__(self, "entries", ent)
-        vec = np.array(self.vector, dtype=float)
-        vec.setflags(write=False)
-        object.__setattr__(self, "vector", vec)
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.entries, dtype=dtype)
@@ -143,7 +137,7 @@ def hankel_embed(g) -> HankelMatrix:
                 "ImpulseResponse to pad a trailing zero explicitly"
             )
     n = (vec.size + 1) // 2
-    return HankelMatrix(entries=vec[embed_indices(n)], vector=vec, n=n)
+    return HankelMatrix(entries=vec[embed_indices(n)], n=n)
 
 
 def _as_square(M) -> np.ndarray:
@@ -192,74 +186,20 @@ def multiplicities(n: int) -> np.ndarray:
     return np.minimum(k, 2 * n - k).astype(float)
 
 
-def basis_matrix(k: int, n: int) -> HankelMatrix:
-    """Hankel embedding of the k-th standard unit vector (1-based), k <= 2n-1."""
-    if not 1 <= k <= 2 * n - 1:
-        raise ValueError(f"k={k} out of range [1, {2 * n - 1}]")
-    e = np.zeros(2 * n - 1)
-    e[k - 1] = 1.0
-    return hankel_embed(e)
+def hankel_singular_values(g) -> np.ndarray:
+    """All singular values of the Hankel embedding of g, descending.
 
-
-def nuclear_norm(M) -> float:
-    """Sum of singular values; zero iff M = 0."""
-    arr = np.asarray(M, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("matrix contains non-finite entries")
-    return float(np.linalg.svd(arr, compute_uv=False).sum())
-
-
-@dataclass(frozen=True, eq=False)
-class CompactSvd:
-    """Rank-truncated SVD factors U (n x r), S (r,), V (n x r)."""
-
-    U: np.ndarray
-    S: np.ndarray
-    V: np.ndarray
-    r: int = field(init=False)
-
-    def __post_init__(self):
-        U = np.asarray(self.U, dtype=float)
-        S = np.asarray(self.S, dtype=float)
-        V = np.asarray(self.V, dtype=float)
-        r = S.size
-        if U.shape[1] != r or V.shape[1] != r:
-            raise ValueError("inconsistent factor shapes")
-        if r:
-            if np.any(S <= 0) or np.any(np.diff(S) > 0):
-                raise ValueError("singular values must be positive and non-increasing")
-            tol = 1e-10 * max(1.0, r)
-            if not np.allclose(U.T @ U, np.eye(r), atol=tol):
-                raise ValueError("U columns are not orthonormal")
-            if not np.allclose(V.T @ V, np.eye(r), atol=tol):
-                raise ValueError("V columns are not orthonormal")
-        for name, arr in (("U", U), ("S", S), ("V", V)):
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "r", r)
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.U * self.S) @ self.V.T
-
-
-def compact_svd(M, rank_tol: float = DEFAULT_RANK_TOL) -> CompactSvd:
-    """SVD keeping exactly the triplets with sigma_j > rank_tol * sigma_1.
-
-    Truncation is mandatory before using the factors in subgradient
-    constructions: numerical rounding makes raw factors full-rank even when
-    the matrix is not.  A zero matrix yields r = 0 with empty factors.
+    H(g) is symmetric, so they are the magnitudes of its eigenvalues.  Every
+    Hankel nuclear norm in the package is the sum of this array, which keeps
+    compute_t_max and the solver's closed-form test in exact agreement.
     """
-    if not 0.0 < rank_tol < 1.0:
-        raise ValueError("rank_tol must lie in (0, 1)")
-    arr = _as_square(M)
-    U, S, Vh = np.linalg.svd(arr)
-    if S.size == 0 or S[0] == 0.0:
-        n = arr.shape[0]
-        empty = np.zeros((n, 0))
-        return CompactSvd(U=empty, S=np.zeros(0), V=empty.copy())
-    keep = S > rank_tol * S[0]
-    return CompactSvd(U=U[:, keep], S=S[keep], V=Vh[keep, :].T)
+    lam = np.linalg.eigvalsh(hankel_embed(as_impulse(g)).entries)
+    return np.sort(np.abs(lam))[::-1]
+
+
+def compute_t_max(g_o) -> float:
+    """Smallest t with a perfect fit: the nuclear norm of H(g_o)."""
+    return float(hankel_singular_values(g_o).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._textio import fmt17, json_list, json_nested_list
 from .certificates import GapCertificate, duality_gap, next_breakpoint, subgradient_vector
-from .hankel import ImpulseResponse, as_impulse, hankel_embed, nuclear_norm
+from .hankel import as_impulse, compute_t_max, hankel_singular_values
 from .solver import SolveResult, SolverOptions, solve_constrained
 
 
@@ -103,16 +103,6 @@ class PathResult:
             fh.write("t," + ",".join(f"sigma_{j + 1}" for j in range(n)) + "\n")
             for t, sig in zip(self.breakpoints, self.singular_values):
                 fh.write(fmt17(t) + "," + ",".join(fmt17(v) for v in sig) + "\n")
-
-
-def compute_t_max(g_o) -> float:
-    """Smallest t with a perfect fit: the nuclear norm of H(g_o)."""
-    return nuclear_norm(hankel_embed(as_impulse(g_o)).entries)
-
-
-def hankel_singular_values(g) -> np.ndarray:
-    """All singular values of the Hankel embedding of g, descending."""
-    return np.linalg.svd(hankel_embed(as_impulse(g)).entries, compute_uv=False)
 
 
 def bootstrap_gap(g_o, t: float) -> float:

@@ -35,13 +35,9 @@ from .hankel import (
     adjoint_fast,
     as_impulse,
     embed_indices,
-    hankel_embed,
+    hankel_singular_values,
     multiplicities,
-    nuclear_norm,
 )
-
-#: Nuclear-norm slack allowed on a converged solution.
-FEAS_SLACK = 1e-6
 
 #: Number of past differences the Anderson-accelerated loop keeps.
 AA_MEM = 16
@@ -67,7 +63,6 @@ class SolverOptions:
     primal_tol: float | None = None
     dual_tol: float | None = None
     rank_tol: float = DEFAULT_RANK_TOL
-    adapt_rho: bool = True
 
     def __post_init__(self):
         if not (np.isfinite(self.rho) and self.rho > 0):
@@ -222,7 +217,7 @@ def solve_constrained(
         if not np.isfinite(rho) or rho <= 0:
             raise ValueError("warm-start rho must be positive")
 
-    nuc0 = nuclear_norm(hankel_embed(g_o).entries)
+    nuc0 = float(hankel_singular_values(g_o).sum())
     if nuc0 <= t:
         g_tilde = ImpulseResponse(gvec / t)
         obj = float(np.sum((t * g_tilde.values - gvec) ** 2))
@@ -285,9 +280,7 @@ def solve_constrained(
         if r_pri <= eps_pri and r_dual <= eps_dual:
             converged = True
             break
-        if opts.adapt_rho and (
-            (r_pri > 10.0 * r_dual and rho < 1e8) or (r_dual > 10.0 * r_pri and rho > 1e-8)
-        ):
+        if (r_pri > 10.0 * r_dual and rho < 1e8) or (r_dual > 10.0 * r_pri and rho > 1e-8):
             # residual balancing keeps both residuals decreasing together:
             # rho scales by sqrt(r_pri / r_dual) clipped to [0.1, 10], by 10
             # when r_dual is zero; a new rho changes the map T, so the
@@ -344,7 +337,7 @@ def solve_constrained(
         g_tilde=result_g,
         t=float(t),
         objective=obj,
-        nuclear_norm_value=nuclear_norm(hankel_embed(result_g).entries),
+        nuclear_norm_value=float(hankel_singular_values(result_g).sum()),
         iterations=it,
         primal_residual=r_pri,
         dual_residual=r_dual,

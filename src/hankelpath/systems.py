@@ -74,6 +74,15 @@ def _check_conjugate_closure(poles, residues):
             )
 
 
+def _modal_sum(spec: SystemSpec, k_max: int) -> np.ndarray:
+    """Complex coefficients g_k = sum_j c_j p_j^(k-1), k = 1..k_max."""
+    powers = np.arange(k_max)
+    acc = np.zeros(k_max, dtype=complex)
+    for p, c in zip(spec.poles, spec.residues):
+        acc += c * np.power(p, powers)
+    return acc
+
+
 def impulse_response(spec: SystemSpec, k_max: int) -> ImpulseResponse:
     """First k_max impulse-response coefficients g_k = sum_j c_j p_j^(k-1).
 
@@ -81,10 +90,7 @@ def impulse_response(spec: SystemSpec, k_max: int) -> ImpulseResponse:
     """
     if k_max < 1 or k_max % 2 == 0:
         raise ValueError("k_max must be a positive odd integer")
-    powers = np.arange(k_max)
-    acc = np.zeros(k_max, dtype=complex)
-    for p, c in zip(spec.poles, spec.residues):
-        acc += c * np.power(p, powers)
+    acc = _modal_sum(spec, k_max)
     scale = 1.0 + float(np.max(np.abs(acc.real)))
     if np.max(np.abs(acc.imag)) > 1e-12 * scale:
         raise ValueError("impulse response has non-negligible imaginary part")
@@ -107,11 +113,7 @@ def tail_energy(spec: SystemSpec, k_max: int) -> float:
 
 def check_truncation(spec: SystemSpec, k_max: int, tail_tol: float = 1e-8) -> bool:
     """True iff the discarded tail energy is <= tail_tol times the kept energy."""
-    powers = np.arange(k_max)
-    acc = np.zeros(k_max, dtype=complex)
-    for p, c in zip(spec.poles, spec.residues):
-        acc += c * np.power(p, powers)
-    head = float(np.sum(acc.real**2))
+    head = float(np.sum(_modal_sum(spec, k_max).real ** 2))
     return tail_energy(spec, k_max) <= tail_tol * head
 
 

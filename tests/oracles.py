@@ -200,9 +200,7 @@ def plain_admm(g_o, t, opts=None):
         if r_pri <= eps_pri and r_dual <= eps_dual:
             converged = True
             break
-        if opts.adapt_rho and (
-            (r_pri > 10.0 * r_dual and rho < 1e8) or (r_dual > 10.0 * r_pri and rho > 1e-8)
-        ):
+        if (r_pri > 10.0 * r_dual and rho < 1e8) or (r_dual > 10.0 * r_pri and rho > 1e-8):
             # rho scaled by sqrt(r_pri / r_dual) clipped to [0.1, 10], and by
             # 10 when r_dual is zero, then kept inside [1e-8, 1e8]
             factor = 10.0 if r_dual == 0.0 else min(max(math.sqrt(r_pri / r_dual), 0.1), 10.0)

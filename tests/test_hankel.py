@@ -3,7 +3,7 @@ import pytest
 
 import hankelpath as hp
 
-from oracles import adjoint_double_sum, inner_product_pair, svd_2x2_singular_values
+from oracles import adjoint_double_sum, inner_product_pair
 
 
 class TestImpulseResponse:
@@ -52,10 +52,9 @@ class TestEmbed:
         g = np.ones(5)
         H = hp.hankel_embed(g)
         g /= 2
-        np.testing.assert_array_equal(H.vector, np.ones(5))
         np.testing.assert_array_equal(H.entries, np.ones((3, 3)))
         M = np.ones((3, 3))
-        H = hp.HankelMatrix(entries=M, vector=np.ones(5), n=3)
+        H = hp.HankelMatrix(entries=M, n=3)
         M[0, 0] = 7.0
         assert H.entries[0, 0] == 1.0
         with pytest.raises(ValueError):
@@ -137,78 +136,6 @@ class TestMultiplicities:
             lhs = hp.hankel_adjoint(hp.hankel_embed(g).entries)
             rhs = hp.multiplicities(n) * g
             assert np.array_equal(lhs, rhs)
-
-
-class TestBasisMatrix:
-    def test_examples(self):
-        np.testing.assert_array_equal(hp.basis_matrix(1, 2).entries, [[1, 0], [0, 0]])
-        np.testing.assert_array_equal(hp.basis_matrix(2, 2).entries, [[0, 1], [1, 0]])
-        np.testing.assert_array_equal(hp.basis_matrix(3, 2).entries, [[0, 0], [0, 1]])
-
-    @pytest.mark.parametrize("k", [0, 4, -1])
-    def test_out_of_range(self, k):
-        with pytest.raises(ValueError):
-            hp.basis_matrix(k, 2)
-
-
-class TestNuclearNorm:
-    def test_zero(self):
-        assert hp.nuclear_norm(np.zeros((2, 2))) == 0.0
-
-    def test_rank_one_psd_equals_trace(self):
-        M = np.array([[1.0, 0.5], [0.5, 0.25]])
-        expected = svd_2x2_singular_values(M).sum()
-        assert abs(expected - 1.25) < 1e-14
-        assert abs(hp.nuclear_norm(M) - 1.25) < 1e-12
-
-    def test_exchange_matrix(self):
-        # orthogonal, so every singular value is one
-        M = np.fliplr(np.eye(3))
-        assert abs(hp.nuclear_norm(M) - 3.0) < 1e-12
-
-    def test_norm_ordering(self):
-        rng = np.random.RandomState(4)
-        for _ in range(100):
-            n = rng.randint(1, 8)
-            r = rng.randint(1, n + 1)
-            M = rng.randn(n, r) @ rng.randn(r, n)
-            fro = np.linalg.norm(M)
-            nuc = hp.nuclear_norm(M)
-            assert fro <= nuc + 1e-10
-            assert nuc <= np.sqrt(r) * fro + 1e-10
-
-
-class TestCompactSvd:
-    def test_rank_one(self):
-        out = hp.compact_svd([[1.0, 0.5], [0.5, 0.25]], rank_tol=1e-8)
-        assert out.r == 1
-        np.testing.assert_allclose(out.S, [1.25], atol=1e-12)
-
-    def test_identity(self):
-        out = hp.compact_svd(np.eye(3), rank_tol=1e-8)
-        assert out.r == 3
-        np.testing.assert_allclose(out.S, np.ones(3), atol=1e-12)
-
-    def test_zero_matrix(self):
-        out = hp.compact_svd(np.zeros((4, 4)))
-        assert out.r == 0
-        assert out.U.shape == (4, 0) and out.V.shape == (4, 0)
-
-    def test_reconstruction_of_known_rank(self):
-        rng = np.random.RandomState(5)
-        for _ in range(50):
-            n = rng.randint(2, 9)
-            r = rng.randint(1, n + 1)
-            M = rng.randn(n, r) @ rng.randn(r, n)
-            out = hp.compact_svd(M, rank_tol=1e-8)
-            sigma1 = np.linalg.svd(M, compute_uv=False)[0]
-            err = np.linalg.norm(out.reconstruct() - M)
-            assert err <= max(1e-8 * sigma1 * np.sqrt(n), 1e-12)
-
-    @pytest.mark.parametrize("tol", [0.0, 1.0, -0.5, 2.0])
-    def test_rank_tol_domain(self, tol):
-        with pytest.raises(ValueError):
-            hp.compact_svd(np.eye(2), rank_tol=tol)
 
 
 class TestFileFormats:

@@ -5,6 +5,8 @@ import pytest
 
 import hankelpath as hp
 
+from oracles import svd_2x2_singular_values
+
 
 class TestTMax:
     def test_unit_impulse(self):
@@ -30,6 +32,35 @@ class TestHankelSingularValues:
         np.testing.assert_allclose(
             hp.hankel_singular_values([0.0, 1.0, 0.0]), [1.0, 1.0], atol=1e-12
         )
+
+    @staticmethod
+    def _cases():
+        """Random Hankel vectors, then indefinite (+/- lambda pairs),
+        rank-deficient and zero ones, at each size."""
+        rng = np.random.RandomState(6)
+        for n in (1, 2, 5, 16, 26, 41):
+            k = np.arange(2 * n - 1)
+            for _ in range(5):
+                yield rng.randn(k.size) * np.exp(rng.uniform(-6, 6))
+            # g_k = a^(k-1) - (-a)^(k-1): H(g) = v v^T - w w^T, eigenvalues +/-
+            a = rng.uniform(0.3, 0.9)
+            yield a**k - (-a) ** k
+            # a sum of r geometric modes has rank min(r, n)
+            r = max(1, n // 3)
+            poles = rng.uniform(-0.9, 0.9, r)
+            yield (rng.randn(r)[:, None] * poles[:, None] ** k).sum(axis=0)
+            yield np.zeros(k.size)
+
+    def test_matches_svd_reference(self):
+        for g in self._cases():
+            H = hp.hankel_embed(g).entries
+            ref = np.linalg.svd(H, compute_uv=False)
+            got = hp.hankel_singular_values(g)
+            assert got.shape == ref.shape
+            assert np.all(np.diff(got) <= 0)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * ref[0]
+            if H.shape == (2, 2):
+                assert np.max(np.abs(got - svd_2x2_singular_values(H))) <= 1e-12 * ref[0]
 
 
 class TestComputePath:

@@ -5,7 +5,11 @@ import pytest
 
 import hankelpath as hp
 
+from conftest import FIXTURE_BANDS, FIXTURE_K_MAX
 from oracles import plain_admm, simplex_sort_loop, solve_k3_oracle, theta_scan_simplex
+
+#: Nuclear-norm slack allowed on a converged solution.
+FEAS_SLACK = 1e-6
 
 
 class TestProjectSimplexL1:
@@ -142,7 +146,7 @@ class TestSymmetricProjection:
     def test_cases_are_symmetric_and_mostly_outside(self):
         cases = _symmetric_cases(20)
         assert all(np.array_equal(M, M.T) for M in cases)
-        outside = sum(hp.nuclear_norm(M) > 1.0 for M in cases)
+        outside = sum(np.linalg.norm(M, "nuc") > 1.0 for M in cases)
         assert 40 <= outside < len(cases)
 
     def test_matches_svd_projection(self):
@@ -152,14 +156,14 @@ class TestSymmetricProjection:
 
     def test_inside_returned_unchanged(self):
         for M in _symmetric_cases(22):
-            if hp.nuclear_norm(M) < 1.0 - 1e-12:
+            if np.linalg.norm(M, "nuc") < 1.0 - 1e-12:
                 assert np.array_equal(hp.project_nuclear_ball(M, 1.0), M)
 
     def test_output_bit_symmetric(self):
         for M in _symmetric_cases(23):
             P = hp.project_nuclear_ball(M, 1.0)
             assert np.array_equal(P, P.T)
-            assert hp.nuclear_norm(P) <= 1.0 + 1e-12
+            assert np.linalg.norm(P, "nuc") <= 1.0 + 1e-12
 
 
 class TestSolveConstrained:
@@ -177,6 +181,18 @@ class TestSolveConstrained:
             assert res.converged and res.iterations == 0
             np.testing.assert_allclose(res.g_tilde.values, g_o.values / t, rtol=1e-15)
             assert res.objective <= 1e-28
+
+    def test_t_max_takes_closed_form_branch(self, rank1_impulse, order100_spec):
+        # t_max and the solver's feasibility test sum the same singular values,
+        # so at t = t_max the unconstrained optimum is taken with no iteration
+        cases = [rank1_impulse, hp.impulse_response(order100_spec, 51)]
+        cases += [
+            hp.impulse_response(hp.random_system(6, seed, bands=FIXTURE_BANDS), FIXTURE_K_MAX)
+            for seed in range(20)
+        ]
+        for g_o in cases:
+            res = hp.solve_constrained(g_o, hp.compute_t_max(g_o))
+            assert res.iterations == 0 and res.admm_state is None
 
     def test_scalar_clamp(self):
         tight = hp.SolverOptions(primal_tol=1e-13, dual_tol=1e-13, max_iters=20000)
@@ -213,7 +229,7 @@ class TestSolveConstrained:
         for t in np.linspace(0.05, 1.0, 8) * t_max:
             res = hp.solve_constrained(g_o, t)
             assert res.converged
-            assert res.nuclear_norm_value <= 1.0 + hp.FEAS_SLACK
+            assert res.nuclear_norm_value <= 1.0 + FEAS_SLACK
             recomputed = float(np.sum((res.t * res.g_tilde.values - g_o.values) ** 2))
             assert abs(recomputed - res.objective) <= 1e-12 * max(1.0, res.objective)
 
