@@ -12,7 +12,6 @@ order can be read off the path.
 """
 
 from .hankel import (
-    DEFAULT_RANK_TOL,
     HankelMatrix,
     ImpulseResponse,
     as_impulse,
@@ -63,7 +62,6 @@ from .systems import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_RANK_TOL",
     "DegenerateCertificateError",
     "GapCertificate",
     "HankelMatrix",

@@ -24,13 +24,12 @@ sliced), and per cut r one ridge solve of size min((n - r)^2, k_max).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .hankel import (
-    DEFAULT_RANK_TOL,
     ImpulseResponse,
     as_impulse,
     hankel_adjoint,
@@ -55,7 +54,7 @@ class GapCertificate:
 
     residual_dir_norm is a = ||(I - h h^T / ||h||^2) g*||, the growth rate of
     the square-root gap in t.  A certificate with h = 0 (only possible for
-    g* = 0, whose Hankel matrix has an empty compact SVD) is flagged
+    g* = 0, whose Hankel matrix has no nonzero singular value) is flagged
     degenerate and cannot evaluate gaps.
     """
 
@@ -76,6 +75,12 @@ class GapCertificate:
 
 def _orth_component(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     return x - h * (np.dot(h, x) / np.dot(h, h))
+
+
+def _numerical_rank(S: np.ndarray) -> int:
+    """Number of singular values above the noise floor n * sigma_1 * machine
+    epsilon (at least one when sigma_1 > 0; S is sorted descending)."""
+    return int(np.sum(S > np.finfo(float).eps * S.size * S[0]))
 
 
 def _antidiagonal_tensor(U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -115,11 +120,8 @@ def _match_subgradient(U, S, Vh, res, k_max):
     h0_of_cut = np.cumsum(T[:, diag, diag], axis=1)
     # rhat^T A of each cut is a trailing block of this n x n matrix
     rhat_T = np.tensordot(rhat, T, axes=1)
-    noise_floor = np.finfo(float).eps * S[0] * n
     best_gap, best_h = np.inf, None
-    for cut in range(1, n + 1):
-        if cut > 1 and S[cut - 1] <= noise_floor:
-            break
+    for cut in range(1, _numerical_rank(S) + 1):
         h0 = h0_of_cut[:, cut - 1]
         candidates = [h0]
         if cut < n:
@@ -158,12 +160,7 @@ def _match_subgradient(U, S, Vh, res, k_max):
     return best_h, best_gap
 
 
-def subgradient_vector(
-    g_tilde_star,
-    t_star: float,
-    g_o=None,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> GapCertificate:
+def subgradient_vector(g_tilde_star, t_star: float, g_o=None) -> GapCertificate:
     """Build the gap certificate at a solution of the constrained fit.
 
     Parameters
@@ -175,9 +172,8 @@ def subgradient_vector(
     g_o : ImpulseResponse or array-like, optional
         Data vector.  When given, W is matched to the fit residual
         t_star * g* - g_o so the certificate is tight at t_star; when omitted
-        the certificate is the literal W = 0 form h = adjoint(U V^T).
-    rank_tol : float
-        Relative truncation threshold for the compact SVD.
+        the certificate is the literal W = 0 form h = adjoint(U_r V_r^T),
+        cut at the same noise floor as the matched search.
 
     Returns
     -------
@@ -185,24 +181,17 @@ def subgradient_vector(
         Degenerate (h = 0) iff g_tilde_star = 0.
     """
     g_star = as_impulse(g_tilde_star)
-    H = hankel_embed(g_star)
     k_max = g_star.k_max
-    U, S, Vh = np.linalg.svd(H.entries)
-
-    if S.size == 0 or S[0] == 0.0:
-        return GapCertificate(
-            h=np.zeros(k_max),
-            t_star=float(t_star),
-            g_tilde_star=g_star,
-            residual_dir_norm=0.0,
-        )
+    U, S, Vh = np.linalg.svd(hankel_embed(g_star).entries)
+    if S[0] == 0.0:
+        return GapCertificate(np.zeros(k_max), float(t_star), g_star, 0.0)
 
     res = None if g_o is None else float(t_star) * g_star.values - as_impulse(g_o).values
     if res is not None and np.linalg.norm(res) > 1e-15:
         h, _ = _match_subgradient(U, S, Vh, res, k_max)
     else:
-        base_rank = int(np.sum(S > rank_tol * S[0]))
-        h = hankel_adjoint(U[:, :base_rank] @ Vh[:base_rank, :])
+        rank = _numerical_rank(S)
+        h = hankel_adjoint(U[:, :rank] @ Vh[:rank, :])
 
     a = float(np.linalg.norm(_orth_component(g_star.values, h)))
     return GapCertificate(
@@ -238,13 +227,15 @@ def duality_gap(cert: GapCertificate, g_o, t: float) -> float:
 def next_breakpoint(cert: GapCertificate, g_o, eps: float, t_max: float) -> float:
     """Smallest t > t_star where the certificate's gap reaches eps, capped at t_max.
 
-    The gap grows as (t - t_star)^2 * a^2 from an exact breakpoint, so the
-    primary step is t_star + sqrt(eps) / a; if evaluating the gap there
-    misses eps by more than 4 % (inexact solve upstream), a safeguarded
-    root-finder on [t_star, t_max] takes over.  a = 0 means the frozen
-    solution stays exact in the direction of h and the gap never reaches eps.
+    With p and r the components of g* and of the residual t* g* - g_o
+    orthogonal to h, the gap is the exact quadratic ||s p + r||^2 in the step
+    s = t - t*, so the crossing is the positive root of
+    a^2 s^2 + 2 b s - c = 0 with a = ||p||, b = <p, r> and c = eps - ||r||^2,
+    taken in the form that does not cancel.  a = 0 means the frozen solution
+    stays exact in the direction of h and the gap never reaches eps; a gap
+    that already reaches eps at t* (c <= 0) raises RuntimeError.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     t_star = cert.t_star
     if t_star >= t_max:
@@ -252,19 +243,17 @@ def next_breakpoint(cert: GapCertificate, g_o, eps: float, t_max: float) -> floa
     a = cert.residual_dir_norm
     if a == 0.0:
         return float(t_max)
-    if duality_gap(cert, g_o, t_max) <= eps:
-        return float(t_max)
-
-    t_closed = t_star + np.sqrt(eps) / a
-    if t_closed < t_max and abs(duality_gap(cert, g_o, t_closed) - eps) <= 0.04 * eps:
-        return float(t_closed)
-
-    gap_at_start = duality_gap(cert, g_o, t_star)
+    h = cert.h
+    g_star = cert.g_tilde_star.values
+    p = _orth_component(g_star, h)
+    r = _orth_component(t_star * g_star - as_impulse(g_o).values, h)
+    gap_at_start = float(np.dot(r, r))
     if gap_at_start >= eps:
         raise RuntimeError(
             f"certificate gap at its own breakpoint t*={t_star:.6g} is already "
             f"{gap_at_start:.3g} >= eps={eps:.3g}; the owning solve was too inexact"
         )
-    return float(
-        brentq(lambda x: duality_gap(cert, g_o, x) - eps, t_star, t_max, xtol=1e-12)
-    )
+    b, c = float(np.dot(p, r)), eps - gap_at_start
+    root = math.sqrt(b * b + a * a * c)
+    step = c / (b + root) if b >= 0 else (root - b) / (a * a)
+    return float(min(t_star + step, t_max))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -47,7 +48,6 @@ _DEFAULTS = {
     "k_max": 31,
     "epsilon": 0.01,
     "grid_points": 20,
-    "rank_tol": 1e-6,
     "rho": 1.0,
     "max_iters": 5000,
     "tol": None,
@@ -73,7 +73,6 @@ def _build_parser() -> _Parser:
     add_common(gen)
 
     def add_solver_flags(p):
-        p.add_argument("--rank-tol", dest="rank_tol", type=float)
         p.add_argument("--rho", type=float)
         p.add_argument("--max-iters", dest="max_iters", type=int)
         p.add_argument("--tol", type=float, help="primal and dual tolerance")
@@ -117,14 +116,30 @@ def _merge_config(args) -> dict:
     return merged
 
 
+def _positive(cfg, key) -> float:
+    """cfg[key] as a positive finite float; anything else is a usage error."""
+    try:
+        value = float(cfg[key])
+    except (TypeError, ValueError):
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        flag = "--" + key.replace("_", "-")
+        raise UsageError(f"{flag} must be positive and finite, got {cfg[key]!r}")
+    return value
+
+
+def _int(cfg, key) -> int:
+    """cfg[key] if it is an int; a config file's 2.5 or true is a usage error."""
+    if type(cfg[key]) is not int:
+        raise UsageError(f"--{key.replace('_', '-')} must be an integer, got {cfg[key]!r}")
+    return cfg[key]
+
+
 def _solver_opts(cfg) -> SolverOptions:
+    tol = None if cfg["tol"] is None else _positive(cfg, "tol")
     try:
         return SolverOptions(
-            rho=float(cfg["rho"]),
-            max_iters=int(cfg["max_iters"]),
-            primal_tol=None if cfg["tol"] is None else float(cfg["tol"]),
-            dual_tol=None if cfg["tol"] is None else float(cfg["tol"]),
-            rank_tol=float(cfg["rank_tol"]),
+            rho=_positive(cfg, "rho"), max_iters=cfg["max_iters"], primal_tol=tol, dual_tol=tol
         )
     except ValueError as exc:
         raise UsageError(str(exc))
@@ -144,7 +159,7 @@ def _ensure_outdir(cfg) -> str:
 
 def cmd_gen(args) -> int:
     cfg = _merge_config(args)
-    order, seed, k_max = int(cfg["order"]), int(cfg["seed"]), int(cfg["k_max"])
+    order, seed, k_max = _int(cfg, "order"), _int(cfg, "seed"), _int(cfg, "k_max")
     if order < 1:
         raise UsageError("--order must be >= 1")
     if k_max < 1:
@@ -169,9 +184,7 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = _merge_config(args)
-    t = float(cfg["t"])
-    if t <= 0:
-        raise UsageError("--t must be positive")
+    t = _positive(cfg, "t")
     g_o = _read_impulse(cfg["input"])
     out = _ensure_outdir(cfg)
     result = solve_constrained(g_o, t, _solver_opts(cfg))
@@ -241,12 +254,10 @@ def _verify_path(result, g_o, opts, jobs: int) -> list[str]:
 
 def cmd_path(args) -> int:
     cfg = _merge_config(args)
-    eps = float(cfg["epsilon"])
-    grid = int(cfg["grid_points"])
+    eps = _positive(cfg, "epsilon")
+    grid = _int(cfg, "grid_points")
     fmt = cfg["format"]
-    jobs = int(cfg["jobs"])
-    if eps <= 0:
-        raise UsageError("--epsilon must be positive")
+    jobs = _int(cfg, "jobs")
     if grid < 2:
         raise UsageError("--grid-points must be >= 2")
     if jobs < 1:

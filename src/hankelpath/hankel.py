@@ -20,10 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Relative singular-value threshold below which directions are treated as
-#: numerical noise.  Exposed as a knob everywhere an SVD gets truncated.
-DEFAULT_RANK_TOL = 1e-6
-
 
 def _as_vector(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)

@@ -137,9 +137,9 @@ def compute_path(
         Reporting grid per segment (endpoints included); does not influence
         the breakpoints.
     solver_opts : SolverOptions, optional
-        Forwarded to every exact solve; rank_tol also feeds the certificates.
-        Solves after the first start from the previous breakpoint's
-        splitting state, so opts.rho only sets the first solve's start.
+        Forwarded to every exact solve.  Solves after the first start from
+        the previous breakpoint's splitting state, so opts.rho only sets the
+        first solve's start.
 
     Returns
     -------
@@ -151,7 +151,7 @@ def compute_path(
         If any breakpoint solve fails to converge; the partial path rides on
         the exception.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     if grid_points_per_segment < 2:
         raise ValueError("grid_points_per_segment must be >= 2")
@@ -200,9 +200,7 @@ def compute_path(
         result.breakpoints.append(t_i)
         result.exact_solutions.append(res)
         result.singular_values.append(hankel_singular_values(t_i * res.g_tilde.values))
-        cert = subgradient_vector(
-            res.g_tilde, t_i, g_o=g_o, rank_tol=solver_opts.rank_tol
-        )
+        cert = subgradient_vector(res.g_tilde, t_i, g_o=g_o)
         result.certificates.append(cert)
 
         if t_i >= t_max * (1.0 - 1e-12):

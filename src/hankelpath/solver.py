@@ -31,7 +31,6 @@ from scipy.linalg.lapack import dposv
 
 from .hankel import (
     ImpulseResponse,
-    DEFAULT_RANK_TOL,
     adjoint_fast,
     as_impulse,
     embed_indices,
@@ -62,19 +61,21 @@ class SolverOptions:
     max_iters: int = 5000
     primal_tol: float | None = None
     dual_tol: float | None = None
-    rank_tol: float = DEFAULT_RANK_TOL
 
     def __post_init__(self):
         if not (np.isfinite(self.rho) and self.rho > 0):
             raise ValueError("rho must be positive and finite")
-        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
+        # bool is an Integral, but a config file's true is no iteration count
+        if not (
+            isinstance(self.max_iters, numbers.Integral)
+            and not isinstance(self.max_iters, bool)
+            and self.max_iters >= 1
+        ):
             raise ValueError("max_iters must be an integer >= 1")
         for name in ("primal_tol", "dual_tol"):
             tol = getattr(self, name)
             if tol is not None and not (np.isfinite(tol) and tol > 0):
                 raise ValueError(f"{name} must be positive and finite")
-        if not 0.0 < self.rank_tol < 1.0:
-            raise ValueError("rank_tol must lie in (0, 1)")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -228,6 +230,24 @@ class TestNextBreakpoint:
         with pytest.raises(ValueError):
             hp.next_breakpoint(cert, np.ones(3), eps=0.0, t_max=2.0)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["b-positive", "b-negative"])
+    def test_untight_certificate_vs_bisection(self, sign):
+        # the residual at t* has an orthogonal part r with <p, r> = sign * 0.1,
+        # so the gap is ||s p + r||^2 and not (s a)^2
+        cert = self._synthetic_cert()
+        r = np.array([0.0, sign * 0.05, 0.03])
+        g_o = cert.g_tilde_star.values - (-0.3 * cert.h + r)
+        t_next = hp.next_breakpoint(cert, g_o, eps=0.04, t_max=10.0)
+        ref = bisect_gap_crossing(_gap_fn(cert, g_o), 0.04, 1.0, 10.0)
+        assert abs(t_next - ref) <= 1e-12 * ref
+        assert abs(t_next - 1.1) > 1e-3  # off the tight step t* + sqrt(eps)/a
+
+    def test_gap_at_own_breakpoint_above_eps_raises(self):
+        cert = self._synthetic_cert()
+        g_o = cert.g_tilde_star.values - np.array([0.3, 0.2, 0.1])
+        with pytest.raises(RuntimeError, match="already"):
+            hp.next_breakpoint(cert, g_o, eps=0.04, t_max=10.0)
+
     def test_fixture_breakpoint_vs_bisection(self, sixth_order_impulse):
         g_o = sixth_order_impulse
         t_max = hp.compute_t_max(g_o)
@@ -239,6 +259,15 @@ class TestNextBreakpoint:
         ref = bisect_gap_crossing(_gap_fn(cert, g_o), eps, t, t_max)
         assert abs(t_next - ref) < 1e-8
         assert 0.95 * eps <= hp.duality_gap(cert, g_o, t_next) <= 1.05 * eps
+
+
+def test_import_leaves_scipy_optimize_out():
+    # the breakpoint step is closed-form; importing scipy.optimize made up
+    # about 40 % of the package's import time
+    code = "import sys, hankelpath; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestSandwich:

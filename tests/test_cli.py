@@ -71,7 +71,7 @@ class TestSolve:
         proc = run_cli("solve", "--input", impulse_file, "--t", 0.0, "--out", tmp_path)
         assert proc.returncode == 1
 
-    @pytest.mark.parametrize("flag", ["--rho", "--rank-tol"])
+    @pytest.mark.parametrize("flag", ["--rho", "--tol"])
     def test_non_finite_option_is_usage_error(self, tmp_path, impulse_file, flag):
         proc = run_cli("solve", "--input", impulse_file, "--t", 0.5, flag, "nan", "--out", tmp_path)
         assert proc.returncode == 1
@@ -192,6 +192,38 @@ class TestPath:
         out = tmp_path / "path"
         proc = run_cli("path", "--input", src, "--epsilon", 0.01, "--out", out)
         assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, flags, config",
+    [
+        ("path", ["--epsilon", "nan"], None),
+        ("path", ["--epsilon", "inf"], None),
+        ("solve", ["--t", "nan"], None),
+        ("solve", ["--t", "inf"], None),
+        ("path", [], {"epsilon": "abc"}),
+        ("path", [], {"epsilon": None}),
+        ("path", [], {"max_iters": 2.5}),
+        ("path", [], {"max_iters": True}),
+        ("path", [], {"grid_points": 3.7}),
+        ("path", [], {"jobs": True}),
+        ("path", ["--rank-tol", "1e-6"], None),
+    ],
+    ids=[
+        "epsilon-nan", "epsilon-inf", "t-nan", "t-inf", "config-epsilon-abc",
+        "config-epsilon-null", "config-max-iters-2.5", "config-max-iters-true",
+        "config-grid-points-3.7",
+        "config-jobs-true", "removed-rank-tol",
+    ],
+)
+def test_bad_option_value_is_usage_error(tmp_path, impulse_file, command, flags, config):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        flags = flags + ["--config", path]
+    proc = run_cli(command, "--input", impulse_file, *flags, "--out", tmp_path / "out")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: "), proc.stderr
 
 
 def test_unknown_command_is_usage_error():

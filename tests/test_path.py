@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -170,6 +171,33 @@ class TestComputePath:
             hp.compute_path(sixth_order_impulse, eps=0.01, solver_opts=opts)
         assert err.value.partial.partial is True
         assert err.value.partial.m == 0
+
+    def test_untight_certificate_aborts_with_partial_path(self, sixth_order_impulse, monkeypatch):
+        # a certificate whose h is orthogonal to the residual at t* prices the
+        # whole residual as gap, far above eps at the first breakpoint
+        real = hp.path.subgradient_vector
+
+        def untight(g_tilde, t_star, g_o):
+            cert = real(g_tilde, t_star, g_o=g_o)
+            res = t_star * cert.g_tilde_star.values - hp.as_impulse(g_o).values
+            h = cert.h - res * np.dot(cert.h, res) / np.dot(res, res)
+            return dataclasses.replace(cert, h=h)
+
+        monkeypatch.setattr(hp.path, "subgradient_vector", untight)
+        with pytest.raises(hp.PathAborted, match="already") as err:
+            hp.compute_path(sixth_order_impulse, eps=0.01)
+        partial = err.value.partial
+        assert partial.partial is True
+        assert partial.m == 1 and len(partial.certificates) == 1
+        assert len(partial.samples) == 20  # the zero-model segment only
+
+    def test_wide_system_sample_gaps_stay_within_eps(self, order100_spec):
+        # the n = 41 path of the order-100 system: a step off the exact gap
+        # crossing showed up here as a sample gap of 1.029 eps
+        g_o = hp.impulse_response(order100_spec, 81)
+        eps = 40.0
+        pr = hp.compute_path(g_o, eps=eps)
+        assert max(s.gap for s in pr.samples) <= eps * (1 + 1e-9)
 
     def test_deterministic(self, sixth_order_impulse):
         a = hp.compute_path(sixth_order_impulse, eps=0.01)

@@ -283,14 +283,13 @@ class TestSolverOptions:
             dict(rho=0.0),
             dict(max_iters=0),
             dict(max_iters=2.5),
+            dict(max_iters=True),
             dict(max_iters=np.inf),
             dict(primal_tol=-1.0),
             dict(rho=np.nan),
             dict(rho=np.inf),
             dict(primal_tol=np.nan),
             dict(dual_tol=np.inf),
-            dict(rank_tol=np.nan),
-            dict(rank_tol=1.0),
         ):
             with pytest.raises(ValueError):
                 hp.SolverOptions(**bad)
