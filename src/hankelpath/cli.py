@@ -96,6 +96,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _option_dests(parser) -> set[str]:
+    """The dest of every option of every subcommand."""
+    (sub,) = (a for a in parser._actions if a.dest == "command")
+    return {a.dest for p in sub.choices.values() for a in p._actions} - {"help"}
+
+
 def _merge_config(args) -> dict:
     """flags > config file > defaults."""
     merged = dict(_DEFAULTS)
@@ -108,8 +114,12 @@ def _merge_config(args) -> dict:
                 raise UsageError(f"config file is not valid JSON: {exc}")
         if not isinstance(doc, dict):
             raise UsageError("config file must hold a JSON object")
+        known = _option_dests(_build_parser())
         for key, value in doc.items():
-            merged[key.replace("-", "_")] = value
+            dest = key.replace("-", "_")
+            if dest not in known:
+                raise UsageError(f"config key {key!r} names no option of any command")
+            merged[dest] = value
     for key, value in vars(args).items():
         if value is not None and key not in ("config", "command", "func"):
             merged[key] = value

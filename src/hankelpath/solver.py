@@ -7,6 +7,8 @@ with H the Hankel embedding.  The solver alternates a closed-form coefficient
 update (the normal equations are diagonal because adjoint(embed(g)) equals
 multiplicities * g), a nuclear-ball projection of the embedded iterate, and a
 scaled dual update, until primal and dual residuals fall below tolerances.
+The iterates are exactly symmetric, and the projection eigendecomposes them
+by LAPACK dsyevd, called directly rather than through np.linalg.eigh.
 
 That splitting step is a fixed-point map of z = X + U_dual, and the loop
 extrapolates it by safeguarded type-II Anderson acceleration (Walker & Ni,
@@ -27,7 +29,7 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dposv
+from scipy.linalg.lapack import dposv, dsyevd
 
 from .hankel import (
     ImpulseResponse,
@@ -129,27 +131,46 @@ def project_nuclear_ball(M, radius: float) -> np.ndarray:
     Computed as U diag(project_simplex_l1(S, radius)) V^T on the SVD;
     matrices already inside the ball pass through untouched, so the map is
     idempotent, and as a projection onto a convex set it is non-expansive.
+    An inf or NaN entry, or a decomposition that fails, raises
+    np.linalg.LinAlgError.
 
     An exactly symmetric input (every Hankel iterate of the solver) takes the
-    cheaper eigendecomposition Q diag(lam) Q^T instead: |lam| are its singular
-    values, so the projection shrinks |lam| on the simplex and keeps the
-    signs.  The result is symmetrized bit for bit, so the solver's iterates
-    stay on this branch.
+    cheaper eigendecomposition Q diag(lam) Q^T instead (LAPACK dsyevd, as in
+    np.linalg.eigh): |lam| are its singular values, so the projection shrinks
+    |lam| on the simplex and keeps the signs.  The result is symmetrized bit
+    for bit, so the solver's iterates stay on this branch.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     arr = np.asarray(M, dtype=float)
     if arr.ndim == 2 and np.array_equal(arr, arr.T):
-        lam, Q = np.linalg.eigh(arr)
+        lam, Q, info = dsyevd(arr, compute_v=1, lower=1)
         mag = np.abs(lam)
-        if mag.sum() <= radius:
+        total = mag.sum()
+        if info or not math.isfinite(total):
+            # an inf entry can also come back as NaNs with info == 0
+            raise np.linalg.LinAlgError("eigendecomposition failed")
+        if total <= radius:
             return arr
+        # LAPACK's eigenvectors come Fortran-ordered; at n >= 32 the product
+        # rounds differently on that layout than on np.linalg.eigh's C order
+        Q = np.ascontiguousarray(Q)
         P = (Q * np.copysign(project_simplex_l1(mag, radius), lam)) @ Q.T
         return 0.5 * (P + P.T)
+    if not np.isfinite(arr).all():
+        # LAPACK's SVD can loop forever on an inf entry
+        raise np.linalg.LinAlgError("matrix has non-finite entries")
     U, S, Vh = np.linalg.svd(arr, full_matrices=False)
     if S.sum() <= radius:
         return arr
     return (U * project_simplex_l1(S, radius)) @ Vh
+
+
+def _norm(a) -> float:
+    """np.linalg.norm(a) of a C-contiguous float array, bit for bit: the same
+    sqrt of the flat dot product, without the wrapper's per-call cost."""
+    v = a.ravel()
+    return math.sqrt(v.dot(v))
 
 
 def solve_constrained(
@@ -273,8 +294,8 @@ def solve_constrained(
         Tz = Hg + U_dual
         X_new = project_nuclear_ball(Tz, 1.0)
         step = Hg - X_new
-        r_pri = float(np.linalg.norm(step))
-        r_dual = rho * float(np.linalg.norm(X_new - X))
+        r_pri = _norm(step)
+        r_dual = rho * _norm(X_new - X)
         # the plain ADMM state after this step: (Pi(T(z)), T(z) - Pi(T(z)))
         X = X_new
         U_dual += step
@@ -298,7 +319,7 @@ def solve_constrained(
             z = X + U_dual
             continue
         f = Tz - z
-        fnorm = float(np.linalg.norm(f))
+        fnorm = _norm(f)
         Tz_flat = Tz.ravel()
         f_flat = f.ravel()
         if fnorm > f_ref:

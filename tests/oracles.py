@@ -6,7 +6,9 @@ form, the k_max = 3 solver oracle from a dense feasible-set grid refined by
 projected gradient steps with an exact two-block projection, and breakpoints
 from plain interval bisection.  The exceptions are the plain ADMM loop, which
 reuses the library's projection and adjoint and so checks only the
-accelerated loop around them, and the matched-certificate search, which
+accelerated loop around them, the np.linalg.eigh nuclear-ball projection,
+which reuses the library's simplex projection and so checks only the direct
+LAPACK eigendecomposition around it, and the matched-certificate search, which
 builds each cut's least-squares matrix by scattering an n^2 x m^2 outer
 product and solves the m^2 x m^2 ridge normal equations; it checks the
 library's anti-diagonal-tensor construction of the same certificate.
@@ -152,6 +154,17 @@ def bisect_gap_crossing(gap_fn, eps, lo, hi, iters=100):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def project_nuclear_ball_eigh(M, radius):
+    """Nuclear-ball projection of a symmetric matrix through np.linalg.eigh:
+    shrink |lambda| on the simplex, keep the signs, symmetrize."""
+    lam, Q = np.linalg.eigh(M)
+    mag = np.abs(lam)
+    if mag.sum() <= radius:
+        return M
+    P = (Q * np.copysign(hp.project_simplex_l1(mag, radius), lam)) @ Q.T
+    return 0.5 * (P + P.T)
 
 
 def plain_admm(g_o, t, opts=None):

@@ -208,12 +208,15 @@ class TestPath:
         ("path", [], {"grid_points": 3.7}),
         ("path", [], {"jobs": True}),
         ("path", ["--rank-tol", "1e-6"], None),
+        ("path", [], {"epsilonn": 0.05}),
+        ("path", [], {"rank_tol": 1e-6}),
     ],
     ids=[
         "epsilon-nan", "epsilon-inf", "t-nan", "t-inf", "config-epsilon-abc",
         "config-epsilon-null", "config-max-iters-2.5", "config-max-iters-true",
         "config-grid-points-3.7",
-        "config-jobs-true", "removed-rank-tol",
+        "config-jobs-true", "removed-rank-tol", "config-unknown-key",
+        "config-removed-rank-tol",
     ],
 )
 def test_bad_option_value_is_usage_error(tmp_path, impulse_file, command, flags, config):
@@ -224,6 +227,8 @@ def test_bad_option_value_is_usage_error(tmp_path, impulse_file, command, flags,
     proc = run_cli(command, "--input", impulse_file, *flags, "--out", tmp_path / "out")
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error: "), proc.stderr
+    for key in config or ():
+        assert key in proc.stderr or key.replace("_", "-") in proc.stderr, proc.stderr
 
 
 def test_unknown_command_is_usage_error():

@@ -6,7 +6,13 @@ import pytest
 import hankelpath as hp
 
 from conftest import FIXTURE_BANDS, FIXTURE_K_MAX
-from oracles import plain_admm, simplex_sort_loop, solve_k3_oracle, theta_scan_simplex
+from oracles import (
+    plain_admm,
+    project_nuclear_ball_eigh,
+    simplex_sort_loop,
+    solve_k3_oracle,
+    theta_scan_simplex,
+)
 
 #: Nuclear-norm slack allowed on a converged solution.
 FEAS_SLACK = 1e-6
@@ -165,6 +171,39 @@ class TestSymmetricProjection:
             assert np.array_equal(P, P.T)
             assert np.linalg.norm(P, "nuc") <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 26, 41])
+    def test_matches_eigh_reference(self, n):
+        # numpy and scipy may link different LAPACK builds, so the direct
+        # dsyevd call is held to a tolerance, not to the last bit
+        rng = np.random.RandomState(300 + n)
+        for nuc in (0.3, 0.9, 1.5, 4.0, 40.0):
+            lam = rng.randn(n)
+            for sign in (1.0, -1.0):
+                # one sign of a definite spectrum, then an indefinite one
+                for spectrum in (sign * np.abs(lam), sign * lam):
+                    M = _symmetric(rng, spectrum * nuc / np.abs(spectrum).sum())
+                    P = hp.project_nuclear_ball(M, 1.0)
+                    ref = project_nuclear_ball_eigh(M, 1.0)
+                    assert np.max(np.abs(P - ref)) <= 1e-13 * np.linalg.norm(M)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_input_raises(self, bad):
+        # an inf entry of a symmetric input goes to the eigendecomposition,
+        # which may report success and return NaNs; a NaN entry fails the
+        # symmetry test and goes to the SVD, as does a non-symmetric input
+        rng = np.random.RandomState(31)
+        for n in (1, 3, 8, 26):
+            for _ in range(5):
+                M = _symmetric(rng, rng.randn(n))
+                i, j = rng.randint(n, size=2)
+                M[i, j] = M[j, i] = bad
+                with pytest.raises(np.linalg.LinAlgError):
+                    hp.project_nuclear_ball(M, 1.0)
+                M = rng.randn(n, n)
+                M[i, j] = bad
+                with pytest.raises(np.linalg.LinAlgError):
+                    hp.project_nuclear_ball(M, 1.0)
+
 
 class TestSolveConstrained:
     def test_rejects_nonpositive_t(self):
@@ -322,6 +361,20 @@ class TestWarmStart:
         before = (X.copy(), U.copy())
         hp.solve_constrained(g_o, 0.4 * t_max, warm_start=start.admm_state)
         assert np.array_equal(X, before[0]) and np.array_equal(U, before[1])
+
+    def test_iterates_stay_bit_symmetric(self, sixth_order_impulse, order100_path):
+        # a symmetric iterate is what keeps every solver projection on the
+        # eigendecomposition branch
+        t_max = hp.compute_t_max(sixth_order_impulse)
+        states = [hp.solve_constrained(sixth_order_impulse, f * t_max).admm_state
+                  for f in (0.05, 0.3, 0.7, 0.95)]
+        _, path = order100_path
+        late = [r.admm_state for r in path.exact_solutions
+                if r.admm_state is not None
+                and np.sum(np.abs(np.linalg.eigvalsh(r.admm_state[0])) > 1e-9) >= 7]
+        assert late
+        for X, U, _ in states + late:
+            assert np.array_equal(X, X.T) and np.array_equal(U, U.T)
 
     def test_closed_form_branch_has_no_state(self, rank1_impulse):
         res = hp.solve_constrained(rank1_impulse, 2.0 * hp.compute_t_max(rank1_impulse))
