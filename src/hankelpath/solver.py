@@ -8,7 +8,7 @@ update (the normal equations are diagonal because adjoint(embed(g)) equals
 multiplicities * g), a nuclear-ball projection of the embedded iterate, and a
 scaled dual update, until primal and dual residuals fall below tolerances.
 The iterates are exactly symmetric, and the projection eigendecomposes them
-by LAPACK dsyevd, called directly rather than through np.linalg.eigh.
+by LAPACK dsyevd through np.linalg.eigh's own gufunc, without the wrapper.
 
 That splitting step is a fixed-point map of z = X + U_dual, and the loop
 extrapolates it by safeguarded type-II Anderson acceleration (Walker & Ni,
@@ -29,7 +29,7 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dposv, dsyevd
+from numpy.linalg._umath_linalg import eigh_lo, solve1
 
 from .hankel import (
     ImpulseResponse,
@@ -111,9 +111,11 @@ def project_simplex_l1(s, radius: float) -> np.ndarray:
     if radius <= 0:
         raise ValueError("radius must be positive")
     s = np.asarray(s, dtype=float)
-    if s.size and s.min() < 0:
-        raise ValueError("entries must be nonnegative")
-    if s.sum() <= radius:
+    total = s.sum()
+    # min and sum propagate NaN and inf, so they also reject non-finite input
+    if (s.size and not s.min() >= 0) or not math.isfinite(total):
+        raise ValueError("entries must be nonnegative and finite")
+    if total <= radius:
         return s
     d = np.sort(s)[::-1]
     # candidate thresholds (cumsum_k - radius) / k; the support is the prefix
@@ -135,31 +137,27 @@ def project_nuclear_ball(M, radius: float) -> np.ndarray:
     np.linalg.LinAlgError.
 
     An exactly symmetric input (every Hankel iterate of the solver) takes the
-    cheaper eigendecomposition Q diag(lam) Q^T instead (LAPACK dsyevd, as in
-    np.linalg.eigh): |lam| are its singular values, so the projection shrinks
-    |lam| on the simplex and keeps the signs.  The result is symmetrized bit
-    for bit, so the solver's iterates stay on this branch.
+    cheaper eigendecomposition Q diag(lam) Q^T instead (LAPACK dsyevd, by the
+    eigh_lo gufunc of np.linalg.eigh): |lam| are its singular values, so the
+    projection shrinks |lam| on the simplex and keeps the signs.  The result
+    is symmetrized bit for bit, so the solver's iterates stay on this branch.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     arr = np.asarray(M, dtype=float)
-    if arr.ndim == 2 and np.array_equal(arr, arr.T):
-        lam, Q, info = dsyevd(arr, compute_v=1, lower=1)
+    if not np.isfinite(arr).all():
+        # the SVD can loop forever on inf, and eigh_lo returns NaNs and warns
+        raise np.linalg.LinAlgError("matrix has non-finite entries")
+    if arr.ndim == 2 and arr.shape[0] == arr.shape[1] and (arr == arr.T).all():
+        lam, Q = eigh_lo(arr)
         mag = np.abs(lam)
         total = mag.sum()
-        if info or not math.isfinite(total):
-            # an inf entry can also come back as NaNs with info == 0
+        if not math.isfinite(total):
             raise np.linalg.LinAlgError("eigendecomposition failed")
         if total <= radius:
             return arr
-        # LAPACK's eigenvectors come Fortran-ordered; at n >= 32 the product
-        # rounds differently on that layout than on np.linalg.eigh's C order
-        Q = np.ascontiguousarray(Q)
         P = (Q * np.copysign(project_simplex_l1(mag, radius), lam)) @ Q.T
         return 0.5 * (P + P.T)
-    if not np.isfinite(arr).all():
-        # LAPACK's SVD can loop forever on an inf entry
-        raise np.linalg.LinAlgError("matrix has non-finite entries")
     U, S, Vh = np.linalg.svd(arr, full_matrices=False)
     if S.sum() <= radius:
         return arr
@@ -336,13 +334,13 @@ def solve_constrained(
             slot = (slot + 1) % AA_MEM
         prev = (Tz_flat, f_flat)
         if filled:
-            # Cholesky solve of the regularized normal equations; when they
-            # are not numerically positive definite (info > 0, say all
-            # differences zero) the plain step is taken
+            # LU solve of the regularized normal equations; with tr(G) > 0
+            # they are positive definite, so it cannot fail, and with all
+            # differences zero (a zero trace) the plain step is taken
             G = gram[:filled, :filled]
-            _, gamma, info = dposv(G + AA_REG * np.trace(G) * eye[:filled, :filled],
-                                   dF[:filled] @ f_flat)
-            if info == 0:
+            tr = G.trace()
+            if tr > 0:
+                gamma = solve1(G + AA_REG * tr * eye[:filled, :filled], dF[:filled] @ f_flat)
                 z = Tz - (gamma @ dT[:filled]).reshape(n, n)
                 z = 0.5 * (z + z.T)
                 X = project_nuclear_ball(z, 1.0)

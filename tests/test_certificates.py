@@ -262,12 +262,19 @@ class TestNextBreakpoint:
 
 
 def test_import_leaves_scipy_optimize_out():
-    # the breakpoint step is closed-form; importing scipy.optimize made up
-    # about 40 % of the package's import time
-    code = "import sys, hankelpath; print('scipy.optimize' in sys.modules)"
+    # the breakpoint step is closed-form, and the solver's LAPACK calls go
+    # through numpy's own linalg gufuncs; importing scipy made up about two
+    # thirds of the package's import time
+    code = (
+        "import sys, hankelpath; "
+        "print('scipy.optimize' in sys.modules); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    optimize, scipy_modules = proc.stdout.split("\n")[:2]
+    assert optimize == "False"
+    assert scipy_modules == "[]"
 
 
 class TestSandwich:
