@@ -36,6 +36,7 @@ from .certificates import (
     DegenerateCertificateError,
     GapCertificate,
     approx_objective,
+    dual_bounds,
     duality_gap,
     next_breakpoint,
     subgradient_vector,
@@ -79,6 +80,7 @@ __all__ = [
     "check_truncation",
     "compute_path",
     "compute_t_max",
+    "dual_bounds",
     "duality_gap",
     "hankel_adjoint",
     "hankel_embed",

@@ -17,6 +17,11 @@ over the truncated subspace (with its spectral norm capped at one, so the
 certificate is always a genuine subgradient certificate); called without the
 data vector the construction reduces to the plain W = 0 form.
 
+dual_bounds prices any solver state instead: the objective at the rescaled,
+exactly feasible point bounds the optimum from above, and the solver's dual
+matrix gives a half-space containing the feasible set, hence a lower bound,
+however inexact the solve.
+
 One matched certificate costs one n x n SVD, one k_max x n x n tensor of
 anti-diagonal sums (O(n^4), from which every cut's least-squares matrix is
 sliced), and per cut r one ridge solve of size min((n - r)^2, k_max).
@@ -31,9 +36,12 @@ import numpy as np
 
 from .hankel import (
     ImpulseResponse,
+    adjoint_fast,
     as_impulse,
+    embed_indices,
     hankel_adjoint,
     hankel_embed,
+    hankel_singular_values,
 )
 
 #: The matched certificate is snapped exactly onto the residual direction when
@@ -204,6 +212,40 @@ def approx_objective(g_tilde_star, g_o, t: float) -> float:
     gs = as_impulse(g_tilde_star).values
     go = as_impulse(g_o).values
     return float(np.sum((t * gs - go) ** 2))
+
+
+def dual_bounds(g_o, t: float, g, U=None, nuclear_norm=None) -> tuple[float, float]:
+    """Certified enclosure (lower, upper) of the optimal cost f*(t) from any g and U.
+
+    upper is the objective ||t g_hat - g_o||^2 of the exactly feasible point
+    g_hat = g / max(1, ||H(g)||_*); nuclear_norm, when given, is that Hankel
+    nuclear norm of g, so a caller that has it saves one eigvalsh.
+
+    lower prices a dual point: with S the symmetric part of U and
+    h = adjoint(S) / ||S||_2, every feasible g has
+    h^T g = <S, H(g)> / ||S||_2 <= ||H(g)||_* <= 1, so t g stays in the
+    half-space h^T x <= t and f*(t) >= max(0, h^T g_o - t)^2 / ||h||^2.  That
+    holds for any U, however inexact the solve it came from; at an optimum,
+    with U the solver's scaled dual, the bound is tight.  U = None, or an S
+    with adjoint(S) = 0 (S = 0 among them), gives lower = 0.
+    """
+    go = np.asarray(g_o, dtype=float)
+    gv = np.asarray(g, dtype=float)
+    if nuclear_norm is None:
+        nuclear_norm = float(hankel_singular_values(gv).sum())
+    upper = float(np.sum((t * (gv / max(1.0, nuclear_norm)) - go) ** 2))
+    if U is None:
+        return 0.0, upper
+    U = np.asarray(U, dtype=float)
+    S = 0.5 * (U + U.T)
+    a = adjoint_fast(S, embed_indices(S.shape[0]).ravel(), go.size)
+    aa = float(a.dot(a))
+    if aa == 0.0:
+        return 0.0, upper
+    spectral = float(np.abs(np.linalg.eigvalsh(S)).max())
+    # h = a / spectral, so (h^T g_o - t)^2 / ||h||^2 = (a^T g_o - t spectral)^2 / a^T a
+    excess = max(0.0, float(a.dot(go)) - t * spectral)
+    return excess * excess / aa, upper
 
 
 def duality_gap(cert: GapCertificate, g_o, t: float) -> float:

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg._umath_linalg import eigh_lo, solve1
 
+from .certificates import dual_bounds
 from .hankel import (
     ImpulseResponse,
     adjoint_fast,
@@ -87,6 +88,11 @@ class SolveResult:
     admm_state is the splitting state (X, U_dual, rho) the iteration stopped
     at, read-only, for warm-starting a solve at a nearby t; None when the
     closed-form branch ran.
+
+    bounds = (lower, upper) is a certified enclosure of the optimal cost at t,
+    from certificates.dual_bounds on g_tilde and the returned U_dual (lower
+    is 0 on the closed-form branch, where the optimum is 0).  It is sound
+    however far the solve got, converged or not.
     """
 
     g_tilde: ImpulseResponse
@@ -97,6 +103,7 @@ class SolveResult:
     primal_residual: float
     dual_residual: float
     converged: bool
+    bounds: tuple[float, float]
     admm_state: tuple | None = field(default=None, repr=False, compare=False)
 
 
@@ -172,7 +179,7 @@ def _norm(a) -> float:
 
 
 def solve_constrained(
-    g_o, t: float, opts: SolverOptions | None = None, *, warm_start=None
+    g_o, t: float, opts: SolverOptions | None = None, *, warm_start=None, stop_inside=None
 ) -> SolveResult:
     """Solve the constrained fit problem at constraint level t.
 
@@ -188,13 +195,19 @@ def solve_constrained(
         the admm_state of a solve at a nearby t.  X and U_dual must be
         n-by-n; they are copied, not modified.  The stopping rule is the same
         as for a cold start.
+    stop_inside : pair (lo, hi), optional
+        Stop at the first plain splitting step whose certified enclosure
+        (see SolveResult.bounds) lies inside [lo, hi], and report it as
+        converged.  The iterate of such an early exit is only as accurate
+        as its bounds: it certifies lo <= f*(t) <= hi, not the residual
+        tolerances.  Without it the solve runs to the residual test alone.
 
     Returns
     -------
     SolveResult
         Deterministic for fixed inputs, options and start (no randomness).
         Non-convergence is reported through converged=False with residuals
-        populated, never as an exception.
+        and bounds populated, never as an exception.
 
     Notes
     -----
@@ -250,6 +263,7 @@ def solve_constrained(
             primal_residual=0.0,
             dual_residual=0.0,
             converged=True,
+            bounds=dual_bounds(gvec, t, g_tilde.values, nuclear_norm=nuc0 / t),
         )
 
     norm_go = np.linalg.norm(gvec)
@@ -274,6 +288,7 @@ def solve_constrained(
     g_tilde = np.zeros(k_max)
     r_pri = r_dual = np.inf
     converged = False
+    bounds = None  # set only by a certified early exit
     # Anderson history over z = X + U_dual: ring buffers of the differences
     # between consecutive steps of T(z) = H(g) + U_dual (dT = dZ + dF) and of
     # the residual f = T(z) - z, and the Gram matrix of the dF rows
@@ -300,6 +315,12 @@ def solve_constrained(
         if r_pri <= eps_pri and r_dual <= eps_dual:
             converged = True
             break
+        if stop_inside is not None:
+            enclosure = dual_bounds(gvec, t, g_tilde, U_dual)
+            if stop_inside[0] <= enclosure[0] and enclosure[1] <= stop_inside[1]:
+                bounds = enclosure
+                converged = True
+                break
         if (r_pri > 10.0 * r_dual and rho < 1e8) or (r_dual > 10.0 * r_pri and rho > 1e-8):
             # residual balancing keeps both residuals decreasing together:
             # rho scales by sqrt(r_pri / r_dual) clipped to [0.1, 10], by 10
@@ -351,16 +372,20 @@ def solve_constrained(
 
     result_g = ImpulseResponse(g_tilde)
     obj = float(np.sum((t * g_tilde - gvec) ** 2))
+    nuc = float(hankel_singular_values(result_g).sum())
+    if bounds is None:
+        bounds = dual_bounds(gvec, t, g_tilde, U_dual, nuclear_norm=nuc)
     X.setflags(write=False)
     U_dual.setflags(write=False)
     return SolveResult(
         g_tilde=result_g,
         t=float(t),
         objective=obj,
-        nuclear_norm_value=float(hankel_singular_values(result_g).sum()),
+        nuclear_norm_value=nuc,
         iterations=it,
         primal_residual=r_pri,
         dual_residual=r_dual,
         converged=converged,
+        bounds=bounds,
         admm_state=(X, U_dual, rho),
     )

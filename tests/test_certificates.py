@@ -9,6 +9,7 @@ import hankelpath as hp
 from hankelpath.certificates import _match_subgradient
 from hankelpath.hankel import embed_indices
 
+from conftest import FIXTURE_BANDS, FIXTURE_K_MAX
 from oracles import bisect_gap_crossing, match_subgradient_reference
 
 
@@ -292,3 +293,135 @@ class TestSandwich:
             fresh = hp.solve_constrained(g_o, float(t)).objective
             assert f_ap - gap - slack <= fresh <= f_ap + slack
             assert gap <= 1.05 * 0.01
+
+
+def _tight_reference(g_o, t):
+    """f*(t) from a solve at 1e-13 (1 + ||g_o||) tolerances."""
+    tol = 1e-13 * (1 + hp.as_impulse(g_o).norm())
+    ref = hp.solve_constrained(
+        g_o, t, hp.SolverOptions(primal_tol=tol, dual_tol=tol, max_iters=50000)
+    )
+    assert ref.converged
+    return ref.objective
+
+
+def _assert_encloses(bounds, f_ref, g_o):
+    lower, upper = bounds
+    slack = 1e-9 * (1 + hp.as_impulse(g_o).norm() ** 2)
+    assert lower - slack <= f_ref <= upper + slack, (lower, f_ref, upper)
+    assert 0.0 <= lower <= upper + slack
+
+
+def _fixture_family():
+    return [hp.impulse_response(hp.random_system(6, s, bands=FIXTURE_BANDS), FIXTURE_K_MAX)
+            for s in range(20)]
+
+
+class TestDualBounds:
+    """Every solve's bounds enclose the optimum, however far it got."""
+
+    @staticmethod
+    def _check_states(g_o, t):
+        f_ref = _tight_reference(g_o, t)
+        warm = hp.solve_constrained(g_o, 0.8 * t, hp.SolverOptions(max_iters=30)).admm_state
+        for k in (1, 2, 5, 20):
+            opts = hp.SolverOptions(max_iters=k)
+            _assert_encloses(hp.solve_constrained(g_o, t, opts).bounds, f_ref, g_o)
+            if warm is not None:
+                res = hp.solve_constrained(g_o, t, opts, warm_start=warm)
+                _assert_encloses(res.bounds, f_ref, g_o)
+
+    def test_acceptance_fixtures(self, sixth_order_impulse, rank1_impulse):
+        for g_o in (sixth_order_impulse, rank1_impulse):
+            t_max = hp.compute_t_max(g_o)
+            for frac in (0.1, 0.5, 0.9):
+                self._check_states(g_o, frac * t_max)
+
+    def test_fixture_seeds(self):
+        for g_o in _fixture_family():
+            t_max = hp.compute_t_max(g_o)
+            for frac in (0.2, 0.7):
+                self._check_states(g_o, frac * t_max)
+
+    def test_scalar_inputs(self):
+        # the optimum of the scalar problem is max(0, |g0| - t)^2
+        for g0 in (1.0, -2.5, 1e-4, 3e3):
+            for t in (0.1, 0.5 * abs(g0), abs(g0) + 0.3):
+                f_ref = max(0.0, abs(g0) - t) ** 2
+                for k in (1, 2, 5, 20):
+                    res = hp.solve_constrained([g0], t, hp.SolverOptions(max_iters=k))
+                    _assert_encloses(res.bounds, f_ref, [g0])
+
+    def test_closed_form_branch(self, sixth_order_impulse, rank1_impulse):
+        for g_o in (sixth_order_impulse, rank1_impulse):
+            t_max = hp.compute_t_max(g_o)
+            for t in (t_max, 1.5 * t_max):
+                res = hp.solve_constrained(g_o, t)
+                assert res.iterations == 0
+                assert res.bounds[0] == 0.0
+                _assert_encloses(res.bounds, 0.0, g_o)
+
+    def test_tight_at_a_converged_solve(self, sixth_order_impulse):
+        g_o = sixth_order_impulse
+        res = hp.solve_constrained(g_o, 0.5 * hp.compute_t_max(g_o))
+        lower, upper = res.bounds
+        assert upper - lower <= 1e-6 * (1 + g_o.norm() ** 2)
+
+    def test_any_dual_matrix_gives_a_valid_bound(self, sixth_order_impulse):
+        # the lower bound needs no relation between U and the solve
+        g_o = sixth_order_impulse
+        n = g_o.n
+        t = 0.5 * hp.compute_t_max(g_o)
+        f_ref = _tight_reference(g_o, t)
+        rng = np.random.RandomState(3)
+        for _ in range(20):
+            U = rng.standard_normal((n, n))
+            g = rng.standard_normal(g_o.k_max)
+            _assert_encloses(hp.dual_bounds(g_o, t, g, U), f_ref, g_o)
+
+    def test_non_symmetric_dual_is_priced_by_its_symmetric_part(self, sixth_order_impulse):
+        g_o = sixth_order_impulse
+        t = 0.5 * hp.compute_t_max(g_o)
+        res = hp.solve_constrained(g_o, t)
+        _, U, _ = res.admm_state
+        # same symmetric part as U, but half of U's off-diagonal in the lower triangle
+        skewed = np.tril(0.5 * U, -1) + np.diag(np.diag(U)) + np.triu(1.5 * U, 1)
+        g = res.g_tilde.values
+        lower, _ = hp.dual_bounds(g_o, t, g, skewed)
+        assert lower == pytest.approx(hp.dual_bounds(g_o, t, g, U)[0], rel=1e-9)
+        _assert_encloses((lower, np.inf), _tight_reference(g_o, t), g_o)
+
+    def test_zero_dual_gives_zero_lower_bound(self, sixth_order_impulse):
+        g_o = sixth_order_impulse
+        n = g_o.n
+        g = np.zeros(g_o.k_max)
+        assert hp.dual_bounds(g_o, 0.3, g, np.zeros((n, n))) == (0.0, g_o.norm() ** 2)
+        assert hp.dual_bounds(g_o, 0.3, g)[0] == 0.0
+
+    def test_upper_prices_the_rescaled_point(self, sixth_order_impulse):
+        g_o = sixth_order_impulse
+        g = 3.0 * g_o.values / hp.compute_t_max(g_o)  # nuclear norm 3
+        _, upper = hp.dual_bounds(g_o, 0.4, g)
+        assert upper == pytest.approx(np.sum((0.4 * g / 3.0 - g_o.values) ** 2), rel=1e-12)
+
+    def test_property_order_scale_and_t(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(derandomize=True, max_examples=40, deadline=None)
+        @hypothesis.given(
+            order=st.integers(1, 12),
+            seed=st.integers(0, 2**16),
+            log_scale=st.floats(-3.0, 3.0),
+            frac=st.floats(0.02, 1.3),
+            iters=st.sampled_from([1, 2, 5, 20]),
+        )
+        def check(order, seed, log_scale, frac, iters):
+            spec = hp.random_system(order, seed, residue_scale=10.0**log_scale)
+            g_o = hp.impulse_response(spec, 15)
+            t = frac * hp.compute_t_max(g_o)
+            f_ref = 0.0 if frac >= 1.0 else _tight_reference(g_o, t)
+            res = hp.solve_constrained(g_o, t, hp.SolverOptions(max_iters=iters))
+            _assert_encloses(res.bounds, f_ref, g_o)
+
+        check()

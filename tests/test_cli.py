@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -6,6 +7,9 @@ import numpy as np
 import pytest
 
 import hankelpath as hp
+from hankelpath import cli
+
+from conftest import FIXTURE_BANDS, FIXTURE_K_MAX
 
 
 def run_cli(*args, cwd=None):
@@ -139,6 +143,39 @@ class TestPath:
         )
         assert proc.returncode == 0, proc.stderr
         assert "verify: ok" in proc.stdout
+
+    def test_verify_fails_on_unconverged_uncertified_resolve(self, tmp_path):
+        # fixture-family system 19 completes its path within 3 iterations per
+        # solve, but one cold re-solve at t = 0.0502 needs 4 to certify its
+        # sample; 3 iterations leave it neither certified nor converged
+        g_o = hp.impulse_response(hp.random_system(6, 19, bands=FIXTURE_BANDS), FIXTURE_K_MAX)
+        src = tmp_path / "impulse.csv"
+        hp.write_impulse_csv(g_o, src)
+        proc = run_cli(
+            "path", "--input", src, "--epsilon", 0.01, "--out", tmp_path / "path",
+            "--verify", "--max-iters", 3,
+        )
+        assert proc.returncode == 3, proc.stdout
+        assert "verify: ok" not in proc.stdout
+        assert "neither certified nor converged after 3 iterations" in proc.stderr
+        assert "primal_residual=" in proc.stderr and "dual_residual=" in proc.stderr
+
+    def test_verify_catches_a_sample_that_excludes_the_optimum(self, sixth_order_impulse):
+        g_o = sixth_order_impulse
+        path = hp.compute_path(g_o, eps=0.01)
+        slack = 1e-6 * (1 + g_o.norm() ** 2)
+        # a mid-segment sample of the second breakpoint's segment
+        t_lo, t_hi = path.breakpoints[1], path.breakpoints[2]
+        sample = next(s for s in path.samples if t_lo < s.t < t_hi)
+        f_star = hp.solve_constrained(g_o, sample.t).objective
+        bad = sample._replace(f_approx=f_star + 100 * slack, gap=0.0)
+        corrupted = dataclasses.replace(path, samples=[bad])
+        failures = cli._verify_path(corrupted, g_o, hp.SolverOptions(), 1)
+        assert len(failures) == 5
+        for line in failures:
+            assert line.startswith("verify failed at t=")
+            fresh = float(line.split("fresh objective ")[1].split()[0])
+            assert fresh == f_star
 
     def test_byte_identical_reruns(self, tmp_path, impulse_file):
         out1, out2 = tmp_path / "a", tmp_path / "b"

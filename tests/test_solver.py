@@ -339,6 +339,43 @@ class TestSolverOptions:
             opts.rho = 2.0
 
 
+class TestStopInside:
+    def test_certified_exit_encloses_and_stops_early(self, sixth_order_impulse):
+        g_o = sixth_order_impulse
+        t = 0.5 * hp.compute_t_max(g_o)
+        full = hp.solve_constrained(g_o, t)
+        slack = 1e-6 * (1 + g_o.norm() ** 2)
+        lo, hi = full.objective - 100 * slack, full.objective + 100 * slack
+        early = hp.solve_constrained(g_o, t, stop_inside=(lo, hi))
+        assert early.converged
+        assert early.iterations < full.iterations
+        assert lo <= early.bounds[0] <= early.bounds[1] <= hi
+        # the residual test did not pass, so only the bounds vouch for the iterate
+        assert early.primal_residual > 0 or early.dual_residual > 0
+
+    def test_interval_without_the_optimum_runs_to_the_residual_test(self, sixth_order_impulse):
+        # a bracket that can never fit leaves the solve exactly as without one
+        g_o = sixth_order_impulse
+        t = 0.5 * hp.compute_t_max(g_o)
+        plain = hp.solve_constrained(g_o, t)
+        f = plain.objective
+        checked = hp.solve_constrained(g_o, t, stop_inside=(f + 1.0, f + 2.0))
+        assert checked.converged
+        assert checked.iterations == plain.iterations
+        assert np.array_equal(checked.g_tilde.values, plain.g_tilde.values)
+        assert checked.bounds == plain.bounds
+
+    def test_uncertified_budget_reports_unconverged(self, sixth_order_impulse):
+        g_o = sixth_order_impulse
+        t = 0.5 * hp.compute_t_max(g_o)
+        f = hp.solve_constrained(g_o, t).objective
+        res = hp.solve_constrained(
+            g_o, t, hp.SolverOptions(max_iters=3), stop_inside=(f, f)
+        )
+        assert not res.converged
+        assert res.iterations == 3
+
+
 class TestWarmStart:
     def test_reaches_cold_solution(self, sixth_order_impulse):
         g_o = sixth_order_impulse
