@@ -28,10 +28,11 @@ for frac in (0.02, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0):
           % (frac, res.objective, res.nuclear_norm_value, rank, res.iterations))
 
 # the optimum at every t is certified: the residual lines up with the
-# subgradient direction h, so the frozen solution bounds the true path
+# subgradient direction h read off the solver's dual, so the frozen solution
+# bounds the true path
 t = 0.4 * t_max
 res = hp.solve_constrained(g_o, t)
-cert = hp.subgradient_vector(res.g_tilde, t, g_o=g_o)
+cert = hp.subgradient_vector(res.g_tilde, t, g_o=g_o, dual=res.admm_state[1])
 r = t * res.g_tilde.values - g_o.values
 cosine = abs(r @ cert.h) / (np.linalg.norm(r) * np.linalg.norm(cert.h))
 print("\nat t = 0.4 t_max: residual-vs-h alignment 1 - cos = %.2e" % (1 - cosine))

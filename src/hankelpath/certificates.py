@@ -1,30 +1,32 @@
 """Gap certificates for the constrained fit problem.
 
-A solution g* at parameter t* yields a vector h, the adjoint of a nuclear-norm
-subgradient U V^T + W at H(g*).  The half-space {g : h^T (g - g*) <= 0}
-contains the whole feasible set, so projecting the data onto it lower-bounds
-the optimal cost at any t >= t*, and the difference
+A solution g* at parameter t* yields a vector h = adjoint(Z), the pullback of
+a nuclear-norm subgradient Z with ||Z||_2 = 1.  The half-space
+{g : h^T (g - g*) <= 0} contains the whole feasible set, so projecting the
+data onto it lower-bounds the optimal cost at any t >= t*, and the difference
 
     gap(t) = ||t g* - g_o||^2 - <h, t g* - g_o>^2 / ||h||^2
 
 is a certified upper bound on how far the frozen solution's objective sits
 above the true optimum at t.  At an exact optimum the fit residual is parallel
-to h for the right choice of W, so the gap vanishes at t* and grows as
-(t - t*)^2 * a^2 with a the component of g* orthogonal to h.
+to h, so the gap vanishes at t* and grows as (t - t*)^2 * a^2 with a the
+component of g* orthogonal to h.
 
-W is matched to the fit residual by a small regularized least-squares solve
-over the truncated subspace (with its spectral norm capped at one, so the
-certificate is always a genuine subgradient certificate); called without the
-data vector the construction reduces to the plain W = 0 form.
+Z is read off the splitting solver's dual.  Each step leaves
+U_dual = T(z) - Pi(T(z)) with Pi the projection onto the nuclear ball; for
+the eigen-projection that is Q diag(mu - x) Q^T, equal to theta * sign(mu) on
+the support of X = Pi(T(z)) and of magnitude at most theta off it, theta the
+simplex threshold.  So with S the symmetric part of U_dual, Z = S / ||S||_2
+is a nuclear-norm subgradient at X, at every iterate however rough the solve,
+after an Anderson step or a rho rescale too: U_dual lies in the normal cone
+of the ball at X (the ADMM optimality conditions, Boyd et al. 2011, section
+3.3).  Without a dual (closed-form solves, callers holding only g*) Z is the
+W = 0 form U_r V_r^T of H(g*).  Given the data vector, an h that already
+points along -(t* g* - g_o) to within SNAP_TOL is snapped onto it exactly.
 
-dual_bounds prices any solver state instead: the objective at the rescaled,
-exactly feasible point bounds the optimum from above, and the solver's dual
-matrix gives a half-space containing the feasible set, hence a lower bound,
-however inexact the solve.
-
-One matched certificate costs one n x n SVD, one k_max x n x n tensor of
-anti-diagonal sums (O(n^4), from which every cut's least-squares matrix is
-sliced), and per cut r one ridge solve of size min((n - r)^2, k_max).
+dual_bounds prices any solver state with the same h: the objective at the
+rescaled, exactly feasible point bounds the optimum from above, and the
+half-space h^T g <= 1 gives a lower bound, however inexact the solve.
 """
 
 from __future__ import annotations
@@ -44,12 +46,9 @@ from .hankel import (
     hankel_singular_values,
 )
 
-#: The matched certificate is snapped exactly onto the residual direction when
-#: it already agrees with it to this angular tolerance (sin of the angle).
+#: A certificate is snapped exactly onto the residual direction when it
+#: already agrees with it to this angular tolerance (sin of the angle).
 SNAP_TOL = 1e-6
-
-#: Relative ridge used in the W-matching least squares.
-RIDGE_REL = 1e-8
 
 
 class DegenerateCertificateError(ValueError):
@@ -91,84 +90,18 @@ def _numerical_rank(S: np.ndarray) -> int:
     return int(np.sum(S > np.finfo(float).eps * S.size * S[0]))
 
 
-def _antidiagonal_tensor(U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """T[k, i, j] = adjoint(u_i v_j^T)[k] for all column pairs of U and V.
-
-    Built by n shifted outer-product adds, O(n^4): row p of U meets row q of
-    V on anti-diagonal p + q.
-    """
-    n = U.shape[0]
-    T = np.zeros((2 * n - 1, n, n))
-    for p in range(n):
-        T[p : p + n] += U[p][None, :, None] * V[:, None, :]
-    return T
+def _dual_direction(U, k_max: int) -> np.ndarray | None:
+    """h = adjoint(S) / ||S||_2 with S the symmetric part of U; None when
+    adjoint(S) = 0 (S = 0 among them)."""
+    U = np.asarray(U, dtype=float)
+    S = 0.5 * (U + U.T)
+    a = adjoint_fast(S, embed_indices(S.shape[0]).ravel(), k_max)
+    if not np.any(a):
+        return None
+    return a / float(np.abs(np.linalg.eigvalsh(S)).max())
 
 
-def _match_subgradient(U, S, Vh, res, k_max):
-    """Best certificate direction over candidate truncation ranks.
-
-    For each cut r the direction adjoint(U_r V_r^T + W) with W supported on
-    the discarded subspace is fitted to be anti-parallel to the residual
-    (ridge least squares, spectral norm of W capped at 1).  Every candidate is
-    a valid subgradient pullback; the one with the smallest raw gap at t*
-    wins.  Returns (h, raw_gap).
-
-    Everything is read off one tensor T = _antidiagonal_tensor(U, V): the
-    matrix A mapping vec(W) to adjoint(U_2 W V_2^T) is T's trailing block,
-    adjoint(U_r V_r^T) a partial sum of its diagonal slices.
-    """
-    n = U.shape[0]
-    rhat = res / np.linalg.norm(res)
-
-    def raw_gap(h):
-        return float(np.sum(res**2) - np.dot(h, res) ** 2 / np.dot(h, h))
-
-    T = _antidiagonal_tensor(U, Vh.T)
-    diag = np.arange(n)
-    h0_of_cut = np.cumsum(T[:, diag, diag], axis=1)
-    # rhat^T A of each cut is a trailing block of this n x n matrix
-    rhat_T = np.tensordot(rhat, T, axes=1)
-    best_gap, best_h = np.inf, None
-    for cut in range(1, _numerical_rank(S) + 1):
-        h0 = h0_of_cut[:, cut - 1]
-        candidates = [h0]
-        if cut < n:
-            m = n - cut
-            A = T[:, cut:, cut:].reshape(k_max, m * m)
-            PA = A - np.outer(rhat, rhat_T[cut:, cut:].ravel())
-            Ph0 = h0 - rhat * np.dot(rhat, h0)
-            # the ridge solution (PA^T PA + mu I)^-1 PA^T (-Ph0) equals
-            # PA^T (PA PA^T + mu I)^-1 (-Ph0); both Gram matrices have the
-            # same trace, so mu is the same whichever one is solved
-            small = m * m <= k_max
-            G = PA.T @ PA if small else PA @ PA.T
-            mu = RIDGE_REL * (np.trace(G) / (m * m))
-            try:
-                if small:
-                    z = np.linalg.solve(G + mu * np.eye(m * m), -PA.T @ Ph0)
-                else:
-                    z = PA.T @ np.linalg.solve(G + mu * np.eye(k_max), -Ph0)
-            except np.linalg.LinAlgError:
-                z = None
-            if z is not None:
-                spectral = np.linalg.norm(z.reshape(m, m), 2)
-                if spectral > 1.0:
-                    z = z / spectral
-                candidates.append(h0 + A @ z)
-        for h in candidates:
-            gap = raw_gap(h)
-            if gap < best_gap:
-                best_gap, best_h = gap, h
-
-    # snap onto the residual direction when already inside numerical slop
-    rnorm2 = float(np.sum(res**2))
-    if best_gap <= (SNAP_TOL**2) * rnorm2 and np.dot(best_h, res) < 0:
-        best_h = -(np.linalg.norm(best_h) / np.sqrt(rnorm2)) * res
-        best_gap = raw_gap(best_h)
-    return best_h, best_gap
-
-
-def subgradient_vector(g_tilde_star, t_star: float, g_o=None) -> GapCertificate:
+def subgradient_vector(g_tilde_star, t_star: float, g_o=None, dual=None) -> GapCertificate:
     """Build the gap certificate at a solution of the constrained fit.
 
     Parameters
@@ -178,10 +111,14 @@ def subgradient_vector(g_tilde_star, t_star: float, g_o=None) -> GapCertificate:
     t_star : float
         Parameter value the solution belongs to.
     g_o : ImpulseResponse or array-like, optional
-        Data vector.  When given, W is matched to the fit residual
-        t_star * g* - g_o so the certificate is tight at t_star; when omitted
-        the certificate is the literal W = 0 form h = adjoint(U_r V_r^T),
-        cut at the same noise floor as the matched search.
+        Data vector.  When given, an h that already points along the negated
+        fit residual t_star * g* - g_o to within SNAP_TOL is snapped onto it.
+    dual : n-by-n array, optional
+        The solver's dual U_dual (admm_state[1] of the solve that produced
+        g_tilde_star); h = adjoint(S) / ||S||_2 with S its symmetric part.
+        Without it, or when adjoint(S) = 0, h is the W = 0 form
+        adjoint(U_r V_r^T) of H(g*), cut at the noise floor n * sigma_1 times
+        machine epsilon.
 
     Returns
     -------
@@ -190,16 +127,20 @@ def subgradient_vector(g_tilde_star, t_star: float, g_o=None) -> GapCertificate:
     """
     g_star = as_impulse(g_tilde_star)
     k_max = g_star.k_max
-    U, S, Vh = np.linalg.svd(hankel_embed(g_star).entries)
-    if S[0] == 0.0:
+    if not np.any(g_star.values):
         return GapCertificate(np.zeros(k_max), float(t_star), g_star, 0.0)
 
-    res = None if g_o is None else float(t_star) * g_star.values - as_impulse(g_o).values
-    if res is not None and np.linalg.norm(res) > 1e-15:
-        h, _ = _match_subgradient(U, S, Vh, res, k_max)
-    else:
+    h = None if dual is None else _dual_direction(dual, k_max)
+    if h is None:
+        U, S, Vh = np.linalg.svd(hankel_embed(g_star).entries)
         rank = _numerical_rank(S)
         h = hankel_adjoint(U[:, :rank] @ Vh[:rank, :])
+    if g_o is not None:
+        # snap onto -res, keeping the norm, inside numerical slop
+        res = float(t_star) * g_star.values - as_impulse(g_o).values
+        rr, hr = float(res.dot(res)), float(h.dot(res))
+        if hr < 0 and rr - hr * hr / float(h.dot(h)) <= SNAP_TOL**2 * rr:
+            h = -(np.linalg.norm(h) / math.sqrt(rr)) * res
 
     a = float(np.linalg.norm(_orth_component(g_star.values, h)))
     return GapCertificate(
@@ -234,18 +175,11 @@ def dual_bounds(g_o, t: float, g, U=None, nuclear_norm=None) -> tuple[float, flo
     if nuclear_norm is None:
         nuclear_norm = float(hankel_singular_values(gv).sum())
     upper = float(np.sum((t * (gv / max(1.0, nuclear_norm)) - go) ** 2))
-    if U is None:
+    h = None if U is None else _dual_direction(U, go.size)
+    if h is None:
         return 0.0, upper
-    U = np.asarray(U, dtype=float)
-    S = 0.5 * (U + U.T)
-    a = adjoint_fast(S, embed_indices(S.shape[0]).ravel(), go.size)
-    aa = float(a.dot(a))
-    if aa == 0.0:
-        return 0.0, upper
-    spectral = float(np.abs(np.linalg.eigvalsh(S)).max())
-    # h = a / spectral, so (h^T g_o - t)^2 / ||h||^2 = (a^T g_o - t spectral)^2 / a^T a
-    excess = max(0.0, float(a.dot(go)) - t * spectral)
-    return excess * excess / aa, upper
+    excess = max(0.0, float(h.dot(go)) - t)
+    return excess * excess / float(h.dot(h)), upper
 
 
 def duality_gap(cert: GapCertificate, g_o, t: float) -> float:

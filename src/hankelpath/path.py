@@ -200,7 +200,8 @@ def compute_path(
         result.breakpoints.append(t_i)
         result.exact_solutions.append(res)
         result.singular_values.append(hankel_singular_values(t_i * res.g_tilde.values))
-        cert = subgradient_vector(res.g_tilde, t_i, g_o=g_o)
+        dual = None if res.admm_state is None else res.admm_state[1]
+        cert = subgradient_vector(res.g_tilde, t_i, g_o=g_o, dual=dual)
         result.certificates.append(cert)
 
         if t_i >= t_max * (1.0 - 1e-12):

@@ -86,8 +86,9 @@ class SolveResult:
     """Solution of the constrained fit at one t, with iteration diagnostics.
 
     admm_state is the splitting state (X, U_dual, rho) the iteration stopped
-    at, read-only, for warm-starting a solve at a nearby t; None when the
-    closed-form branch ran.
+    at, read-only, for warm-starting a solve at a nearby t and, through
+    U_dual, for certificates.subgradient_vector; None when the closed-form
+    branch ran.
 
     bounds = (lower, upper) is a certified enclosure of the optimal cost at t,
     from certificates.dual_bounds on g_tilde and the returned U_dual (lower

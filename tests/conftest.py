@@ -61,3 +61,10 @@ def order100_path(order100_spec):
 def wide_held_out_impulse():
     """A held-out member of the order-100 family (seed 5) at k_max = 81 (n = 41)."""
     return hp.impulse_response(hp.random_system(100, 5, bands=ORDER100_BANDS), 81)
+
+
+@pytest.fixture(scope="session")
+def wide_path(order100_spec):
+    """(g_o, path) of the order-100 system at k_max = 81 (n = 41), eps = 40."""
+    g_o = hp.impulse_response(order100_spec, 81)
+    return g_o, hp.compute_path(g_o, eps=40.0)

@@ -6,12 +6,9 @@ form, the k_max = 3 solver oracle from a dense feasible-set grid refined by
 projected gradient steps with an exact two-block projection, and breakpoints
 from plain interval bisection.  The exceptions are the plain ADMM loop, which
 reuses the library's projection and adjoint and so checks only the
-accelerated loop around them, the np.linalg.eigh nuclear-ball projection,
-which reuses the library's simplex projection and so checks only the direct
-LAPACK eigendecomposition around it, and the matched-certificate search, which
-builds each cut's least-squares matrix by scattering an n^2 x m^2 outer
-product and solves the m^2 x m^2 ridge normal equations; it checks the
-library's anti-diagonal-tensor construction of the same certificate.
+accelerated loop around them, and the np.linalg.eigh nuclear-ball
+projection, which reuses the library's simplex projection and so checks only
+the direct LAPACK eigendecomposition around it.
 """
 
 import math
@@ -19,8 +16,7 @@ import math
 import numpy as np
 
 import hankelpath as hp
-from hankelpath.certificates import RIDGE_REL, SNAP_TOL
-from hankelpath.hankel import adjoint_fast, embed_indices, hankel_adjoint
+from hankelpath.hankel import adjoint_fast, embed_indices
 
 
 def adjoint_double_sum(M):
@@ -222,60 +218,3 @@ def plain_admm(g_o, t, opts=None):
             rho = rho_new
             denom = fit_curv + rho * w
     return g_tilde, float(np.sum((t * g_tilde - gvec) ** 2)), it, converged
-
-
-def match_subgradient_reference(U, S, Vh, res, idx, k_max):
-    """Best certificate direction over candidate truncation ranks.
-
-    For each cut r the direction adjoint(U_r V_r^T + W) with W supported on
-    the discarded subspace is fitted to be anti-parallel to the residual
-    (ridge least squares, spectral norm of W capped at 1).  Every candidate is
-    a valid subgradient pullback; the one with the smallest raw gap at t*
-    wins.  Returns (h, raw_gap).
-    """
-    n = U.shape[0]
-    rhat = res / np.linalg.norm(res)
-
-    def raw_gap(h):
-        return float(np.sum(res**2) - np.dot(h, res) ** 2 / np.dot(h, h))
-
-    noise_floor = np.finfo(float).eps * S[0] * n
-    best_gap, best_h = np.inf, None
-    for cut in range(1, n + 1):
-        if cut > 1 and S[cut - 1] <= noise_floor:
-            break
-        h0 = hankel_adjoint(U[:, :cut] @ Vh[:cut, :])
-        candidates = [h0]
-        if cut < n:
-            U2 = U[:, cut:]
-            V2 = Vh[cut:, :].T
-            m = n - cut
-            # columns are the anti-diagonal sums of u_i v_j^T
-            cols = np.einsum("ik,jl->ijkl", U2, V2).reshape(n * n, m * m)
-            A = np.zeros((k_max, m * m))
-            np.add.at(A, idx.ravel(), cols)
-            PA = A - np.outer(rhat, rhat @ A)
-            Ph0 = h0 - rhat * np.dot(rhat, h0)
-            AtA = PA.T @ PA
-            mu = RIDGE_REL * (np.trace(AtA) / max(1, AtA.shape[0]))
-            try:
-                z = np.linalg.solve(AtA + mu * np.eye(AtA.shape[0]), -PA.T @ Ph0)
-            except np.linalg.LinAlgError:
-                z = None
-            if z is not None:
-                Z = z.reshape(m, m)
-                spectral = np.linalg.norm(Z, 2)
-                if spectral > 1.0:
-                    Z = Z / spectral
-                candidates.append(h0 + hankel_adjoint(U2 @ Z @ V2.T))
-        for h in candidates:
-            gap = raw_gap(h)
-            if gap < best_gap:
-                best_gap, best_h = gap, h
-
-    # snap onto the residual direction when already inside numerical slop
-    rnorm2 = float(np.sum(res**2))
-    if best_gap <= (SNAP_TOL**2) * rnorm2 and np.dot(best_h, res) < 0:
-        best_h = -(np.linalg.norm(best_h) / np.sqrt(rnorm2)) * res
-        best_gap = raw_gap(best_h)
-    return best_h, best_gap

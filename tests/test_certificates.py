@@ -1,16 +1,14 @@
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import hankelpath as hp
-from hankelpath.certificates import _match_subgradient
-from hankelpath.hankel import embed_indices
+from hankelpath import solver
 
 from conftest import FIXTURE_BANDS, FIXTURE_K_MAX
-from oracles import bisect_gap_crossing, match_subgradient_reference
+from oracles import bisect_gap_crossing
 
 
 def _gap_fn(cert, g_o):
@@ -49,7 +47,7 @@ class TestSubgradientVector:
         g_o = sixth_order_impulse
         t = 0.3 * hp.compute_t_max(g_o)
         res = hp.solve_constrained(g_o, t)
-        cert = hp.subgradient_vector(res.g_tilde, t, g_o=g_o)
+        cert = hp.subgradient_vector(res.g_tilde, t, g_o=g_o, dual=res.admm_state[1])
         assert cert.t_star == t
         assert not cert.degenerate
         assert cert.residual_dir_norm >= 0.0
@@ -60,76 +58,127 @@ class TestSubgradientVector:
         assert abs(cert.residual_dir_norm - a_ref) < 1e-12
 
 
-class TestMatchSubgradient:
-    """The anti-diagonal-tensor construction against the n^2 x m^2 build."""
+class TestDualCertificate:
+    """Z = S / ||S||_2, S the symmetric part of the solver's U_dual, is a
+    nuclear-norm subgradient at X = admm_state[0], and h = adjoint(Z)."""
 
     @staticmethod
-    def _assert_matches_reference(g, res):
-        g = hp.as_impulse(g)
-        U, S, Vh = np.linalg.svd(hp.hankel_embed(g).entries)
-        h, gap = _match_subgradient(U, S, Vh, res, g.k_max)
-        h_ref, gap_ref = match_subgradient_reference(
-            U, S, Vh, res, embed_indices(g.n), g.k_max
-        )
-        assert abs(gap - gap_ref) <= 1e-12 * np.sum(res**2)
-        assert np.linalg.norm(h - h_ref) <= 1e-6 * np.linalg.norm(h_ref)
+    def _assert_subgradient(res):
+        X, U, _ = res.admm_state
+        S = 0.5 * (U + U.T)
+        Z = S / np.abs(np.linalg.eigvalsh(S)).max()
+        nuc = np.abs(np.linalg.eigvalsh(X)).sum()
+        assert abs(np.linalg.norm(Z, 2) - 1.0) <= 1e-13
+        assert abs(np.sum(Z * X) - nuc) <= 1e-12 * max(1.0, nuc)
+        cert = hp.subgradient_vector(res.g_tilde, res.t, dual=U)
+        h = hp.hankel_adjoint(Z)
+        assert np.linalg.norm(cert.h - h) <= 1e-13 * np.linalg.norm(h)
 
-    def _check_path(self, g_o, path):
-        g_o = hp.as_impulse(g_o)
-        checked = 0
-        for t, sol in zip(path.breakpoints, path.exact_solutions):
-            res = t * sol.g_tilde.values - g_o.values
-            # a perfect fit (t = t_max) has no residual to match
-            if np.linalg.norm(res) > 1e-15:
-                self._assert_matches_reference(sol.g_tilde, res)
-                checked += 1
-        assert checked >= path.m - 1
+    @staticmethod
+    def _prefix_states(g_o, t, iters, monkeypatch, warm_start=None):
+        """Solves stopped after 1..iters iterations, each tagged with what its
+        last iteration did: a plain step, an Anderson extrapolation (a second
+        projection) or a rho rescale."""
+        calls = [0]
+        real = solver.project_nuclear_ball
 
-    def test_fixture_path(self, sixth_order_impulse, sixth_order_path):
-        self._check_path(sixth_order_impulse, sixth_order_path)
+        def counting(z, radius):
+            calls[0] += 1
+            return real(z, radius)
+
+        monkeypatch.setattr(solver, "project_nuclear_ball", counting)
+        states, prev_calls, prev_rho = [], 0, None
+        for k in range(1, iters + 1):
+            calls[0] = 0
+            res = hp.solve_constrained(
+                g_o, t, hp.SolverOptions(max_iters=k), warm_start=warm_start
+            )
+            rho = res.admm_state[2]
+            if prev_rho is not None and rho != prev_rho:
+                kind = "rescale"
+            else:
+                kind = "anderson" if calls[0] - prev_calls == 2 else "plain"
+            states.append((kind, res))
+            prev_calls, prev_rho = calls[0], rho
+        monkeypatch.undo()
+        return states
+
+    def test_cold_and_warm_converged_solves(self, sixth_order_impulse, rank1_impulse):
+        for g_o in (sixth_order_impulse, rank1_impulse):
+            t_max = hp.compute_t_max(g_o)
+            for frac in (0.1, 0.4, 0.8):
+                cold = hp.solve_constrained(g_o, frac * t_max)
+                assert cold.converged
+                self._assert_subgradient(cold)
+                warm = hp.solve_constrained(
+                    g_o, (frac + 0.05) * t_max, warm_start=cold.admm_state
+                )
+                assert warm.converged
+                self._assert_subgradient(warm)
+
+    def _check_path(self, pr):
+        states = [r for r in pr.exact_solutions if r.admm_state is not None]
+        assert len(states) >= pr.m - 1  # only a solve at t_max is closed-form
+        for res in states:
+            self._assert_subgradient(res)
+
+    def test_fixture_path(self, sixth_order_path):
+        self._check_path(sixth_order_path)
 
     def test_rank1_path(self, rank1_impulse):
-        self._check_path(rank1_impulse, hp.compute_path(rank1_impulse, eps=1e-4))
+        self._check_path(hp.compute_path(rank1_impulse, eps=1e-4))
 
     def test_order100_path(self, order100_path):
-        self._check_path(*order100_path)
+        self._check_path(order100_path[1])
 
     @pytest.mark.parametrize("n", [2, 5, 16])
     def test_random_low_rank(self, n):
-        # g is a sum of r exponentials, so H(g) has rank r and the cuts run
-        # to r; at n = 2 and 5 some cuts leave a discarded block with
-        # m^2 <= k_max entries, at n = 16 every cut leaves more.  The residual is a KKT residual -lam*adjoint(U_r
-        # V_r^T + U_2 W V_2^T) with ||W||_2 < 1, exact or perturbed.
+        # g_o is a sum of r exponentials, so H(g_o) has rank r; converged
+        # and 20-iteration solves at two levels of t
         rng = np.random.RandomState(40 + n)
         k_max = 2 * n - 1
-        for trial in range(12):
-            r = int(rng.randint(1, min(n, 4) + 1)) if n > 2 else 1
+        for _ in range(6):
+            r = int(rng.randint(1, min(n, 4) + 1))
             poles = rng.uniform(-0.95, 0.95, r)
-            g = (rng.normal(size=r)[:, None] * poles[:, None] ** np.arange(k_max)).sum(0)
-            g = g / hp.compute_t_max(g)
-            U, S, Vh = np.linalg.svd(hp.hankel_embed(g).entries)
-            rank = int(np.sum(S > 1e-10 * S[0]))
-            W = rng.normal(size=(n - rank, n - rank))
-            W = W + W.T
-            W *= rng.uniform(0.0, 0.9) / np.linalg.norm(W, 2)
-            h = hp.hankel_adjoint(U[:, :rank] @ Vh[:rank] + U[:, rank:] @ W @ Vh[rank:])
-            res = -rng.uniform(0.1, 2.0) * h
-            if trial % 2:
-                res = res + 1e-4 * np.linalg.norm(res) * rng.normal(size=k_max) / np.sqrt(k_max)
-            self._assert_matches_reference(g, res)
+            g_o = (rng.normal(size=r)[:, None] * poles[:, None] ** np.arange(k_max)).sum(0)
+            t_max = hp.compute_t_max(g_o)
+            for frac in (0.3, 0.7):
+                for iters in (20, 5000):
+                    opts = hp.SolverOptions(max_iters=iters)
+                    self._assert_subgradient(hp.solve_constrained(g_o, frac * t_max, opts))
 
-    def test_peak_memory_wide_system(self, order100_spec):
-        # one certificate at n = 41 took 81 MB with the n^2 x m^2 build
-        g_o = hp.impulse_response(order100_spec, 81)
-        t = 0.3 * hp.compute_t_max(g_o)
-        sol = hp.solve_constrained(g_o, t)
-        tracemalloc.start()
-        try:
-            hp.subgradient_vector(sol.g_tilde, t, g_o=g_o)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16e6
+    def test_states_after_each_kind_of_iteration(self, sixth_order_impulse, monkeypatch):
+        g_o = sixth_order_impulse
+        t_max = hp.compute_t_max(g_o)
+        start = hp.solve_constrained(g_o, 0.3 * t_max).admm_state
+        states = self._prefix_states(g_o, 0.4 * t_max, 60, monkeypatch)
+        states += self._prefix_states(g_o, 0.35 * t_max, 30, monkeypatch, warm_start=start)
+        kinds = set()
+        for kind, res in states:
+            if np.any(res.admm_state[1]):
+                self._assert_subgradient(res)
+                kinds.add(kind)
+        assert kinds == {"plain", "anderson", "rescale"}
+
+    def test_unconverged_solve(self, sixth_order_impulse):
+        g_o = sixth_order_impulse
+        for frac in (0.2, 0.6):
+            res = hp.solve_constrained(
+                g_o, frac * hp.compute_t_max(g_o), hp.SolverOptions(max_iters=20)
+            )
+            assert not res.converged
+            self._assert_subgradient(res)
+
+    def test_zero_dual_falls_back_to_plain_form(self, sixth_order_impulse):
+        g_o = sixth_order_impulse
+        t = 0.4 * hp.compute_t_max(g_o)
+        res = hp.solve_constrained(g_o, t)
+        zero = np.zeros_like(res.admm_state[1])
+        for data in (None, g_o):
+            fallback = hp.subgradient_vector(res.g_tilde, t, g_o=data, dual=zero)
+            plain = hp.subgradient_vector(res.g_tilde, t, g_o=data)
+            np.testing.assert_array_equal(fallback.h, plain.h)
+            assert fallback.residual_dir_norm == plain.residual_dir_norm
 
 
 class TestDualityGap:
@@ -139,7 +188,7 @@ class TestDualityGap:
         t_max = hp.compute_t_max(g_o)
         for t in (0.1 * t_max, 0.4 * t_max, 0.7 * t_max):
             res = hp.solve_constrained(g_o, t)
-            cert = hp.subgradient_vector(res.g_tilde, t, g_o=g_o)
+            cert = hp.subgradient_vector(res.g_tilde, t, g_o=g_o, dual=res.admm_state[1])
             assert hp.duality_gap(cert, g_o, t) <= budget
 
     def test_scalar_gap_identically_zero(self):
@@ -159,7 +208,7 @@ class TestDualityGap:
         g_o = sixth_order_impulse
         t = 0.35 * hp.compute_t_max(g_o)
         res = hp.solve_constrained(g_o, t)
-        cert = hp.subgradient_vector(res.g_tilde, t, g_o=g_o)
+        cert = hp.subgradient_vector(res.g_tilde, t, g_o=g_o, dual=res.admm_state[1])
         a = cert.residual_dir_norm
         for delta in (0.01, 0.05, 0.1):
             gap = hp.duality_gap(cert, g_o, t + delta)
@@ -169,7 +218,7 @@ class TestDualityGap:
         g_o = sixth_order_impulse
         t = 0.5 * hp.compute_t_max(g_o)
         res = hp.solve_constrained(g_o, t)
-        cert = hp.subgradient_vector(res.g_tilde, t, g_o=g_o)
+        cert = hp.subgradient_vector(res.g_tilde, t, g_o=g_o, dual=res.admm_state[1])
         for tt in np.linspace(t, hp.compute_t_max(g_o), 17):
             gap = hp.duality_gap(cert, g_o, float(tt))
             assert gap >= 0.0
@@ -254,7 +303,7 @@ class TestNextBreakpoint:
         t_max = hp.compute_t_max(g_o)
         t = 0.3 * t_max
         res = hp.solve_constrained(g_o, t)
-        cert = hp.subgradient_vector(res.g_tilde, t, g_o=g_o)
+        cert = hp.subgradient_vector(res.g_tilde, t, g_o=g_o, dual=res.admm_state[1])
         eps = 0.01
         t_next = hp.next_breakpoint(cert, g_o, eps, t_max)
         ref = bisect_gap_crossing(_gap_fn(cert, g_o), eps, t, t_max)
@@ -285,7 +334,7 @@ class TestSandwich:
         t_max = hp.compute_t_max(g_o)
         t_star = 0.3 * t_max
         res = hp.solve_constrained(g_o, t_star)
-        cert = hp.subgradient_vector(res.g_tilde, t_star, g_o=g_o)
+        cert = hp.subgradient_vector(res.g_tilde, t_star, g_o=g_o, dual=res.admm_state[1])
         t_next = hp.next_breakpoint(cert, g_o, 0.01, t_max)
         for t in np.linspace(t_star, t_next, 9):
             f_ap = hp.approx_objective(res.g_tilde, g_o, float(t))

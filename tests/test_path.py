@@ -6,6 +6,7 @@ import pytest
 
 import hankelpath as hp
 
+from conftest import FIXTURE_BANDS, FIXTURE_K_MAX, ORDER100_BANDS, ORDER100_SEED
 from oracles import svd_2x2_singular_values
 
 
@@ -174,13 +175,16 @@ class TestComputePath:
 
     def test_untight_certificate_aborts_with_partial_path(self, sixth_order_impulse, monkeypatch):
         # a certificate whose h is orthogonal to the residual at t* prices the
-        # whole residual as gap, far above eps at the first breakpoint
+        # whole residual as gap, far above eps at the first breakpoint; h is
+        # built from g* because the real h is snapped onto the residual, so
+        # its orthogonal part is roundoff
         real = hp.path.subgradient_vector
 
-        def untight(g_tilde, t_star, g_o):
-            cert = real(g_tilde, t_star, g_o=g_o)
-            res = t_star * cert.g_tilde_star.values - hp.as_impulse(g_o).values
-            h = cert.h - res * np.dot(cert.h, res) / np.dot(res, res)
+        def untight(g_tilde, t_star, g_o, dual=None):
+            cert = real(g_tilde, t_star, g_o=g_o, dual=dual)
+            g_star = cert.g_tilde_star.values
+            res = t_star * g_star - hp.as_impulse(g_o).values
+            h = g_star - res * np.dot(g_star, res) / np.dot(res, res)
             return dataclasses.replace(cert, h=h)
 
         monkeypatch.setattr(hp.path, "subgradient_vector", untight)
@@ -191,18 +195,60 @@ class TestComputePath:
         assert partial.m == 1 and len(partial.certificates) == 1
         assert len(partial.samples) == 20  # the zero-model segment only
 
-    def test_wide_system_sample_gaps_stay_within_eps(self, order100_spec):
+    def test_wide_system_sample_gaps_stay_within_eps(self, wide_path):
         # the n = 41 path of the order-100 system: a step off the exact gap
         # crossing showed up here as a sample gap of 1.029 eps
-        g_o = hp.impulse_response(order100_spec, 81)
-        eps = 40.0
-        pr = hp.compute_path(g_o, eps=eps)
-        assert max(s.gap for s in pr.samples) <= eps * (1 + 1e-9)
+        _, pr = wide_path
+        assert max(s.gap for s in pr.samples) <= pr.epsilon * (1 + 1e-9)
 
     def test_deterministic(self, sixth_order_impulse):
         a = hp.compute_path(sixth_order_impulse, eps=0.01)
         b = hp.compute_path(sixth_order_impulse, eps=0.01)
         assert a.to_json() == b.to_json()
+
+
+def _worst_breakpoint_ratio(g_o, pr):
+    """Largest gap at a breakpoint over the path, in units of the
+    criterion-3 budget 1e-6 (1 + ||g_o||^2)."""
+    budget = 1e-6 * (1 + hp.as_impulse(g_o).norm() ** 2)
+    return max(hp.duality_gap(c, g_o, t) / budget for t, c in zip(pr.breakpoints, pr.certificates))
+
+
+def _order100_family_path(seed, k_max, eps):
+    g_o = hp.impulse_response(hp.random_system(100, seed, bands=ORDER100_BANDS), k_max)
+    return g_o, hp.compute_path(g_o, eps=eps)
+
+
+class TestHeldOutTightness:
+    """Criterion 3, each certificate's gap vanishing at its own breakpoint,
+    on paths outside the acceptance fixtures.  A certificate that searched
+    for W over truncation cuts missed it on fixture seeds 81 and 89 (up to
+    28.6 budgets) and on order-100 seeds 5-8 (up to 1,900)."""
+
+    def test_fixture_family(self):
+        worst = {}
+        for seed in range(120):
+            spec = hp.random_system(6, seed, bands=FIXTURE_BANDS)
+            g_o = hp.impulse_response(spec, FIXTURE_K_MAX)
+            worst[seed] = _worst_breakpoint_ratio(g_o, hp.compute_path(g_o, eps=0.01))
+        seed = max(worst, key=worst.get)
+        assert worst[seed] <= 1.0, f"seed {seed}: gap {worst[seed]:.3g} budgets"
+
+    @pytest.mark.parametrize("seed", range(4, 9))
+    def test_order100_family(self, seed, order100_path):
+        if seed == ORDER100_SEED:
+            g_o, pr = order100_path
+        else:
+            g_o, pr = _order100_family_path(seed, 51, 12.0)
+        assert _worst_breakpoint_ratio(g_o, pr) <= 1.0
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_wide_family(self, seed, wide_path):
+        if seed == ORDER100_SEED:
+            g_o, pr = wide_path
+        else:
+            g_o, pr = _order100_family_path(seed, 81, 40.0)
+        assert _worst_breakpoint_ratio(g_o, pr) <= 1.0
 
 
 class TestSerialization:

@@ -295,7 +295,7 @@ class TestSolveConstrained:
             res = hp.solve_constrained(g_o, t)
             if res.nuclear_norm_value < 1.0 - 1e-6:
                 continue
-            cert = hp.subgradient_vector(res.g_tilde, t, g_o=g_o)
+            cert = hp.subgradient_vector(res.g_tilde, t, g_o=g_o, dual=res.admm_state[1])
             r = t * res.g_tilde.values - g_o.values
             if np.linalg.norm(r) <= 1e-8 * g_o.norm():
                 continue
