@@ -90,12 +90,15 @@ def _numerical_rank(S: np.ndarray) -> int:
     return int(np.sum(S > np.finfo(float).eps * S.size * S[0]))
 
 
-def _dual_direction(U, k_max: int) -> np.ndarray | None:
+def _dual_direction(U, k_max: int, flat_idx=None) -> np.ndarray | None:
     """h = adjoint(S) / ||S||_2 with S the symmetric part of U; None when
-    adjoint(S) = 0 (S = 0 among them)."""
+    adjoint(S) = 0 (S = 0 among them).  flat_idx, when given, is
+    embed_indices(n).ravel() for the n-by-n U."""
     U = np.asarray(U, dtype=float)
     S = 0.5 * (U + U.T)
-    a = adjoint_fast(S, embed_indices(S.shape[0]).ravel(), k_max)
+    if flat_idx is None:
+        flat_idx = embed_indices(S.shape[0]).ravel()
+    a = adjoint_fast(S, flat_idx, k_max)
     if not np.any(a):
         return None
     return a / float(np.abs(np.linalg.eigvalsh(S)).max())
@@ -158,28 +161,42 @@ def approx_objective(g_tilde_star, g_o, t: float) -> float:
 def dual_bounds(g_o, t: float, g, U=None, nuclear_norm=None) -> tuple[float, float]:
     """Certified enclosure (lower, upper) of the optimal cost f*(t) from any g and U.
 
-    upper is the objective ||t g_hat - g_o||^2 of the exactly feasible point
-    g_hat = g / max(1, ||H(g)||_*); nuclear_norm, when given, is that Hankel
-    nuclear norm of g, so a caller that has it saves one eigvalsh.
-
-    lower prices a dual point: with S the symmetric part of U and
-    h = adjoint(S) / ||S||_2, every feasible g has
-    h^T g = <S, H(g)> / ||S||_2 <= ||H(g)||_* <= 1, so t g stays in the
-    half-space h^T x <= t and f*(t) >= max(0, h^T g_o - t)^2 / ||h||^2.  That
-    holds for any U, however inexact the solve it came from; at an optimum,
-    with U the solver's scaled dual, the bound is tight.  U = None, or an S
-    with adjoint(S) = 0 (S = 0 among them), gives lower = 0.
+    upper is feasible_upper_bound: the objective ||t g_hat - g_o||^2 of the
+    exactly feasible point g_hat = g / max(1, ||H(g)||_*); nuclear_norm, when
+    given, is that Hankel nuclear norm of g, so a caller that has it saves
+    one eigvalsh.  lower is dual_lower_bound(g_o, t, U), 0 for U = None.
     """
     go = np.asarray(g_o, dtype=float)
     gv = np.asarray(g, dtype=float)
     if nuclear_norm is None:
         nuclear_norm = float(hankel_singular_values(gv).sum())
-    upper = float(np.sum((t * (gv / max(1.0, nuclear_norm)) - go) ** 2))
-    h = None if U is None else _dual_direction(U, go.size)
+    lower = 0.0 if U is None else dual_lower_bound(go, t, U)
+    return lower, feasible_upper_bound(go, t, gv, nuclear_norm)
+
+
+def dual_lower_bound(g_o: np.ndarray, t: float, U, flat_idx=None) -> float:
+    """Lower bound on f*(t) from a dual point U, for a float data vector g_o.
+
+    With S the symmetric part of U and h = adjoint(S) / ||S||_2, every
+    feasible g has h^T g = <S, H(g)> / ||S||_2 <= ||H(g)||_* <= 1, so t g
+    stays in the half-space h^T x <= t and f*(t) >= max(0, h^T g_o - t)^2 /
+    ||h||^2.  That holds for any U, however inexact the solve it came from;
+    at an optimum, with U the solver's scaled dual, the bound is tight.  An
+    S with adjoint(S) = 0 (S = 0 among them) gives 0.  flat_idx, when given,
+    is embed_indices(n).ravel().
+    """
+    h = _dual_direction(U, g_o.size, flat_idx)
     if h is None:
-        return 0.0, upper
-    excess = max(0.0, float(h.dot(go)) - t)
-    return excess * excess / float(h.dot(h)), upper
+        return 0.0
+    excess = max(0.0, float(h.dot(g_o)) - t)
+    return excess * excess / float(h.dot(h))
+
+
+def feasible_upper_bound(g_o: np.ndarray, t: float, g: np.ndarray, nuclear_norm: float) -> float:
+    """Upper bound on f*(t): the objective ||t g_hat - g_o||^2 of the exactly
+    feasible point g_hat = g / max(1, nuclear_norm), with nuclear_norm the
+    Hankel nuclear norm of g (float arrays g_o and g)."""
+    return float(np.sum((t * (g / max(1.0, nuclear_norm)) - g_o) ** 2))
 
 
 def duality_gap(cert: GapCertificate, g_o, t: float) -> float:

@@ -9,6 +9,7 @@ repeated runs with identical inputs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -58,7 +59,10 @@ _DEFAULTS = {
 }
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it, every call returns a fresh namespace."""
     parser = _Parser(prog="hankelpath", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -182,15 +182,21 @@ def multiplicities(n: int) -> np.ndarray:
     return np.minimum(k, 2 * n - k).astype(float)
 
 
+def symmetric_singular_values(H: np.ndarray) -> np.ndarray:
+    """All singular values of a symmetric matrix, descending: the magnitudes
+    of its eigenvalues (only the lower triangle is read)."""
+    return np.sort(np.abs(np.linalg.eigvalsh(H)))[::-1]
+
+
 def hankel_singular_values(g) -> np.ndarray:
     """All singular values of the Hankel embedding of g, descending.
 
     H(g) is symmetric, so they are the magnitudes of its eigenvalues.  Every
-    Hankel nuclear norm in the package is the sum of this array, which keeps
+    Hankel nuclear norm in the package is the sum of this array (or of
+    symmetric_singular_values on an H(g) already at hand), which keeps
     compute_t_max and the solver's closed-form test in exact agreement.
     """
-    lam = np.linalg.eigvalsh(hankel_embed(as_impulse(g)).entries)
-    return np.sort(np.abs(lam))[::-1]
+    return symmetric_singular_values(hankel_embed(as_impulse(g)).entries)
 
 
 def compute_t_max(g_o) -> float:

@@ -17,6 +17,7 @@ that elementary certificate still meets eps.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -134,8 +135,8 @@ def compute_path(
         Gap tolerance; every sample's certified gap stays <= eps (up to
         breakpoint rounding).
     grid_points_per_segment : int
-        Reporting grid per segment (endpoints included); does not influence
-        the breakpoints.
+        Reporting grid per segment (endpoints included, at least 2); does not
+        influence the breakpoints.
     solver_opts : SolverOptions, optional
         Forwarded to every exact solve.  Solves after the first start from
         the previous breakpoint's splitting state, so opts.rho only sets the
@@ -153,8 +154,13 @@ def compute_path(
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    if grid_points_per_segment < 2:
-        raise ValueError("grid_points_per_segment must be >= 2")
+    # as SolverOptions.max_iters: a bool is an Integral, but no point count
+    if not (
+        isinstance(grid_points_per_segment, numbers.Integral)
+        and not isinstance(grid_points_per_segment, bool)
+        and grid_points_per_segment >= 2
+    ):
+        raise ValueError("grid_points_per_segment must be an integer >= 2")
     if solver_opts is None:
         solver_opts = SolverOptions()
     g_o = as_impulse(g_o)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg._umath_linalg import eigh_lo, solve1
 
-from .certificates import dual_bounds
+from .certificates import dual_bounds, dual_lower_bound, feasible_upper_bound
 from .hankel import (
     ImpulseResponse,
     adjoint_fast,
@@ -39,6 +39,7 @@ from .hankel import (
     embed_indices,
     hankel_singular_values,
     multiplicities,
+    symmetric_singular_values,
 )
 
 #: Number of past differences the Anderson-accelerated loop keeps.
@@ -91,9 +92,13 @@ class SolveResult:
     branch ran.
 
     bounds = (lower, upper) is a certified enclosure of the optimal cost at t,
-    from certificates.dual_bounds on g_tilde and the returned U_dual (lower
-    is 0 on the closed-form branch, where the optimum is 0).  It is sound
-    however far the solve got, converged or not.
+    equal to certificates.dual_bounds on g_tilde and the returned U_dual
+    (lower is 0 on the closed-form branch, where the optimum is 0).  It is
+    sound however far the solve got, converged or not.  The solver prices
+    its own state with dual_bounds' two halves, dual_lower_bound and
+    feasible_upper_bound, on the H(g_tilde) it already holds; a stop_inside
+    check takes the lower bound first and the nuclear norm and upper bound
+    only when that lower bound clears the interval's low end.
     """
 
     g_tilde: ImpulseResponse
@@ -113,26 +118,35 @@ def project_simplex_l1(s, radius: float) -> np.ndarray:
 
     If the input already satisfies the budget it is returned unchanged;
     otherwise the unique threshold theta with sum(max(s - theta, 0)) = radius
-    is found exactly by the sort-based scheme (no sampling, ties handled by
-    the cumulative-sum rule).
+    is found exactly by the sort-based scheme (no sampling): one scan of the
+    entries in descending order keeps the running sum c_k of the first k, in
+    cumsum's order, and theta is the candidate (c_k - radius) / k of the last
+    entry that stays above its own candidate (ties handled by that rule).
+    A NaN or non-positive radius raises ValueError; an infinite one returns
+    the input.
     """
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("radius must be positive")
     s = np.asarray(s, dtype=float)
     total = s.sum()
-    # min and sum propagate NaN and inf, so they also reject non-finite input
-    if (s.size and not s.min() >= 0) or not math.isfinite(total):
+    d = sorted(s.ravel().tolist(), reverse=True)
+    # the sum propagates NaN and inf, so it also rejects non-finite input,
+    # and with every entry a number the smallest one sorts last
+    if (d and not d[-1] >= 0) or not math.isfinite(total):
         raise ValueError("entries must be nonnegative and finite")
     if total <= radius:
         return s
-    d = np.sort(s)[::-1]
-    # candidate thresholds (cumsum_k - radius) / k; the support is the prefix
-    # of sorted entries that stay above their threshold
-    theta = d.cumsum()
-    theta -= radius
-    theta /= np.arange(1, d.size + 1)
-    k = np.flatnonzero(d > theta)[-1]
-    return np.maximum(s - theta[k], 0.0)
+    running = d[0]
+    # the largest entry is always in the support, even where its candidate
+    # d[0] - radius rounds to d[0] itself
+    theta = running - radius
+    for k in range(1, len(d)):
+        running += d[k]
+        candidate = (running - radius) / (k + 1)
+        if d[k] > candidate:
+            theta = candidate
+    x = s - theta
+    return np.maximum(x, 0.0, out=x)
 
 
 def project_nuclear_ball(M, radius: float) -> np.ndarray:
@@ -150,7 +164,7 @@ def project_nuclear_ball(M, radius: float) -> np.ndarray:
     projection shrinks |lam| on the simplex and keeps the signs.  The result
     is symmetrized bit for bit, so the solver's iterates stay on this branch.
     """
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("radius must be positive")
     arr = np.asarray(M, dtype=float)
     if not np.isfinite(arr).all():
@@ -317,11 +331,15 @@ def solve_constrained(
             converged = True
             break
         if stop_inside is not None:
-            enclosure = dual_bounds(gvec, t, g_tilde, U_dual)
-            if stop_inside[0] <= enclosure[0] and enclosure[1] <= stop_inside[1]:
-                bounds = enclosure
-                converged = True
-                break
+            # the cheaper dual lower bound first: it alone rules out most exits
+            lower = dual_lower_bound(gvec, t, U_dual, flat_idx)
+            if stop_inside[0] <= lower:
+                nuc = float(symmetric_singular_values(Hg).sum())
+                upper = feasible_upper_bound(gvec, t, g_tilde, nuc)
+                if upper <= stop_inside[1]:
+                    bounds = (lower, upper)
+                    converged = True
+                    break
         if (r_pri > 10.0 * r_dual and rho < 1e8) or (r_dual > 10.0 * r_pri and rho > 1e-8):
             # residual balancing keeps both residuals decreasing together:
             # rho scales by sqrt(r_pri / r_dual) clipped to [0.1, 10], by 10
@@ -371,11 +389,15 @@ def solve_constrained(
                 continue
         z = Tz
 
+    if bounds is None:
+        # Hg = H(g_tilde) and the bounds of dual_bounds, from what the loop holds
+        nuc = float(symmetric_singular_values(Hg).sum())
+        bounds = (
+            dual_lower_bound(gvec, t, U_dual, flat_idx),
+            feasible_upper_bound(gvec, t, g_tilde, nuc),
+        )
     result_g = ImpulseResponse(g_tilde)
     obj = float(np.sum((t * g_tilde - gvec) ** 2))
-    nuc = float(hankel_singular_values(result_g).sum())
-    if bounds is None:
-        bounds = dual_bounds(gvec, t, g_tilde, U_dual, nuclear_norm=nuc)
     X.setflags(write=False)
     U_dual.setflags(write=False)
     return SolveResult(

@@ -8,7 +8,9 @@ from plain interval bisection.  The exceptions are the plain ADMM loop, which
 reuses the library's projection and adjoint and so checks only the
 accelerated loop around them, and the np.linalg.eigh nuclear-ball
 projection, which reuses the library's simplex projection and so checks only
-the direct LAPACK eigendecomposition around it.
+the direct LAPACK eigendecomposition around it.  The two *_frozen functions
+keep the arithmetic of earlier library kernels, so that the current ones
+are pinned to them bit for bit.
 """
 
 import math
@@ -137,6 +139,33 @@ def simplex_sort_loop(s, radius):
         if v > (running - radius) / k:
             theta = (running - radius) / k
     return np.array([max(v - theta, 0.0) for v in values])
+
+
+def simplex_cumsum_frozen(s, radius):
+    """The budgeted nonnegative projection as the library computed it before
+    its threshold became a scan: candidate thresholds from a cumsum of the
+    descending entries, the last entry above its candidate by flatnonzero."""
+    s = np.asarray(s, dtype=float)
+    if s.sum() <= radius:
+        return s
+    d = np.sort(s)[::-1]
+    theta = d.cumsum()
+    theta -= radius
+    theta /= np.arange(1, d.size + 1)
+    k = np.flatnonzero(d > theta)[-1]
+    return np.maximum(s - theta[k], 0.0)
+
+
+def project_nuclear_ball_frozen(M, radius):
+    """Symmetric nuclear-ball projection as the library computed it before
+    its simplex threshold became a scan: np.linalg.eigh, the cumsum simplex
+    above, and 0.5 * (P + P.T)."""
+    lam, Q = np.linalg.eigh(M)
+    mag = np.abs(lam)
+    if mag.sum() <= radius:
+        return M
+    P = (Q * np.copysign(simplex_cumsum_frozen(mag, radius), lam)) @ Q.T
+    return 0.5 * (P + P.T)
 
 
 def bisect_gap_crossing(gap_fn, eps, lo, hi, iters=100):

@@ -231,6 +231,37 @@ class TestPath:
         assert proc.returncode == 0, proc.stderr
 
 
+class TestCachedParser:
+    def test_second_call_shows_default_behaviour(self, tmp_path, impulse_file, capsys):
+        # the parser is built once per process; the flags of one call must
+        # not leak into the next
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        code = cli.main([
+            "path", "--input", str(impulse_file), "--out", str(out1),
+            "--verify", "--jobs", "2", "--grid-points", "5",
+        ])
+        assert code == 0
+        assert "verify: ok" in capsys.readouterr().out
+        doc1 = json.loads((out1 / "path.json").read_text())
+        assert len(doc1["samples"]) == 5 * doc1["m"]
+        assert cli.main(["path", "--input", str(impulse_file), "--out", str(out2)]) == 0
+        assert "verify: ok" not in capsys.readouterr().out
+        doc2 = json.loads((out2 / "path.json").read_text())
+        assert len(doc2["samples"]) == 20 * doc2["m"]
+        assert doc2["epsilon"] == 0.01
+
+    def test_unknown_config_key_after_cached_build(self, tmp_path, impulse_file, capsys):
+        assert cli.main(["gen", "--out", str(tmp_path / "gen")]) == 0
+        config = tmp_path / "config.json"
+        config.write_text('{"epsilonn": 0.05}')
+        code = cli.main([
+            "path", "--input", str(impulse_file), "--config", str(config),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: config key 'epsilonn'")
+
+
 @pytest.mark.parametrize(
     "command, flags, config",
     [

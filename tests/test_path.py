@@ -74,6 +74,18 @@ class TestComputePath:
         with pytest.raises(ValueError):
             hp.compute_path([1.0, 0.5, 0.25], eps=0.01, grid_points_per_segment=1)
 
+    @pytest.mark.parametrize("grid", [2.5, 1e9, 20.0, True, "20", None, np.nan])
+    def test_non_integer_grid_points_rejected(self, grid):
+        # a TypeError from np.linspace would break compute_path's contract of
+        # raising only ValueError or PathAborted
+        with pytest.raises(ValueError, match="grid_points_per_segment"):
+            hp.compute_path([1.0, 0.5, 0.25], eps=0.01, grid_points_per_segment=grid)
+
+    def test_numpy_integer_grid_points_accepted(self):
+        g_o = [1.0, 0.5, 0.25]
+        pr = hp.compute_path(g_o, eps=0.01, grid_points_per_segment=np.int64(3))
+        assert pr.to_json() == hp.compute_path(g_o, eps=0.01, grid_points_per_segment=3).to_json()
+
     def test_huge_eps_gives_single_solve(self):
         g_o = hp.ImpulseResponse(np.array([1.0, 0.5, 0.25]))
         pr = hp.compute_path(g_o, eps=2.0 * g_o.norm() ** 2)

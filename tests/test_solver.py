@@ -9,6 +9,8 @@ from conftest import FIXTURE_BANDS, FIXTURE_K_MAX
 from oracles import (
     plain_admm,
     project_nuclear_ball_eigh,
+    project_nuclear_ball_frozen,
+    simplex_cumsum_frozen,
     simplex_sort_loop,
     solve_k3_oracle,
     theta_scan_simplex,
@@ -68,6 +70,41 @@ class TestProjectSimplexL1:
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
             hp.project_simplex_l1(np.array([0.5]), 0.0)
+
+    @pytest.mark.parametrize("radius", [np.nan, 0.0, -1.0])
+    def test_rejects_nan_zero_and_negative_radius(self, radius):
+        # a NaN radius used to reach flatnonzero(...)[-1] and raise IndexError
+        for s in ([0.5], [3.0, 1.0, 2.0], []):
+            with pytest.raises(ValueError):
+                hp.project_simplex_l1(np.array(s), radius)
+
+    def test_infinite_radius_returns_input(self):
+        s = np.array([3.0, 0.0, 1e300])
+        assert hp.project_simplex_l1(s, np.inf) is s
+
+    def test_matches_cumsum_kernel_bit_for_bit(self):
+        # random, tied, zero-laden and single-entry inputs, radii on both
+        # sides of the sum: the scan reproduces the cumsum/flatnonzero kernel
+        rng = np.random.RandomState(16)
+        for trial in range(400):
+            n = 1 if trial % 10 == 0 else rng.randint(2, 201)
+            s = np.abs(rng.randn(n)) * 10.0 ** rng.uniform(-3, 3)
+            if trial % 4 == 1:
+                s = np.round(s, 1)  # ties
+            elif trial % 4 == 2:
+                s[rng.rand(n) < 0.6] = 0.0
+            elif trial % 4 == 3:
+                s = np.repeat(s[:3], n)[:n]  # long runs of equal entries
+            radius = s.sum() * rng.uniform(0.001, 1.2) if s.any() else 1.0
+            got = hp.project_simplex_l1(s, radius)
+            ref = simplex_cumsum_frozen(s, radius)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), (trial, n, radius)
+
+    def test_largest_entry_stays_in_support_under_rounding(self):
+        # d[0] - radius rounds to d[0]: no entry is strictly above its
+        # candidate, and the threshold is the largest entry's own candidate
+        s = np.array([1e20, 1e20])
+        np.testing.assert_array_equal(hp.project_simplex_l1(s, 1.0), [0.0, 0.0])
 
 
 def _svd_projection(M, radius):
@@ -185,6 +222,36 @@ class TestSymmetricProjection:
                     P = hp.project_nuclear_ball(M, 1.0)
                     ref = project_nuclear_ball_eigh(M, 1.0)
                     assert np.array_equal(P, ref)
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 26, 41, 100, 200])
+    def test_matches_frozen_kernel_bit_for_bit(self, n):
+        # random, repeated-eigenvalue and rank-deficient spectra: the
+        # simplex scan leaves every bit of the projection as the cumsum
+        # simplex had it
+        rng = np.random.RandomState(700 + n)
+        lam = rng.randn(n)
+        tied = np.round(lam, 1)
+        deficient = lam * (rng.rand(n) < 0.3)
+        for spectrum in (lam, tied, deficient):
+            if not spectrum.any():
+                continue
+            for nuc in (0.5, 1.5, 40.0):
+                M = _symmetric(rng, spectrum * nuc / np.abs(spectrum).sum())
+                assert np.array_equal(
+                    hp.project_nuclear_ball(M, 1.0), project_nuclear_ball_frozen(M, 1.0)
+                )
+
+    @pytest.mark.parametrize("radius", [np.nan, 0.0, -1.0])
+    def test_rejects_nan_zero_and_negative_radius(self, radius):
+        rng = np.random.RandomState(32)
+        for M in (_symmetric(rng, rng.randn(4)), rng.randn(3, 3)):
+            with pytest.raises(ValueError):
+                hp.project_nuclear_ball(M, radius)
+
+    def test_infinite_radius_returns_input(self):
+        rng = np.random.RandomState(33)
+        for M in (_symmetric(rng, 10.0 * rng.randn(5)), rng.randn(3, 3)):
+            assert np.array_equal(hp.project_nuclear_ball(M, np.inf), M)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_input_raises(self, bad):
@@ -364,6 +431,25 @@ class TestStopInside:
         assert checked.iterations == plain.iterations
         assert np.array_equal(checked.g_tilde.values, plain.g_tilde.values)
         assert checked.bounds == plain.bounds
+
+    @pytest.mark.parametrize("early", [True, False], ids=["early-exit", "full-solve"])
+    def test_bounds_equal_dual_bounds_of_returned_state(self, sixth_order_impulse, early):
+        # the solver prices its state with dual_bounds' own halves, so the
+        # bounds it reports are dual_bounds recomputed from what it returns
+        g_o = sixth_order_impulse
+        for frac in (0.1, 0.5, 0.9):
+            t = frac * hp.compute_t_max(g_o)
+            full = hp.solve_constrained(g_o, t)
+            res = full
+            if early:
+                slack = 1e-6 * (1 + g_o.norm() ** 2)
+                interval = (full.objective - 100 * slack, full.objective + 100 * slack)
+                res = hp.solve_constrained(g_o, t, stop_inside=interval)
+                assert res.converged and res.iterations < full.iterations
+            U_dual = res.admm_state[1]
+            expected = hp.dual_bounds(g_o.values, t, res.g_tilde.values, U_dual)
+            assert res.bounds == expected
+            assert res.nuclear_norm_value == float(hp.hankel_singular_values(res.g_tilde).sum())
 
     def test_uncertified_budget_reports_unconverged(self, sixth_order_impulse):
         g_o = sixth_order_impulse
