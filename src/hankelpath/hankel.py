@@ -64,6 +64,13 @@ class ImpulseResponse:
         """Euclidean norm of the coefficient vector (the H2 norm)."""
         return float(np.linalg.norm(self.values))
 
+    @functools.cached_property
+    def hankel_nuclear_norm(self) -> float:
+        """||H(g)||_*, the sum of hankel_singular_values(g), computed once
+        per instance: compute_t_max and the solver's closed-form test both
+        read it, so a path and its --verify re-solves decompose H(g_o) once."""
+        return float(hankel_singular_values(self).sum())
+
     def __len__(self) -> int:
         return self.values.size
 
@@ -201,7 +208,7 @@ def hankel_singular_values(g) -> np.ndarray:
 
 def compute_t_max(g_o) -> float:
     """Smallest t with a perfect fit: the nuclear norm of H(g_o)."""
-    return float(hankel_singular_values(g_o).sum())
+    return as_impulse(g_o).hankel_nuclear_norm
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +240,22 @@ def write_impulse_json(g: ImpulseResponse, path) -> None:
 
 
 def read_impulse_json(path) -> ImpulseResponse:
+    """Read {"values": [...]} with an optional integer "k_max"; a document
+    of any other shape raises ValueError naming the defect."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    values = np.asarray(doc["values"], dtype=float)
-    if "k_max" in doc and int(doc["k_max"]) != values.size:
-        raise ValueError("k_max field disagrees with the number of values")
+    if not isinstance(doc, dict):
+        raise ValueError(f"impulse JSON must be an object, got {type(doc).__name__}")
+    if "values" not in doc:
+        raise ValueError('impulse JSON has no "values" list')
+    try:
+        values = np.asarray(doc["values"], dtype=float)
+    except TypeError as exc:
+        raise ValueError(f'impulse JSON "values" is not a list of numbers: {exc}') from exc
+    if "k_max" in doc:
+        k_max = doc["k_max"]
+        if type(k_max) is not int:
+            raise ValueError(f'impulse JSON "k_max" must be an integer, got {k_max!r}')
+        if k_max != values.size:
+            raise ValueError("k_max field disagrees with the number of values")
     return ImpulseResponse(values)

@@ -8,17 +8,20 @@ from plain interval bisection.  The exceptions are the plain ADMM loop, which
 reuses the library's projection and adjoint and so checks only the
 accelerated loop around them, and the np.linalg.eigh nuclear-ball
 projection, which reuses the library's simplex projection and so checks only
-the direct LAPACK eigendecomposition around it.  The two *_frozen functions
-keep the arithmetic of earlier library kernels, so that the current ones
-are pinned to them bit for bit.
+the direct LAPACK eigendecomposition around it.  The *_frozen functions
+keep the arithmetic of earlier library kernels and of the earlier solver
+loop, so that the current ones are pinned to them bit for bit; the frozen
+loop calls the library's projection, adjoint and bound halves.
 """
 
 import math
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1
 
 import hankelpath as hp
-from hankelpath.hankel import adjoint_fast, embed_indices
+from hankelpath.certificates import dual_lower_bound, feasible_upper_bound
+from hankelpath.hankel import adjoint_fast, embed_indices, symmetric_singular_values
 
 
 def adjoint_double_sum(M):
@@ -247,3 +250,149 @@ def plain_admm(g_o, t, opts=None):
             rho = rho_new
             denom = fit_curv + rho * w
     return g_tilde, float(np.sum((t * g_tilde - gvec) ** 2)), it, converged
+
+
+def solve_constrained_frozen(g_o, t, opts=None, *, warm_start=None):
+    """solve_constrained, without stop_inside, as the library ran it before
+    the plain step became test-only: every iteration projects T(z) for a
+    plain splitting step and runs the residual test and residual balancing
+    on it, then projects the Anderson point z_aa again when it takes it.
+    The constants are those of that loop (16 differences, 1e-10 Tikhonov
+    weight, balancing steps clipped to [0.1, 10]); the projection, adjoint
+    and bound halves are the library's."""
+    aa_mem, aa_reg, balance_max = 16, 1e-10, 10.0
+    if opts is None:
+        opts = hp.SolverOptions()
+    g_o = hp.as_impulse(g_o)
+    gvec = g_o.values
+    k_max = gvec.size
+    n = g_o.n
+    if warm_start is None:
+        X = np.zeros((n, n))
+        U_dual = np.zeros((n, n))
+        rho = float(opts.rho)
+    else:
+        X0, U0, rho = warm_start
+        X = np.array(X0, dtype=float)
+        U_dual = np.array(U0, dtype=float)
+        rho = float(rho)
+
+    nuc0 = float(hp.hankel_singular_values(g_o).sum())
+    if nuc0 <= t:
+        g_tilde = hp.ImpulseResponse(gvec / t)
+        return hp.SolveResult(
+            g_tilde=g_tilde,
+            t=float(t),
+            objective=float(np.sum((t * g_tilde.values - gvec) ** 2)),
+            nuclear_norm_value=nuc0 / t,
+            iterations=0,
+            primal_residual=0.0,
+            dual_residual=0.0,
+            converged=True,
+            bounds=hp.dual_bounds(gvec, t, g_tilde.values, nuclear_norm=nuc0 / t),
+        )
+
+    def norm(a):
+        v = a.ravel()
+        return math.sqrt(v.dot(v))
+
+    norm_go = np.linalg.norm(gvec)
+    primal_tol = opts.primal_tol if opts.primal_tol is not None else 1e-9 * (1 + norm_go)
+    dual_tol = opts.dual_tol if opts.dual_tol is not None else 1e-9 * (1 + norm_go)
+    scale = n * min(1.0, 2.0 * t * t)
+    floor = 4e-15 * n * (1 + norm_go)
+    eps_pri = max(primal_tol * scale, floor)
+    eps_dual = max(dual_tol * scale, floor)
+
+    idx = embed_indices(n)
+    flat_idx = idx.ravel()
+    w = hp.multiplicities(n)
+    fit_rhs = 2.0 * t * gvec
+    fit_curv = 2.0 * t * t
+    denom = fit_curv + rho * w
+
+    g_tilde = np.zeros(k_max)
+    r_pri = r_dual = np.inf
+    converged = False
+    dT = np.empty((aa_mem, n * n))
+    dF = np.empty((aa_mem, n * n))
+    gram = np.empty((aa_mem, aa_mem))
+    eye = np.eye(aa_mem)
+    filled = slot = 0
+    prev = None
+    f_ref = np.inf
+    z = X + U_dual
+    it = 0
+    for it in range(1, opts.max_iters + 1):
+        g_tilde = (fit_rhs + rho * adjoint_fast(X - U_dual, flat_idx, k_max)) / denom
+        Hg = g_tilde[idx]
+        Tz = Hg + U_dual
+        X_new = hp.project_nuclear_ball(Tz, 1.0)
+        step = Hg - X_new
+        r_pri = norm(step)
+        r_dual = rho * norm(X_new - X)
+        X = X_new
+        U_dual += step
+        if r_pri <= eps_pri and r_dual <= eps_dual:
+            converged = True
+            break
+        if (r_pri > 10.0 * r_dual and rho < 1e8) or (r_dual > 10.0 * r_pri and rho > 1e-8):
+            factor = balance_max if r_dual == 0.0 else math.sqrt(r_pri / r_dual)
+            factor = min(max(factor, 1.0 / balance_max), balance_max)
+            rho_new = min(max(rho * factor, 1e-8), 1e8)
+            U_dual *= rho / rho_new
+            rho = rho_new
+            denom = fit_curv + rho * w
+            filled = slot = 0
+            prev = None
+            f_ref = np.inf
+            z = X + U_dual
+            continue
+        f = Tz - z
+        fnorm = norm(f)
+        Tz_flat = Tz.ravel()
+        f_flat = f.ravel()
+        if fnorm > f_ref:
+            filled = slot = 0
+            f_ref = np.inf
+        elif prev is not None:
+            np.subtract(Tz_flat, prev[0], out=dT[slot])
+            np.subtract(f_flat, prev[1], out=dF[slot])
+            filled = min(filled + 1, aa_mem)
+            row = dF[:filled] @ dF[slot]
+            gram[slot, :filled] = row
+            gram[:filled, slot] = row
+            slot = (slot + 1) % aa_mem
+        prev = (Tz_flat, f_flat)
+        if filled:
+            G = gram[:filled, :filled]
+            tr = G.trace()
+            if tr > 0:
+                gamma = solve1(G + aa_reg * tr * eye[:filled, :filled], dF[:filled] @ f_flat)
+                z = Tz - (gamma @ dT[:filled]).reshape(n, n)
+                z = 0.5 * (z + z.T)
+                X = hp.project_nuclear_ball(z, 1.0)
+                U_dual = z - X
+                f_ref = fnorm
+                continue
+        z = Tz
+
+    nuc = float(symmetric_singular_values(Hg).sum())
+    bounds = (
+        dual_lower_bound(gvec, t, U_dual, flat_idx),
+        feasible_upper_bound(gvec, t, g_tilde, nuc),
+    )
+    X.setflags(write=False)
+    U_dual.setflags(write=False)
+    return hp.SolveResult(
+        g_tilde=hp.ImpulseResponse(g_tilde),
+        t=float(t),
+        objective=float(np.sum((t * g_tilde - gvec) ** 2)),
+        nuclear_norm_value=nuc,
+        iterations=it,
+        primal_residual=r_pri,
+        dual_residual=r_dual,
+        converged=converged,
+        bounds=bounds,
+        admm_state=(X, U_dual, rho),
+    )

@@ -230,6 +230,40 @@ class TestPath:
         proc = run_cli("path", "--input", src, "--epsilon", 0.01, "--out", out)
         assert proc.returncode == 0, proc.stderr
 
+    @pytest.mark.parametrize(
+        "doc",
+        ["[1, 2, 3]", '{"k_max": 3}', '{"k_max": null, "values": [1.0, 2.0, 3.0]}'],
+        ids=["top-level-list", "no-values", "null-k-max"],
+    )
+    def test_malformed_json_input_is_exit_3(self, tmp_path, doc):
+        # each used to end in an uncaught TypeError or KeyError traceback
+        src = tmp_path / "impulse.json"
+        src.write_text(doc)
+        proc = run_cli("path", "--input", src, "--epsilon", 0.01, "--out", tmp_path / "path")
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("numerical error: impulse JSON")
+        assert len(proc.stderr.splitlines()) == 1
+
+    def test_one_decomposition_of_h_go_per_path(self, tmp_path, impulse_file, sixth_order_impulse,
+                                                monkeypatch, capsys):
+        # t_max and the closed-form test of every solve, the 5 --verify
+        # re-solves included, read one cached nuclear norm of H(g_o)
+        H = hp.hankel_embed(sixth_order_impulse).entries
+        eigvalsh = np.linalg.eigvalsh
+        calls = []
+
+        def counted(a, *args, **kwargs):
+            if np.shape(a) == H.shape and np.array_equal(a, H):
+                calls.append(1)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        argv = ["path", "--input", str(impulse_file), "--epsilon", "0.01",
+                "--out", str(tmp_path / "path"), "--verify"]
+        assert cli.main(argv) == 0
+        assert "verify: ok" in capsys.readouterr().out
+        assert len(calls) == 1
+
 
 class TestCachedParser:
     def test_second_call_shows_default_behaviour(self, tmp_path, impulse_file, capsys):

@@ -20,6 +20,13 @@ class TestTMax:
     def test_zero(self):
         assert hp.compute_t_max(np.zeros(5)) == 0.0
 
+    def test_cached_value_is_the_singular_value_sum(self, sixth_order_spec):
+        # bit for bit, from a fresh instance and from a plain array
+        g_o = hp.impulse_response(sixth_order_spec, FIXTURE_K_MAX)
+        expected = float(hp.hankel_singular_values(g_o).sum())
+        assert hp.compute_t_max(g_o) == g_o.hankel_nuclear_norm == expected
+        assert hp.compute_t_max(g_o.values) == expected
+
 
 class TestHankelSingularValues:
     def test_zero(self):
@@ -260,6 +267,12 @@ class TestHeldOutTightness:
             g_o, pr = wide_path
         else:
             g_o, pr = _order100_family_path(seed, 81, 40.0)
+        assert _worst_breakpoint_ratio(g_o, pr) <= 1.0
+
+    def test_n100_path(self):
+        # the largest path of the held-out table, n = 100 (k_max = 199, eps = 40)
+        g_o, pr = _order100_family_path(ORDER100_SEED, 199, 40.0)
+        assert all(r.converged for r in pr.exact_solutions)
         assert _worst_breakpoint_ratio(g_o, pr) <= 1.0
 
 

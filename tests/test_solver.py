@@ -12,6 +12,7 @@ from oracles import (
     project_nuclear_ball_frozen,
     simplex_cumsum_frozen,
     simplex_sort_loop,
+    solve_constrained_frozen,
     solve_k3_oracle,
     theta_scan_simplex,
 )
@@ -451,6 +452,18 @@ class TestStopInside:
             assert res.bounds == expected
             assert res.nuclear_norm_value == float(hp.hankel_singular_values(res.g_tilde).sum())
 
+    def test_exit_on_a_skipped_plain_step(self, sixth_order_impulse):
+        # the exit iteration projects only z_aa: its state is an extrapolated
+        # one, priced with that iteration's coefficients and its own U_dual
+        g_o = sixth_order_impulse
+        t = 0.5 * hp.compute_t_max(g_o)
+        f = hp.solve_constrained(g_o, t).objective
+        slack = 1e-6 * (1 + g_o.norm() ** 2)
+        res = hp.solve_constrained(g_o, t, stop_inside=(f - 100 * slack, f + 100 * slack))
+        assert res.converged and res.iterations % hp.solver.TEST_EVERY != 0
+        expected = hp.dual_bounds(g_o.values, t, res.g_tilde.values, res.admm_state[1])
+        assert res.bounds == expected
+
     def test_uncertified_budget_reports_unconverged(self, sixth_order_impulse):
         g_o = sixth_order_impulse
         t = 0.5 * hp.compute_t_max(g_o)
@@ -598,6 +611,43 @@ class TestAndersonAcceleration:
         _, path = order100_path
         assert path.m == 10
         assert sum(r.iterations for r in path.exact_solutions) <= 3000
+
+
+class TestPlainStepOnlyWhenTested:
+    """The plain step's projection, read only by the residual test and
+    residual balancing, runs every TEST_EVERY-th iteration, when no
+    extrapolation is at hand and when the test could pass."""
+
+    def test_every_iteration_reproduces_the_frozen_loop(self, monkeypatch, order100_spec):
+        # with a plain step on every iteration the loop is the earlier one,
+        # every bit of path.json included
+        cases = [
+            (hp.impulse_response(hp.random_system(6, seed, bands=FIXTURE_BANDS), FIXTURE_K_MAX),
+             0.01)
+            for seed in range(20)
+        ]
+        cases.append((hp.impulse_response(order100_spec, 51), 12.0))
+        monkeypatch.setattr(hp.solver, "TEST_EVERY", 1)
+        for g_o, eps in cases:
+            current = hp.compute_path(g_o, eps).to_json()
+            with monkeypatch.context() as m:
+                m.setattr(hp.path, "solve_constrained", solve_constrained_frozen)
+                frozen = hp.compute_path(g_o, eps).to_json()
+            assert current == frozen
+
+    def test_order100_path_projection_count(self, monkeypatch, order100_path):
+        # 5,086 projections over 2,773 iterations with a plain step on each
+        g_o, path = order100_path
+        project = hp.solver.project_nuclear_ball
+        calls = []
+
+        def counted(M, radius):
+            calls.append(1)
+            return project(M, radius)
+
+        monkeypatch.setattr(hp.solver, "project_nuclear_ball", counted)
+        assert hp.compute_path(g_o, eps=12.0).to_json() == path.to_json()
+        assert len(calls) <= 3600
 
 
 class TestResidualBalancing:
