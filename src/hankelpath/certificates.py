@@ -228,8 +228,8 @@ def next_breakpoint(cert: GapCertificate, g_o, eps: float, t_max: float) -> floa
     stays exact in the direction of h and the gap never reaches eps; a gap
     that already reaches eps at t* (c <= 0) raises RuntimeError.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError("eps must be positive and finite")
     t_star = cert.t_star
     if t_star >= t_max:
         return float(t_max)

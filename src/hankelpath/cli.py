@@ -45,18 +45,27 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_DEFAULTS = {
-    "k_max": 31,
-    "epsilon": 0.01,
-    "grid_points": 20,
-    "rho": 1.0,
-    "max_iters": 5000,
-    "tol": None,
-    "format": "both",
-    "jobs": 1,
-    "order": 6,
-    "seed": 0,
-}
+def _checked(convert, ok, rule: str):
+    """A type= callable: convert(text) if ok accepts it, else 'must be <rule>'."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+
+    return parse
+
+
+# --t, --epsilon, --rho and --tol
+_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "positive and finite")
+
+
+def _count(low: int):
+    return _checked(int, lambda v: v >= low, f"an integer >= {low}")
 
 
 @functools.cache
@@ -71,94 +80,80 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", default=".", help="output directory")
 
     gen = sub.add_parser("gen", help="generate a random stable system")
-    gen.add_argument("--order", type=int)
-    gen.add_argument("--seed", type=int)
-    gen.add_argument("--k-max", dest="k_max", type=int)
+    gen.add_argument("--order", type=_count(1), default=6)
+    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--k-max", dest="k_max", type=_count(1), default=31)
     add_common(gen)
 
     def add_solver_flags(p):
-        p.add_argument("--rho", type=float)
-        p.add_argument("--max-iters", dest="max_iters", type=int)
-        p.add_argument("--tol", type=float, help="primal and dual tolerance")
+        p.add_argument("--rho", type=_positive_float, default=SolverOptions.rho)
+        p.add_argument("--max-iters", dest="max_iters", type=_count(1),
+                       default=SolverOptions.max_iters)
+        p.add_argument("--tol", type=_positive_float, help="primal and dual tolerance")
 
     solve = sub.add_parser("solve", help="solve the constrained fit at one t")
     solve.add_argument("--input", required=True, help="impulse response (.csv or .json)")
-    solve.add_argument("--t", type=float, required=True)
+    solve.add_argument("--t", type=_positive_float, required=True)
     add_solver_flags(solve)
     add_common(solve)
 
     path = sub.add_parser("path", help="compute the certified regularization path")
     path.add_argument("--input", required=True, help="impulse response (.csv or .json)")
-    path.add_argument("--epsilon", type=float)
-    path.add_argument("--grid-points", dest="grid_points", type=int)
+    path.add_argument("--epsilon", type=_positive_float, default=0.01)
+    path.add_argument("--grid-points", dest="grid_points", type=_count(2), default=20)
     add_solver_flags(path)
-    path.add_argument("--format", choices=["json", "csv", "both"])
-    path.add_argument("--verify", action="store_true", default=None,
+    path.add_argument("--format", choices=["json", "csv", "both"], default="both")
+    path.add_argument("--verify", action="store_true",
                       help="re-solve at 5 sampled t values; each cold re-solve stops once a "
                            "certified bracket of the optimum lies inside the sample's "
                            "interval, otherwise it must converge with its objective inside")
-    path.add_argument("--jobs", type=int, help="parallel workers for --verify re-solves")
+    path.add_argument("--jobs", type=_count(1), default=1,
+                      help="parallel workers for --verify re-solves")
     add_common(path)
     return parser
 
 
-def _option_dests(parser) -> set[str]:
-    """The dest of every option of every subcommand."""
-    (sub,) = (a for a in parser._actions if a.dest == "command")
-    return {a.dest for p in sub.choices.values() for a in p._actions} - {"help"}
+def _config_tokens(config_path, command: str) -> list[str]:
+    """The command-line tokens a JSON config file stands for.
+
+    Each key that names an option of command becomes --flag=value (a switch
+    set to true becomes --flag), so the value passes the flag's own checks;
+    a key that names only another command's option is dropped.
+    """
+    with open(config_path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError
+            raise UsageError(f"config file is not valid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise UsageError("config file must hold a JSON object")
+    (sub,) = (a for a in _build_parser()._actions if a.dest == "command")
+    known = {a.dest: a for a in sub.choices[command]._actions}
+    anywhere = {a.dest for p in sub.choices.values() for a in p._actions} - {"help"}
+    tokens = []
+    for key, value in doc.items():
+        dest = key.replace("-", "_")
+        if dest not in anywhere:
+            raise UsageError(f"config key {key!r} names no option of any command")
+        action = known.get(dest)
+        if action is None:
+            continue
+        flag = action.option_strings[-1]
+        switch = action.nargs == 0
+        if switch and type(value) is bool:
+            tokens += [flag] if value else []
+        elif not switch and type(value) in (str, int, float):
+            tokens.append(f"{flag}={value}")
+        else:
+            wants = "true or false" if switch else "a string or a number"
+            raise UsageError(f"config key {key!r} takes {wants}, got {json.dumps(value)}")
+    return tokens
 
 
-def _merge_config(args) -> dict:
-    """flags > config file > defaults."""
-    merged = dict(_DEFAULTS)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise UsageError(f"config file is not valid JSON: {exc}")
-        if not isinstance(doc, dict):
-            raise UsageError("config file must hold a JSON object")
-        known = _option_dests(_build_parser())
-        for key, value in doc.items():
-            dest = key.replace("-", "_")
-            if dest not in known:
-                raise UsageError(f"config key {key!r} names no option of any command")
-            merged[dest] = value
-    for key, value in vars(args).items():
-        if value is not None and key not in ("config", "command", "func"):
-            merged[key] = value
-    return merged
-
-
-def _positive(cfg, key) -> float:
-    """cfg[key] as a positive finite float; anything else is a usage error."""
-    try:
-        value = float(cfg[key])
-    except (TypeError, ValueError):
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        flag = "--" + key.replace("_", "-")
-        raise UsageError(f"{flag} must be positive and finite, got {cfg[key]!r}")
-    return value
-
-
-def _int(cfg, key) -> int:
-    """cfg[key] if it is an int; a config file's 2.5 or true is a usage error."""
-    if type(cfg[key]) is not int:
-        raise UsageError(f"--{key.replace('_', '-')} must be an integer, got {cfg[key]!r}")
-    return cfg[key]
-
-
-def _solver_opts(cfg) -> SolverOptions:
-    tol = None if cfg["tol"] is None else _positive(cfg, "tol")
-    try:
-        return SolverOptions(
-            rho=_positive(cfg, "rho"), max_iters=cfg["max_iters"], primal_tol=tol, dual_tol=tol
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc))
+def _solver_opts(args) -> SolverOptions:
+    return SolverOptions(
+        rho=args.rho, max_iters=args.max_iters, primal_tol=args.tol, dual_tol=args.tol
+    )
 
 
 def _read_impulse(path) -> ImpulseResponse:
@@ -167,27 +162,16 @@ def _read_impulse(path) -> ImpulseResponse:
     return read_impulse_csv(path)
 
 
-def _ensure_outdir(cfg) -> str:
-    out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def cmd_gen(args) -> int:
-    cfg = _merge_config(args)
-    order, seed, k_max = _int(cfg, "order"), _int(cfg, "seed"), _int(cfg, "k_max")
-    if order < 1:
-        raise UsageError("--order must be >= 1")
-    if k_max < 1:
-        raise UsageError("--k-max must be >= 1")
+    k_max = args.k_max
     if k_max % 2 == 0:
         k_max += 1
         print(f"warning: k_max must be odd; padded to {k_max}", file=sys.stderr)
-    out = _ensure_outdir(cfg)
-    spec = random_system(order, seed)
+    os.makedirs(args.out, exist_ok=True)
+    spec = random_system(args.order, args.seed)
     g = impulse_response(spec, k_max)
-    spec_path = os.path.join(out, "system.json")
-    imp_path = os.path.join(out, "impulse.csv")
+    spec_path = os.path.join(args.out, "system.json")
+    imp_path = os.path.join(args.out, "impulse.csv")
     write_system_json(spec, spec_path)
     write_impulse_csv(g, imp_path)
     sig = hankel_singular_values(g)
@@ -199,13 +183,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    cfg = _merge_config(args)
-    t = _positive(cfg, "t")
-    g_o = _read_impulse(cfg["input"])
-    out = _ensure_outdir(cfg)
-    result = solve_constrained(g_o, t, _solver_opts(cfg))
-    g_fit = t * result.g_tilde.values
-    fit_path = os.path.join(out, "g_fit.csv")
+    g_o = _read_impulse(args.input)
+    os.makedirs(args.out, exist_ok=True)
+    result = solve_constrained(g_o, args.t, _solver_opts(args))
+    g_fit = args.t * result.g_tilde.values
+    fit_path = os.path.join(args.out, "g_fit.csv")
     write_impulse_csv(ImpulseResponse(g_fit), fit_path)
     print("objective: " + fmt17(result.objective))
     print("nuclear_norm: " + fmt17(result.nuclear_norm_value))
@@ -284,41 +266,32 @@ def _verify_path(result, g_o, opts, jobs: int) -> list[str]:
 
 
 def cmd_path(args) -> int:
-    cfg = _merge_config(args)
-    eps = _positive(cfg, "epsilon")
-    grid = _int(cfg, "grid_points")
-    fmt = cfg["format"]
-    jobs = _int(cfg, "jobs")
-    if grid < 2:
-        raise UsageError("--grid-points must be >= 2")
-    if jobs < 1:
-        raise UsageError("--jobs must be >= 1")
-    if fmt not in ("json", "csv", "both"):
-        raise UsageError("--format must be json, csv or both")
-    g_o = _read_impulse(cfg["input"])
-    out = _ensure_outdir(cfg)
-    opts = _solver_opts(cfg)
+    g_o = _read_impulse(args.input)
+    os.makedirs(args.out, exist_ok=True)
+    opts = _solver_opts(args)
 
     start = time.perf_counter()
     try:
-        result = compute_path(g_o, eps, grid_points_per_segment=grid, solver_opts=opts)
+        result = compute_path(
+            g_o, args.epsilon, grid_points_per_segment=args.grid_points, solver_opts=opts
+        )
     except PathAborted as exc:
-        written = _write_path_outputs(exc.partial, out, fmt)
+        written = _write_path_outputs(exc.partial, args.out, args.format)
         print(f"path aborted: {exc}", file=sys.stderr)
         for p in written:
             print(f"wrote {p} (partial)")
         return EXIT_NUMERICAL
     wall = time.perf_counter() - start
 
-    written = _write_path_outputs(result, out, fmt)
+    written = _write_path_outputs(result, args.out, args.format)
     print(f"m: {result.m}")
     print("breakpoints: " + " ".join(fmt17(b) for b in result.breakpoints))
     print("wall_time_s: %.3f" % wall)
     for p in written:
         print(f"wrote {p}")
 
-    if cfg.get("verify"):
-        failures = _verify_path(result, g_o, opts, jobs)
+    if args.verify:
+        failures = _verify_path(result, g_o, opts, args.jobs)
         if failures:
             for line in failures:
                 print(line, file=sys.stderr)
@@ -329,13 +302,16 @@ def cmd_path(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-        if args.command == "gen":
-            return cmd_gen(args)
-        if args.command == "solve":
-            return cmd_solve(args)
-        return cmd_path(args)
+        if args.config:
+            # the config's flags go first, so the command line's win: argparse
+            # keeps an option's last occurrence
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_tokens(args.config, args.command)
+                                     + argv[at:])
+        return {"gen": cmd_gen, "solve": cmd_solve, "path": cmd_path}[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

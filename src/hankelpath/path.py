@@ -24,7 +24,13 @@ from typing import NamedTuple
 import numpy as np
 
 from ._textio import fmt17, json_list, json_nested_list
-from .certificates import GapCertificate, duality_gap, next_breakpoint, subgradient_vector
+from .certificates import (
+    GapCertificate,
+    approx_objective,
+    duality_gap,
+    next_breakpoint,
+    subgradient_vector,
+)
 from .hankel import as_impulse, compute_t_max, hankel_singular_values
 from .solver import SolveResult, SolverOptions, solve_constrained
 
@@ -132,8 +138,8 @@ def compute_path(
     g_o : ImpulseResponse or array-like
         Nonzero target impulse response.
     eps : float
-        Gap tolerance; every sample's certified gap stays <= eps (up to
-        breakpoint rounding).
+        Positive finite gap tolerance; every sample's certified gap stays
+        <= eps (up to breakpoint rounding).
     grid_points_per_segment : int
         Reporting grid per segment (endpoints included, at least 2); does not
         influence the breakpoints.
@@ -152,8 +158,8 @@ def compute_path(
         If any breakpoint solve fails to converge; the partial path rides on
         the exception.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError("eps must be positive and finite")
     # as SolverOptions.max_iters: a bool is an Integral, but no point count
     if not (
         isinstance(grid_points_per_segment, numbers.Integral)
@@ -224,13 +230,8 @@ def compute_path(
             result.partial = True
             raise PathAborted(str(exc), result) from exc
         for t in np.linspace(t_i, t_next, grid_points_per_segment):
-            result.samples.append(
-                PathSample(
-                    float(t),
-                    float(np.sum((t * res.g_tilde.values - g_o.values) ** 2)),
-                    duality_gap(cert, g_o, float(t)),
-                )
-            )
+            f_approx = approx_objective(res.g_tilde, g_o, t)
+            result.samples.append(PathSample(float(t), f_approx, duality_gap(cert, g_o, float(t))))
         t_i = t_next
 
     return result

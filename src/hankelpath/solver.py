@@ -105,10 +105,10 @@ class SolveResult:
     equal to certificates.dual_bounds on g_tilde and the returned U_dual
     (lower is 0 on the closed-form branch, where the optimum is 0).  It is
     sound however far the solve got, converged or not.  The solver prices
-    its own state with dual_bounds' two halves, dual_lower_bound and
-    feasible_upper_bound, on the H(g_tilde) it already holds; a stop_inside
-    check takes the lower bound first and the nuclear norm and upper bound
-    only when that lower bound clears the interval's low end.
+    its final state with dual_bounds, passing the nuclear norm of the
+    H(g_tilde) it already holds; a stop_inside check takes dual_bounds' two
+    halves apart, the lower bound first, and the nuclear norm and upper
+    bound only when that lower bound clears the interval's low end.
     """
 
     g_tilde: ImpulseResponse
@@ -414,12 +414,9 @@ def solve_constrained(
                     break
 
     if bounds is None:
-        # Hg = H(g_tilde) and the bounds of dual_bounds, from what the loop holds
+        # Hg = H(g_tilde), so its singular values give dual_bounds' nuclear norm
         nuc = float(symmetric_singular_values(Hg).sum())
-        bounds = (
-            dual_lower_bound(gvec, t, U_dual, flat_idx),
-            feasible_upper_bound(gvec, t, g_tilde, nuc),
-        )
+        bounds = dual_bounds(gvec, t, g_tilde, U_dual, nuclear_norm=nuc)
     result_g = ImpulseResponse(g_tilde)
     obj = float(np.sum((t * g_tilde - gvec) ** 2))
     X.setflags(write=False)

@@ -246,9 +246,26 @@ def write_system_json(spec: SystemSpec, path) -> None:
         )
 
 
+def _complex_list(doc: dict, key: str) -> tuple[complex, ...]:
+    entries = doc.get(key)
+    if not isinstance(entries, list):
+        raise ValueError(f'system JSON has no "{key}" list')
+    values = []
+    for e in entries:
+        if not (isinstance(e, dict) and "re" in e and "im" in e):
+            raise ValueError(f'system JSON "{key}" entry {e!r} is not an {{"re", "im"}} object')
+        try:
+            values.append(complex(e["re"], e["im"]))
+        except TypeError:
+            raise ValueError(f'system JSON "{key}" entry {e!r} holds a non-number') from None
+    return tuple(values)
+
+
 def read_system_json(path) -> SystemSpec:
+    """Read the form write_system_json writes; a document of any other shape
+    raises ValueError naming the defect."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    poles = tuple(complex(e["re"], e["im"]) for e in doc["poles"])
-    residues = tuple(complex(e["re"], e["im"]) for e in doc["residues"])
-    return SystemSpec(poles=poles, residues=residues)
+    if not isinstance(doc, dict):
+        raise ValueError(f"system JSON must be an object, got {type(doc).__name__}")
+    return SystemSpec(poles=_complex_list(doc, "poles"), residues=_complex_list(doc, "residues"))

@@ -280,6 +280,13 @@ class TestNextBreakpoint:
         with pytest.raises(ValueError):
             hp.next_breakpoint(cert, np.ones(3), eps=0.0, t_max=2.0)
 
+    @pytest.mark.parametrize("eps", [np.inf, np.nan])
+    def test_rejects_non_finite_eps(self, eps):
+        # an infinite eps used to give a nan breakpoint
+        cert = self._synthetic_cert()
+        with pytest.raises(ValueError, match="finite"):
+            hp.next_breakpoint(cert, np.ones(3), eps=eps, t_max=2.0)
+
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["b-positive", "b-negative"])
     def test_untight_certificate_vs_bisection(self, sign):
         # the residual at t* has an orthogonal part r with <p, r> = sign * 0.1,

@@ -312,13 +312,17 @@ class TestCachedParser:
         ("path", ["--rank-tol", "1e-6"], None),
         ("path", [], {"epsilonn": 0.05}),
         ("path", [], {"rank_tol": 1e-6}),
+        ("path", [], {"verify": "no"}),
+        ("path", [], {"out": None}),
+        ("path", [], {"epsilon": [1]}),
     ],
     ids=[
         "epsilon-nan", "epsilon-inf", "t-nan", "t-inf", "config-epsilon-abc",
         "config-epsilon-null", "config-max-iters-2.5", "config-max-iters-true",
         "config-grid-points-3.7",
         "config-jobs-true", "removed-rank-tol", "config-unknown-key",
-        "config-removed-rank-tol",
+        "config-removed-rank-tol", "config-verify-no", "config-out-null",
+        "config-epsilon-list",
     ],
 )
 def test_bad_option_value_is_usage_error(tmp_path, impulse_file, command, flags, config):
@@ -331,6 +335,69 @@ def test_bad_option_value_is_usage_error(tmp_path, impulse_file, command, flags,
     assert proc.stderr.startswith("error: "), proc.stderr
     for key in config or ():
         assert key in proc.stderr or key.replace("_", "-") in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("gen", "order", 3), ("gen", "seed", 5), ("gen", "k_max", 21), ("gen", "out", None),
+        ("solve", "rho", 2.5), ("solve", "max_iters", 3), ("solve", "tol", 1e-7),
+        ("solve", "out", None),
+        ("path", "epsilon", 0.05), ("path", "grid_points", 5), ("path", "rho", 0.5),
+        ("path", "max_iters", 4000), ("path", "tol", 1e-8), ("path", "format", "csv"),
+        ("path", "verify", True), ("path", "jobs", 2), ("path", "out", None),
+    ],
+)
+def test_config_key_acts_as_its_flag(tmp_path, impulse_file, monkeypatch, capsys,
+                                     command, key, value):
+    # --input and --t are required on the command line and --config names the
+    # file, so every other option is set once by flag and once by config key;
+    # an "out" config key used to be overridden by the flag's default "."
+    monkeypatch.chdir(tmp_path)
+    required = {"gen": [], "solve": ["--input", str(impulse_file), "--t", "0.5"],
+                "path": ["--input", str(impulse_file)]}[command]
+    by_flag, by_config = tmp_path / "flag", tmp_path / "config"
+    flag = "--" + key.replace("_", "-")
+    config = tmp_path / "config.json"
+    if key == "out":
+        config.write_text(json.dumps({"out": str(by_config)}))
+        config_argv = [command, *required, "--config", str(config)]
+        flag_argv = [command, *required, "--out", str(by_flag)]
+    else:
+        config.write_text(json.dumps({key: value}))
+        config_argv = [command, *required, "--config", str(config), "--out", str(by_config)]
+        value_tokens = [] if value is True else [str(value)]
+        flag_argv = [command, *required, flag, *value_tokens, "--out", str(by_flag)]
+    runs = []
+    for argv, out in ((flag_argv, by_flag), (config_argv, by_config)):
+        code = cli.main(argv)
+        stdout = capsys.readouterr().out.replace(str(out), "OUT")
+        files = {f.name: f.read_bytes() for f in out.iterdir()} if out.exists() else {}
+        runs.append((code, [l for l in stdout.splitlines() if "wall_time_s" not in l], files))
+    assert runs[0][2], runs[0]
+    assert runs[1] == runs[0]
+    # nothing landed in the working directory
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "config", "config.json", "flag", "impulse.csv"]
+
+
+def test_config_key_of_another_command_is_ignored(tmp_path, impulse_file, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"t": 0.5, "order": 3}')
+    argv = ["path", "--input", str(impulse_file), "--out", str(tmp_path / "out")]
+    assert cli.main(argv + ["--config", str(config)]) == 0
+    with_config = (tmp_path / "out" / "path.json").read_bytes()
+    assert cli.main(argv) == 0
+    assert (tmp_path / "out" / "path.json").read_bytes() == with_config
+
+
+def test_config_file_not_utf8_is_usage_error(tmp_path, impulse_file, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(b'\xff\xfe{"epsilon": 0.05}')
+    argv = ["path", "--input", str(impulse_file), "--config", str(config),
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: config file is not valid JSON")
 
 
 def test_unknown_command_is_usage_error():

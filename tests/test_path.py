@@ -81,6 +81,12 @@ class TestComputePath:
         with pytest.raises(ValueError):
             hp.compute_path([1.0, 0.5, 0.25], eps=0.01, grid_points_per_segment=1)
 
+    @pytest.mark.parametrize("eps", [np.inf, np.nan])
+    def test_non_finite_eps_rejected(self, eps):
+        # an infinite eps used to run and write "epsilon": inf, which is not JSON
+        with pytest.raises(ValueError, match="finite"):
+            hp.compute_path([1.0, 0.5, 0.25], eps=eps)
+
     @pytest.mark.parametrize("grid", [2.5, 1e9, 20.0, True, "20", None, np.nan])
     def test_non_integer_grid_points_rejected(self, grid):
         # a TypeError from np.linspace would break compute_path's contract of

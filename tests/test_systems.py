@@ -158,3 +158,23 @@ class TestSystemJson:
         doc = json.loads(path.read_text())
         assert set(doc) == {"poles", "residues"}
         assert doc["poles"][0] == {"re": 0.5, "im": 0.25}
+
+    @pytest.mark.parametrize(
+        "doc, defect",
+        [
+            ([], "must be an object"),
+            ({}, 'no "poles" list'),
+            ({"poles": [{"re": 0.5}], "residues": [{"re": 1.0, "im": 0.0}]}, "not an"),
+            ({"poles": [0.5], "residues": [1.0]}, "not an"),
+            ({"poles": [{"re": "half", "im": 0.0}], "residues": [{"re": 1.0, "im": 0.0}]},
+             "non-number"),
+        ],
+        ids=["top-level-list", "empty-object", "entry-without-im", "bare-numbers",
+             "non-numeric-re"],
+    )
+    def test_malformed_document_is_value_error(self, tmp_path, doc, defect):
+        # each used to end in a TypeError or KeyError
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=defect):
+            hp.read_system_json(path)
