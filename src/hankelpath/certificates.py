@@ -40,10 +40,10 @@ from .hankel import (
     ImpulseResponse,
     adjoint_fast,
     as_impulse,
-    embed_indices,
     hankel_adjoint,
     hankel_embed,
     hankel_singular_values,
+    symmetric_singular_values,
 )
 
 #: A certificate is snapped exactly onto the residual direction when it
@@ -90,18 +90,15 @@ def _numerical_rank(S: np.ndarray) -> int:
     return int(np.sum(S > np.finfo(float).eps * S.size * S[0]))
 
 
-def _dual_direction(U, k_max: int, flat_idx=None) -> np.ndarray | None:
+def _dual_direction(U) -> np.ndarray | None:
     """h = adjoint(S) / ||S||_2 with S the symmetric part of U; None when
-    adjoint(S) = 0 (S = 0 among them).  flat_idx, when given, is
-    embed_indices(n).ravel() for the n-by-n U."""
+    adjoint(S) = 0 (S = 0 among them)."""
     U = np.asarray(U, dtype=float)
     S = 0.5 * (U + U.T)
-    if flat_idx is None:
-        flat_idx = embed_indices(S.shape[0]).ravel()
-    a = adjoint_fast(S, flat_idx, k_max)
+    a = adjoint_fast(S)
     if not np.any(a):
         return None
-    return a / float(np.abs(np.linalg.eigvalsh(S)).max())
+    return a / float(symmetric_singular_values(S)[0])
 
 
 def subgradient_vector(g_tilde_star, t_star: float, g_o=None, dual=None) -> GapCertificate:
@@ -133,7 +130,7 @@ def subgradient_vector(g_tilde_star, t_star: float, g_o=None, dual=None) -> GapC
     if not np.any(g_star.values):
         return GapCertificate(np.zeros(k_max), float(t_star), g_star, 0.0)
 
-    h = None if dual is None else _dual_direction(dual, k_max)
+    h = None if dual is None else _dual_direction(dual)
     if h is None:
         U, S, Vh = np.linalg.svd(hankel_embed(g_star).entries)
         rank = _numerical_rank(S)
@@ -174,7 +171,7 @@ def dual_bounds(g_o, t: float, g, U=None, nuclear_norm=None) -> tuple[float, flo
     return lower, feasible_upper_bound(go, t, gv, nuclear_norm)
 
 
-def dual_lower_bound(g_o: np.ndarray, t: float, U, flat_idx=None) -> float:
+def dual_lower_bound(g_o: np.ndarray, t: float, U) -> float:
     """Lower bound on f*(t) from a dual point U, for a float data vector g_o.
 
     With S the symmetric part of U and h = adjoint(S) / ||S||_2, every
@@ -182,10 +179,10 @@ def dual_lower_bound(g_o: np.ndarray, t: float, U, flat_idx=None) -> float:
     stays in the half-space h^T x <= t and f*(t) >= max(0, h^T g_o - t)^2 /
     ||h||^2.  That holds for any U, however inexact the solve it came from;
     at an optimum, with U the solver's scaled dual, the bound is tight.  An
-    S with adjoint(S) = 0 (S = 0 among them) gives 0.  flat_idx, when given,
-    is embed_indices(n).ravel().
+    S with adjoint(S) = 0 (S = 0 among them) gives 0; any other U that is
+    not n-by-n for a g_o of length 2n - 1 raises ValueError.
     """
-    h = _dual_direction(U, g_o.size, flat_idx)
+    h = _dual_direction(U)
     if h is None:
         return 0.0
     excess = max(0.0, float(h.dot(g_o)) - t)

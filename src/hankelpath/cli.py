@@ -60,7 +60,7 @@ def _checked(convert, ok, rule: str):
     return parse
 
 
-# --t, --epsilon, --rho and --tol
+# --t, --epsilon and --tol
 _positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "positive and finite")
 
 
@@ -86,7 +86,6 @@ def _build_parser() -> _Parser:
     add_common(gen)
 
     def add_solver_flags(p):
-        p.add_argument("--rho", type=_positive_float, default=SolverOptions.rho)
         p.add_argument("--max-iters", dest="max_iters", type=_count(1),
                        default=SolverOptions.max_iters)
         p.add_argument("--tol", type=_positive_float, help="primal and dual tolerance")
@@ -118,7 +117,8 @@ def _config_tokens(config_path, command: str) -> list[str]:
 
     Each key that names an option of command becomes --flag=value (a switch
     set to true becomes --flag), so the value passes the flag's own checks;
-    a key that names only another command's option is dropped.
+    a key that names only another command's option is dropped, and one that
+    names a required option is refused: only the command line sets those.
     """
     with open(config_path, "r", encoding="utf-8") as fh:
         try:
@@ -139,6 +139,9 @@ def _config_tokens(config_path, command: str) -> list[str]:
         if action is None:
             continue
         flag = action.option_strings[-1]
+        if action.required:
+            raise UsageError(f"config key {key!r} sets the required {flag}; "
+                             "pass it on the command line instead")
         switch = action.nargs == 0
         if switch and type(value) is bool:
             tokens += [flag] if value else []
@@ -151,9 +154,7 @@ def _config_tokens(config_path, command: str) -> list[str]:
 
 
 def _solver_opts(args) -> SolverOptions:
-    return SolverOptions(
-        rho=args.rho, max_iters=args.max_iters, primal_tol=args.tol, dual_tol=args.tol
-    )
+    return SolverOptions(max_iters=args.max_iters, primal_tol=args.tol, dual_tol=args.tol)
 
 
 def _read_impulse(path) -> ImpulseResponse:

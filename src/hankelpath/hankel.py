@@ -111,10 +111,12 @@ class HankelMatrix:
         return f"HankelMatrix(n={self.n})"
 
 
+@functools.lru_cache(maxsize=64)
 def embed_indices(n: int) -> np.ndarray:
-    """Index matrix IDX[i, j] = i + j used to gather g into H(g)."""
-    i = np.arange(n)
-    return i[:, None] + i[None, :]
+    """Index matrix IDX[i, j] = i + j that gathers g into H(g); read-only, cached per n."""
+    idx = np.add.outer(np.arange(n), np.arange(n))
+    idx.setflags(write=False)
+    return idx
 
 
 def hankel_embed(g) -> HankelMatrix:
@@ -150,19 +152,6 @@ def _as_square(M) -> np.ndarray:
     return arr
 
 
-@functools.lru_cache(maxsize=64)
-def _antidiagonal_flat_indices(n: int) -> tuple[np.ndarray, ...]:
-    """Flat index arrays (read-only, cached per n) of each anti-diagonal
-    k = 0..2n-2 of an n-by-n matrix."""
-    out = []
-    for k in range(2 * n - 1):
-        i = np.arange(max(0, k - n + 1), min(k, n - 1) + 1)
-        idx = i * n + (k - i)
-        idx.setflags(write=False)
-        out.append(idx)
-    return tuple(out)
-
-
 def hankel_adjoint(M) -> np.ndarray:
     """Adjoint of the Hankel embedding: anti-diagonal sums of a square matrix.
 
@@ -171,14 +160,15 @@ def hankel_adjoint(M) -> np.ndarray:
     are correctly rounded and hankel_adjoint(hankel_embed(g)) equals
     multiplicities(n) * g exactly, not just to roundoff.
     """
-    arr = _as_square(M)
-    flat = arr.ravel()
-    return np.array([math.fsum(flat[idx]) for idx in _antidiagonal_flat_indices(arr.shape[0])])
+    # anti-diagonal k of M is diagonal n-1-k of M with its columns reversed
+    flipped = _as_square(M)[:, ::-1]
+    n = flipped.shape[0]
+    return np.array([math.fsum(flipped.diagonal(n - 1 - k)) for k in range(2 * n - 1)])
 
 
-def adjoint_fast(M: np.ndarray, flat_indices: np.ndarray, k_max: int) -> np.ndarray:
+def adjoint_fast(M: np.ndarray) -> np.ndarray:
     """bincount-based adjoint for hot loops; 1 ulp noisier than hankel_adjoint."""
-    return np.bincount(flat_indices, weights=M.ravel(), minlength=k_max)
+    return np.bincount(embed_indices(M.shape[0]).ravel(), weights=M.ravel())
 
 
 def multiplicities(n: int) -> np.ndarray:

@@ -145,8 +145,7 @@ def compute_path(
         influence the breakpoints.
     solver_opts : SolverOptions, optional
         Forwarded to every exact solve.  Solves after the first start from
-        the previous breakpoint's splitting state, so opts.rho only sets the
-        first solve's start.
+        the previous breakpoint's splitting state.
 
     Returns
     -------

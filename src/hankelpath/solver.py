@@ -44,6 +44,8 @@ from .hankel import (
     symmetric_singular_values,
 )
 
+#: Penalty a cold start begins at; residual balancing moves it from there.
+RHO_START = 1.0
 #: Number of past differences the Anderson-accelerated loop keeps.
 AA_MEM = 16
 #: Tikhonov weight of the Anderson normal equations, relative to their trace.
@@ -66,14 +68,11 @@ class SolverOptions:
     than the certificate machinery downstream can tolerate.
     """
 
-    rho: float = 1.0
     max_iters: int = 5000
     primal_tol: float | None = None
     dual_tol: float | None = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.rho) and self.rho > 0):
-            raise ValueError("rho must be positive and finite")
         # bool is an Integral, but a config file's true is no iteration count
         if not (
             isinstance(self.max_iters, numbers.Integral)
@@ -216,7 +215,7 @@ def solve_constrained(
         Positive regularization parameter.
     opts : SolverOptions, optional
     warm_start : tuple (X, U_dual, rho), optional
-        Splitting state to start from instead of zeros and opts.rho, usually
+        Splitting state to start from instead of zeros and RHO_START, usually
         the admm_state of a solve at a nearby t.  X and U_dual must be
         n-by-n; they are copied, not modified.  The stopping rule is the same
         as for a cold start.
@@ -261,13 +260,12 @@ def solve_constrained(
         raise ValueError("t must be positive")
     g_o = as_impulse(g_o)
     gvec = g_o.values
-    k_max = gvec.size
     n = g_o.n
 
     if warm_start is None:
         X = np.zeros((n, n))
         U_dual = np.zeros((n, n))
-        rho = float(opts.rho)
+        rho = RHO_START
     else:
         X0, U0, rho = warm_start
         X = np.array(X0, dtype=float)
@@ -307,7 +305,6 @@ def solve_constrained(
     eps_dual = max(dual_tol * scale, floor)
 
     idx = embed_indices(n)
-    flat_idx = idx.ravel()
     w = multiplicities(n)
     # loop invariants: the fit term's linear part 2 t g_o and curvature 2 t^2;
     # the diagonal of the normal equations changes only with rho
@@ -315,7 +312,7 @@ def solve_constrained(
     fit_curv = 2.0 * t * t
     denom = fit_curv + rho * w
 
-    g_tilde = np.zeros(k_max)
+    g_tilde = np.zeros(gvec.size)
     r_pri = r_dual = np.inf
     converged = False
     bounds = None  # set only by a certified early exit
@@ -332,7 +329,7 @@ def solve_constrained(
     z = X + U_dual
     it = 0
     for it in range(1, opts.max_iters + 1):
-        g_tilde = (fit_rhs + rho * adjoint_fast(X - U_dual, flat_idx, k_max)) / denom
+        g_tilde = (fit_rhs + rho * adjoint_fast(X - U_dual)) / denom
         Hg = g_tilde[idx]
         Tz = Hg + U_dual
         f = Tz - z
@@ -404,7 +401,7 @@ def solve_constrained(
         if stop_inside is not None:
             # one check per iteration, on the state it leaves: the cheaper
             # dual lower bound first, since it alone rules out most exits
-            lower = dual_lower_bound(gvec, t, U_dual, flat_idx)
+            lower = dual_lower_bound(gvec, t, U_dual)
             if stop_inside[0] <= lower:
                 nuc = float(symmetric_singular_values(Hg).sum())
                 upper = feasible_upper_bound(gvec, t, g_tilde, nuc)

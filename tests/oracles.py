@@ -209,7 +209,7 @@ def plain_admm(g_o, t, opts=None):
     n = g_o.n
     X = np.zeros((n, n))
     U_dual = np.zeros((n, n))
-    rho = float(opts.rho)
+    rho = 1.0
 
     norm_go = np.linalg.norm(gvec)
     primal_tol = opts.primal_tol if opts.primal_tol is not None else 1e-9 * (1 + norm_go)
@@ -220,7 +220,6 @@ def plain_admm(g_o, t, opts=None):
     eps_dual = max(dual_tol * scale, floor)
 
     idx = embed_indices(n)
-    flat_idx = idx.ravel()
     w = hp.multiplicities(n)
     fit_rhs = 2.0 * t * gvec
     fit_curv = 2.0 * t * t
@@ -230,7 +229,7 @@ def plain_admm(g_o, t, opts=None):
     converged = False
     it = 0
     for it in range(1, opts.max_iters + 1):
-        g_tilde = (fit_rhs + rho * adjoint_fast(X - U_dual, flat_idx, k_max)) / denom
+        g_tilde = (fit_rhs + rho * adjoint_fast(X - U_dual)) / denom
         Hg = g_tilde[idx]
         X_new = hp.project_nuclear_ball(Hg + U_dual, 1.0)
         step = Hg - X_new
@@ -270,7 +269,7 @@ def solve_constrained_frozen(g_o, t, opts=None, *, warm_start=None):
     if warm_start is None:
         X = np.zeros((n, n))
         U_dual = np.zeros((n, n))
-        rho = float(opts.rho)
+        rho = 1.0
     else:
         X0, U0, rho = warm_start
         X = np.array(X0, dtype=float)
@@ -305,7 +304,6 @@ def solve_constrained_frozen(g_o, t, opts=None, *, warm_start=None):
     eps_dual = max(dual_tol * scale, floor)
 
     idx = embed_indices(n)
-    flat_idx = idx.ravel()
     w = hp.multiplicities(n)
     fit_rhs = 2.0 * t * gvec
     fit_curv = 2.0 * t * t
@@ -324,7 +322,7 @@ def solve_constrained_frozen(g_o, t, opts=None, *, warm_start=None):
     z = X + U_dual
     it = 0
     for it in range(1, opts.max_iters + 1):
-        g_tilde = (fit_rhs + rho * adjoint_fast(X - U_dual, flat_idx, k_max)) / denom
+        g_tilde = (fit_rhs + rho * adjoint_fast(X - U_dual)) / denom
         Hg = g_tilde[idx]
         Tz = Hg + U_dual
         X_new = hp.project_nuclear_ball(Tz, 1.0)
@@ -379,7 +377,7 @@ def solve_constrained_frozen(g_o, t, opts=None, *, warm_start=None):
 
     nuc = float(symmetric_singular_values(Hg).sum())
     bounds = (
-        dual_lower_bound(gvec, t, U_dual, flat_idx),
+        dual_lower_bound(gvec, t, U_dual),
         feasible_upper_bound(gvec, t, g_tilde, nuc),
     )
     X.setflags(write=False)

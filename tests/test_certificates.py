@@ -454,6 +454,17 @@ class TestDualBounds:
         assert hp.dual_bounds(g_o, 0.3, g, np.zeros((n, n))) == (0.0, g_o.norm() ** 2)
         assert hp.dual_bounds(g_o, 0.3, g)[0] == 0.0
 
+    def test_dual_of_the_wrong_side_is_rejected(self, sixth_order_impulse):
+        # the side of U sets the length of h, so a U that is not n-by-n for
+        # g_o is refused rather than priced as a bound for another problem
+        g_o = sixth_order_impulse
+        n = g_o.n
+        rng = np.random.RandomState(5)
+        for side in (n - 6, n + 1):
+            U = rng.standard_normal((side, side))
+            with pytest.raises(ValueError):
+                hp.dual_bounds(g_o, 0.3, g_o.values, U)
+
     def test_upper_prices_the_rescaled_point(self, sixth_order_impulse):
         g_o = sixth_order_impulse
         g = 3.0 * g_o.values / hp.compute_t_max(g_o)  # nuclear norm 3

@@ -75,7 +75,7 @@ class TestSolve:
         proc = run_cli("solve", "--input", impulse_file, "--t", 0.0, "--out", tmp_path)
         assert proc.returncode == 1
 
-    @pytest.mark.parametrize("flag", ["--rho", "--tol"])
+    @pytest.mark.parametrize("flag", ["--tol"])
     def test_non_finite_option_is_usage_error(self, tmp_path, impulse_file, flag):
         proc = run_cli("solve", "--input", impulse_file, "--t", 0.5, flag, "nan", "--out", tmp_path)
         assert proc.returncode == 1
@@ -310,8 +310,12 @@ class TestCachedParser:
         ("path", [], {"grid_points": 3.7}),
         ("path", [], {"jobs": True}),
         ("path", ["--rank-tol", "1e-6"], None),
+        ("path", ["--rho", "1"], None),
         ("path", [], {"epsilonn": 0.05}),
         ("path", [], {"rank_tol": 1e-6}),
+        ("path", [], {"rho": 1}),
+        ("path", [], {"input": "x.csv"}),
+        ("solve", ["--t", "0.5"], {"t": 0.5}),
         ("path", [], {"verify": "no"}),
         ("path", [], {"out": None}),
         ("path", [], {"epsilon": [1]}),
@@ -320,8 +324,9 @@ class TestCachedParser:
         "epsilon-nan", "epsilon-inf", "t-nan", "t-inf", "config-epsilon-abc",
         "config-epsilon-null", "config-max-iters-2.5", "config-max-iters-true",
         "config-grid-points-3.7",
-        "config-jobs-true", "removed-rank-tol", "config-unknown-key",
-        "config-removed-rank-tol", "config-verify-no", "config-out-null",
+        "config-jobs-true", "removed-rank-tol", "removed-rho", "config-unknown-key",
+        "config-removed-rank-tol", "config-removed-rho", "config-required-input",
+        "config-required-t", "config-verify-no", "config-out-null",
         "config-epsilon-list",
     ],
 )
@@ -341,10 +346,8 @@ def test_bad_option_value_is_usage_error(tmp_path, impulse_file, command, flags,
     "command, key, value",
     [
         ("gen", "order", 3), ("gen", "seed", 5), ("gen", "k_max", 21), ("gen", "out", None),
-        ("solve", "rho", 2.5), ("solve", "max_iters", 3), ("solve", "tol", 1e-7),
-        ("solve", "out", None),
-        ("path", "epsilon", 0.05), ("path", "grid_points", 5), ("path", "rho", 0.5),
-        ("path", "max_iters", 4000), ("path", "tol", 1e-8), ("path", "format", "csv"),
+        ("solve", "max_iters", 3), ("solve", "tol", 1e-7), ("solve", "out", None),
+        ("path", "epsilon", 0.05), ("path", "grid_points", 5), ("path", "max_iters", 4000), ("path", "tol", 1e-8), ("path", "format", "csv"),
         ("path", "verify", True), ("path", "jobs", 2), ("path", "out", None),
     ],
 )

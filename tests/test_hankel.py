@@ -84,16 +84,31 @@ class TestAdjoint:
         np.testing.assert_array_equal(hp.hankel_adjoint(np.ones((2, 2))), [1.0, 2.0, 1.0])
 
     def test_cached_indices_read_only_and_repeatable(self):
-        from hankelpath.hankel import _antidiagonal_flat_indices
+        # embed_indices is the one index table: hankel_embed gathers and
+        # adjoint_fast scatters through the same cached, read-only array
+        from hankelpath.hankel import embed_indices
 
-        rng = np.random.RandomState(3)
-        M = rng.randn(5, 5)
-        first = hp.hankel_adjoint(M)
-        assert _antidiagonal_flat_indices(5) is _antidiagonal_flat_indices(5)
+        idx = embed_indices(5)
+        assert embed_indices(5) is idx
         with pytest.raises(ValueError):
-            _antidiagonal_flat_indices(5)[2][0] = 0
-        np.testing.assert_array_equal(hp.hankel_adjoint(M), first)
-        np.testing.assert_allclose(first, adjoint_double_sum(M), rtol=0, atol=1e-12)
+            idx[2, 0] = 0
+        with pytest.raises(ValueError):
+            idx.ravel()[0] = 1
+        np.testing.assert_array_equal(idx, np.add.outer(np.arange(5), np.arange(5)))
+
+    def test_both_adjoints_match_double_sum_on_views(self):
+        # n and k_max come from M alone, for any memory layout of M
+        from hankelpath.hankel import adjoint_fast
+
+        rng = np.random.RandomState(4)
+        for n in range(1, 31):
+            base = rng.randn(2 * n, 2 * n)
+            for M in (base[:n, :n], base[:n, :n].T, base[::-1, ::-1][:n, :n],
+                      base[::2, 1::2], base[:n, :n].copy()):
+                want = adjoint_double_sum(M)
+                assert hp.hankel_adjoint(M).shape == want.shape == (2 * n - 1,)
+                np.testing.assert_allclose(hp.hankel_adjoint(M), want, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(adjoint_fast(M), want, rtol=0, atol=1e-12)
 
     def test_matches_double_sum_oracle(self):
         rng = np.random.RandomState(1)

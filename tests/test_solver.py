@@ -387,24 +387,25 @@ class TestSolveConstrained:
 class TestSolverOptions:
     def test_validation(self):
         for bad in (
-            dict(rho=0.0),
             dict(max_iters=0),
             dict(max_iters=2.5),
             dict(max_iters=True),
             dict(max_iters=np.inf),
             dict(primal_tol=-1.0),
-            dict(rho=np.nan),
-            dict(rho=np.inf),
             dict(primal_tol=np.nan),
             dict(dual_tol=np.inf),
         ):
             with pytest.raises(ValueError):
                 hp.SolverOptions(**bad)
+        # the starting penalty is no option: a cold start begins at
+        # RHO_START, and warm_start carries the penalty of an earlier solve
+        with pytest.raises(TypeError):
+            hp.SolverOptions(rho=1.0)
 
     def test_frozen(self):
         opts = hp.SolverOptions()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            opts.rho = 2.0
+            opts.max_iters = 2
 
 
 class TestStopInside:
@@ -590,11 +591,12 @@ class TestAndersonAcceleration:
     @pytest.mark.parametrize("rho", [1e-6, 1e6])
     def test_cold_solves_from_extreme_rho(self, sixth_order_impulse, rho):
         # residual balancing moves rho many times here, and each move restarts
-        # the acceleration history
+        # the acceleration history; a zero warm start is a cold start at rho
         g_o = sixth_order_impulse
         t_max = hp.compute_t_max(g_o)
+        zeros = np.zeros((g_o.n, g_o.n))
         for frac in self.FRACTIONS:
-            res = hp.solve_constrained(g_o, frac * t_max, hp.SolverOptions(rho=rho))
+            res = hp.solve_constrained(g_o, frac * t_max, warm_start=(zeros, zeros, rho))
             ref = hp.solve_constrained(g_o, frac * t_max)
             assert res.converged
             assert res.admm_state[2] != rho
