@@ -45,6 +45,7 @@ from .path import (
     PathAborted,
     PathResult,
     PathSample,
+    SampleTable,
     bootstrap_gap,
     compute_path,
     segment_owner,
@@ -70,6 +71,7 @@ __all__ = [
     "PathAborted",
     "PathResult",
     "PathSample",
+    "SampleTable",
     "SolveResult",
     "SolverOptions",
     "SplitMix64",

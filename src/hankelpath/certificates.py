@@ -55,7 +55,7 @@ class DegenerateCertificateError(ValueError):
     """Raised when a certificate with h = 0 is asked for gap values."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class GapCertificate:
     """Subgradient direction h at a breakpoint plus derived gap quantities.
 

@@ -153,6 +153,18 @@ def _config_tokens(config_path, command: str) -> list[str]:
     return tokens
 
 
+def _say(line: str) -> None:
+    """Print one line to stdout.  Once stdout's reader has gone (a closed
+    pipe, as in `hankelpath gen | head -1`), the output ends there: the rest
+    goes to the null device, and the command runs on to its own exit code."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _solver_opts(args) -> SolverOptions:
     return SolverOptions(max_iters=args.max_iters, primal_tol=args.tol, dual_tol=args.tol)
 
@@ -176,10 +188,10 @@ def cmd_gen(args) -> int:
     write_system_json(spec, spec_path)
     write_impulse_csv(g, imp_path)
     sig = hankel_singular_values(g)
-    print("hankel_singular_values: " + " ".join(fmt17(v) for v in sig))
-    print("t_max: " + fmt17(compute_t_max(g)))
-    print(f"wrote {spec_path}")
-    print(f"wrote {imp_path}")
+    _say("hankel_singular_values: " + " ".join(fmt17(v) for v in sig))
+    _say("t_max: " + fmt17(compute_t_max(g)))
+    _say(f"wrote {spec_path}")
+    _say(f"wrote {imp_path}")
     return EXIT_OK
 
 
@@ -190,10 +202,10 @@ def cmd_solve(args) -> int:
     g_fit = args.t * result.g_tilde.values
     fit_path = os.path.join(args.out, "g_fit.csv")
     write_impulse_csv(ImpulseResponse(g_fit), fit_path)
-    print("objective: " + fmt17(result.objective))
-    print("nuclear_norm: " + fmt17(result.nuclear_norm_value))
-    print(f"iterations: {result.iterations}")
-    print(f"wrote {fit_path}")
+    _say("objective: " + fmt17(result.objective))
+    _say("nuclear_norm: " + fmt17(result.nuclear_norm_value))
+    _say(f"iterations: {result.iterations}")
+    _say(f"wrote {fit_path}")
     if not result.converged:
         print(
             "solver did not converge: primal_residual=%s dual_residual=%s"
@@ -280,16 +292,16 @@ def cmd_path(args) -> int:
         written = _write_path_outputs(exc.partial, args.out, args.format)
         print(f"path aborted: {exc}", file=sys.stderr)
         for p in written:
-            print(f"wrote {p} (partial)")
+            _say(f"wrote {p} (partial)")
         return EXIT_NUMERICAL
     wall = time.perf_counter() - start
 
     written = _write_path_outputs(result, args.out, args.format)
-    print(f"m: {result.m}")
-    print("breakpoints: " + " ".join(fmt17(b) for b in result.breakpoints))
-    print("wall_time_s: %.3f" % wall)
+    _say(f"m: {result.m}")
+    _say("breakpoints: " + " ".join(fmt17(b) for b in result.breakpoints))
+    _say("wall_time_s: %.3f" % wall)
     for p in written:
-        print(f"wrote {p}")
+        _say(f"wrote {p}")
 
     if args.verify:
         failures = _verify_path(result, g_o, opts, args.jobs)
@@ -297,7 +309,7 @@ def cmd_path(args) -> int:
             for line in failures:
                 print(line, file=sys.stderr)
             return EXIT_NUMERICAL
-        print("verify: ok (5 fresh solves inside certified intervals)")
+        _say("verify: ok (5 fresh solves inside certified intervals)")
     return EXIT_OK
 
 

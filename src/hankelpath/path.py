@@ -16,8 +16,10 @@ that elementary certificate still meets eps.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -41,6 +43,47 @@ class PathSample(NamedTuple):
     gap: float
 
 
+class SampleTable(Sequence):
+    """The samples of a path as one float64 (N, 3) table of (t, f_approx, gap)
+    rows.  Indexing, iteration and len() see a sequence of PathSample; a
+    slice is a list of them.  Built from a sequence of such rows (or an
+    (N, 3) array), and grown by whole segments with extend."""
+
+    def __init__(self, rows=()):
+        self._rows = np.array(rows, dtype=float).reshape(-1, 3)
+        self._len = len(self._rows)
+
+    @property
+    def array(self) -> np.ndarray:
+        """The (N, 3) table itself, read-only."""
+        view = self._rows[: self._len]
+        view.flags.writeable = False
+        return view
+
+    def extend(self, rows) -> None:
+        """Append a sequence of (t, f_approx, gap) rows or a (k, 3) array."""
+        block = np.array(rows, dtype=float).reshape(-1, 3)
+        end = self._len + len(block)
+        if end > len(self._rows):
+            # doubling keeps a path of m segments at O(N) copies in all
+            grown = np.empty((max(end, 2 * len(self._rows)), 3))
+            grown[: self._len] = self._rows[: self._len]
+            self._rows = grown
+        self._rows[self._len : end] = block
+        self._len = end
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [PathSample(*row) for row in self.array[i].tolist()]
+        return PathSample(*self.array[i].tolist())
+
+    def __iter__(self):
+        return (PathSample(*row) for row in self.array.tolist())
+
+
 class PathAborted(RuntimeError):
     """Solver failure mid-path; carries the partial result computed so far."""
 
@@ -51,17 +94,27 @@ class PathAborted(RuntimeError):
 
 @dataclass
 class PathResult:
-    """Breakpoints, exact solutions, singular-value records and gap samples."""
+    """Breakpoints, exact solutions, singular-value records and gap samples.
+
+    The exact solutions hold no splitting state (admm_state is None):
+    compute_path keeps only the last one, for the next warm start.  samples
+    is a SampleTable; a sequence of (t, f_approx, gap) rows passed in, as
+    by dataclasses.replace(path, samples=[...]), becomes one.
+    """
 
     breakpoints: list[float]
     exact_solutions: list[SolveResult]
     singular_values: list[np.ndarray]
-    samples: list[PathSample]
+    samples: SampleTable
     epsilon: float
     t_max: float
     bootstrap_t: float
     partial: bool = False
     certificates: list[GapCertificate] = field(default_factory=list, repr=False)
+
+    def __post_init__(self):
+        if not isinstance(self.samples, SampleTable):
+            self.samples = SampleTable(self.samples)
 
     @property
     def m(self) -> int:
@@ -180,7 +233,7 @@ def compute_path(
         breakpoints=[],
         exact_solutions=[],
         singular_values=[],
-        samples=[],
+        samples=SampleTable(),
         epsilon=float(eps),
         t_max=t_max,
         bootstrap_t=t_first,
@@ -188,8 +241,10 @@ def compute_path(
 
     # zero-model segment [0, t_first]
     f_zero = norm_go**2
-    for t in np.linspace(0.0, t_first, grid_points_per_segment):
-        result.samples.append(PathSample(float(t), f_zero, bootstrap_gap(g_o, t)))
+    result.samples.extend([
+        (t, f_zero, bootstrap_gap(g_o, t))
+        for t in np.linspace(0.0, t_first, grid_points_per_segment)
+    ])
 
     # each certified segment advances t by at least sqrt(eps) because the
     # growth rate a is at most 1; this cap only guards against cycling
@@ -207,11 +262,12 @@ def compute_path(
                 f"(primal {res.primal_residual:.3g}, dual {res.dual_residual:.3g})",
                 result,
             )
+        # the splitting state stays here, for the next warm start only
         warm = res.admm_state
         result.breakpoints.append(t_i)
-        result.exact_solutions.append(res)
+        result.exact_solutions.append(dataclasses.replace(res, admm_state=None))
         result.singular_values.append(hankel_singular_values(t_i * res.g_tilde.values))
-        dual = None if res.admm_state is None else res.admm_state[1]
+        dual = None if warm is None else warm[1]
         cert = subgradient_vector(res.g_tilde, t_i, g_o=g_o, dual=dual)
         result.certificates.append(cert)
 
@@ -228,11 +284,14 @@ def compute_path(
         except RuntimeError as exc:
             result.partial = True
             raise PathAborted(str(exc), result) from exc
-        for t in np.linspace(t_i, t_next, grid_points_per_segment):
-            f_approx = approx_objective(res.g_tilde, g_o, t)
-            result.samples.append(PathSample(float(t), f_approx, duality_gap(cert, g_o, float(t))))
+        result.samples.extend([
+            (t, approx_objective(res.g_tilde, g_o, t), duality_gap(cert, g_o, t))
+            for t in np.linspace(t_i, t_next, grid_points_per_segment).tolist()
+        ])
         t_i = t_next
 
+    # the finished table, without extend's room to grow
+    result.samples = SampleTable(result.samples.array)
     return result
 
 

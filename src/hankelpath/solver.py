@@ -23,6 +23,16 @@ When one residual exceeds the other tenfold, residual balancing scales the
 penalty rho by sqrt(r_pri / r_dual) clipped to [0.1, 10] (Wohlberg, ADMM
 penalty parameter selection by residual balancing, 2017).  Each change of
 rho changes the map and drops the Anderson history.
+
+The loop solves the normalized problem: the fit term is divided by
+s^2 = ||g_o||^2, which is the fit of the unit-norm data g_o / s at level
+t / s.  Scaling the data by c then leaves the iterates, the iteration count
+and every stopping decision unchanged (up to rounding): the thresholds are
+relative (Boyd et al., Distributed optimization and statistical learning via
+ADMM, 2011, section 3.3.1), and residual balancing runs on normalized
+residuals, which is scale invariant where plain balancing is not (Wohlberg
+2017).  rho, and with it the dual residual, is reported in the units of the
+original problem.
 """
 
 from __future__ import annotations
@@ -44,8 +54,6 @@ from .hankel import (
     symmetric_singular_values,
 )
 
-#: Penalty a cold start begins at; residual balancing moves it from there.
-RHO_START = 1.0
 #: Number of past differences the Anderson-accelerated loop keeps.
 AA_MEM = 16
 #: Tikhonov weight of the Anderson normal equations, relative to their trace.
@@ -61,11 +69,14 @@ TEST_EVERY = 4
 class SolverOptions:
     """Knobs for solve_constrained.
 
-    primal_tol / dual_tol default to 1e-9 * (1 + ||g_o||) when left None.
+    primal_tol / dual_tol are relative to unit-norm data: the solver works
+    on the fit divided by ||g_o||^2, the problem of g_o / ||g_o|| at level
+    t / ||g_o||, and both default to 2e-9 (1e-9 * (1 + 1)) when left None.
     The stopping thresholds additionally scale with problem size and with
-    min(1, 2 t^2): the fit term's curvature is 2 t^2, so without that factor
-    the solution error at small t would be residual / (2 t^2), far looser
-    than the certificate machinery downstream can tolerate.
+    min(1, 2 (t / ||g_o||)^2): the normalized fit term's curvature is
+    2 (t / ||g_o||)^2, so without that factor the solution error at small t
+    would be residual / curvature, far looser than the certificate machinery
+    downstream can tolerate.
     """
 
     max_iters: int = 5000
@@ -86,7 +97,7 @@ class SolverOptions:
                 raise ValueError(f"{name} must be positive and finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveResult:
     """Solution of the constrained fit at one t, with iteration diagnostics.
 
@@ -98,7 +109,9 @@ class SolveResult:
     admm_state is the splitting state (X, U_dual, rho) the iteration stopped
     at, read-only, for warm-starting a solve at a nearby t and, through
     U_dual, for certificates.subgradient_vector; None when the closed-form
-    branch ran.
+    branch ran, and None in every solve a PathResult keeps.  rho and
+    dual_residual are in the units of the original problem; X and U_dual do
+    not depend on the scale of the data.
 
     bounds = (lower, upper) is a certified enclosure of the optimal cost at t,
     equal to certificates.dual_bounds on g_tilde and the returned U_dual
@@ -215,10 +228,10 @@ def solve_constrained(
         Positive regularization parameter.
     opts : SolverOptions, optional
     warm_start : tuple (X, U_dual, rho), optional
-        Splitting state to start from instead of zeros and RHO_START, usually
-        the admm_state of a solve at a nearby t.  X and U_dual must be
-        n-by-n; they are copied, not modified.  The stopping rule is the same
-        as for a cold start.
+        Splitting state to start from instead of zeros and the normalized
+        fit curvature 2 t^2 / ||g_o||^2, usually the admm_state of a solve
+        at a nearby t.  X and U_dual must be n-by-n; they are copied, not
+        modified.  The stopping rule is the same as for a cold start.
     stop_inside : pair (lo, hi), optional
         Stop at the first iteration whose state has its certified enclosure
         (see SolveResult.bounds) inside [lo, hi], and report it as
@@ -232,6 +245,12 @@ def solve_constrained(
         Deterministic for fixed inputs, options and start (no randomness).
         Non-convergence is reported through converged=False with residuals
         and bounds populated, never as an exception.
+
+    Raises
+    ------
+    ValueError
+        For t <= 0, a malformed warm start, or data whose ||g_o||^2
+        underflows to 0 or overflows (the loop divides by it).
 
     Notes
     -----
@@ -265,7 +284,7 @@ def solve_constrained(
     if warm_start is None:
         X = np.zeros((n, n))
         U_dual = np.zeros((n, n))
-        rho = RHO_START
+        rho = None
     else:
         X0, U0, rho = warm_start
         X = np.array(X0, dtype=float)
@@ -294,22 +313,33 @@ def solve_constrained(
             bounds=dual_bounds(gvec, t, g_tilde.values, nuclear_norm=nuc0 / t),
         )
 
-    norm_go = np.linalg.norm(gvec)
-    primal_tol = opts.primal_tol if opts.primal_tol is not None else 1e-9 * (1 + norm_go)
-    dual_tol = opts.dual_tol if opts.dual_tol is not None else 1e-9 * (1 + norm_go)
+    # the loop solves the fit divided by s^2 = ||g_o||^2; X and U_dual are
+    # the same in both problems, and rho is rho / s^2 inside the loop
+    with np.errstate(over="ignore"):
+        s2 = float(gvec @ gvec)
+    if not 0.0 < s2 < math.inf:
+        raise ValueError("||g_o||^2 must be a positive finite float")
+    # loop invariants: the normalized fit term's linear part 2 t g_o / s^2
+    # and curvature 2 t^2 / s^2; the diagonal of the normal equations
+    # changes only with rho
+    fit_rhs = (2.0 * t / s2) * gvec
+    fit_curv = 2.0 * t * t / s2
+    # a cold start meets the fit curvature; balancing keeps rho within
+    # [1e-8, 1e8] times it
+    rho = fit_curv if rho is None else rho / s2
+    rho_lo = 1e-8 * fit_curv
+    rho_hi = 1e8 * fit_curv
+    primal_tol = opts.primal_tol if opts.primal_tol is not None else 2e-9
+    dual_tol = opts.dual_tol if opts.dual_tol is not None else 2e-9
     # sqrt of the X entry count times the curvature factor (see SolverOptions),
-    # floored at the resolution float iterates can actually reach
-    scale = n * min(1.0, 2.0 * t * t)
-    floor = 4e-15 * n * (1 + norm_go)
+    # floored at the resolution float iterates of unit-norm data can reach
+    scale = n * min(1.0, fit_curv)
+    floor = 8e-15 * n
     eps_pri = max(primal_tol * scale, floor)
     eps_dual = max(dual_tol * scale, floor)
 
     idx = embed_indices(n)
     w = multiplicities(n)
-    # loop invariants: the fit term's linear part 2 t g_o and curvature 2 t^2;
-    # the diagonal of the normal equations changes only with rho
-    fit_rhs = 2.0 * t * gvec
-    fit_curv = 2.0 * t * t
     denom = fit_curv + rho * w
 
     g_tilde = np.zeros(gvec.size)
@@ -376,14 +406,14 @@ def solve_constrained(
             if r_pri <= eps_pri and r_dual <= eps_dual:
                 converged = True
                 break
-            if (r_pri > 10.0 * r_dual and rho < 1e8) or (r_dual > 10.0 * r_pri and rho > 1e-8):
+            if (r_pri > 10.0 * r_dual and rho < rho_hi) or (r_dual > 10.0 * r_pri and rho > rho_lo):
                 # residual balancing keeps both residuals decreasing together:
                 # rho scales by sqrt(r_pri / r_dual) clipped to [0.1, 10], by
                 # 10 when r_dual is zero; a new rho changes the map T, so the
                 # history and the extrapolation are dropped
                 factor = BALANCE_MAX if r_dual == 0.0 else math.sqrt(r_pri / r_dual)
                 factor = min(max(factor, 1.0 / BALANCE_MAX), BALANCE_MAX)
-                rho_new = min(max(rho * factor, 1e-8), 1e8)
+                rho_new = min(max(rho * factor, rho_lo), rho_hi)
                 U_dual *= rho / rho_new
                 rho = rho_new
                 denom = fit_curv + rho * w
@@ -425,8 +455,8 @@ def solve_constrained(
         nuclear_norm_value=nuc,
         iterations=it,
         primal_residual=r_pri,
-        dual_residual=r_dual,
+        dual_residual=r_dual * s2,
         converged=converged,
         bounds=bounds,
-        admm_state=(X, U_dual, rho),
+        admm_state=(X, U_dual, rho * s2),
     )

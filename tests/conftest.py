@@ -68,3 +68,19 @@ def wide_path(order100_spec):
     """(g_o, path) of the order-100 system at k_max = 81 (n = 41), eps = 40."""
     g_o = hp.impulse_response(order100_spec, 81)
     return g_o, hp.compute_path(g_o, eps=40.0)
+
+
+def path_solves(monkeypatch, g_o, eps):
+    """(compute_path(g_o, eps), its solves as solve_constrained returned
+    them): the path keeps no splitting state, so tests that read it record
+    each solve on the way."""
+    real = hp.path.solve_constrained
+    solves = []
+
+    def recording(*args, **kwargs):
+        solves.append(real(*args, **kwargs))
+        return solves[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(hp.path, "solve_constrained", recording)
+        return hp.compute_path(g_o, eps), solves

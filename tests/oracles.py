@@ -209,20 +209,21 @@ def plain_admm(g_o, t, opts=None):
     n = g_o.n
     X = np.zeros((n, n))
     U_dual = np.zeros((n, n))
-    rho = 1.0
 
-    norm_go = np.linalg.norm(gvec)
-    primal_tol = opts.primal_tol if opts.primal_tol is not None else 1e-9 * (1 + norm_go)
-    dual_tol = opts.dual_tol if opts.dual_tol is not None else 1e-9 * (1 + norm_go)
-    scale = n * min(1.0, 2.0 * t * t)
-    floor = 4e-15 * n * (1 + norm_go)
+    # the fit divided by s^2 = ||g_o||^2, from rho at its curvature
+    s2 = float(gvec @ gvec)
+    fit_rhs = (2.0 * t / s2) * gvec
+    fit_curv = 2.0 * t * t / s2
+    rho = fit_curv
+    primal_tol = opts.primal_tol if opts.primal_tol is not None else 2e-9
+    dual_tol = opts.dual_tol if opts.dual_tol is not None else 2e-9
+    scale = n * min(1.0, fit_curv)
+    floor = 8e-15 * n
     eps_pri = max(primal_tol * scale, floor)
     eps_dual = max(dual_tol * scale, floor)
 
     idx = embed_indices(n)
     w = hp.multiplicities(n)
-    fit_rhs = 2.0 * t * gvec
-    fit_curv = 2.0 * t * t
     denom = fit_curv + rho * w
 
     g_tilde = np.zeros(k_max)
@@ -240,11 +241,13 @@ def plain_admm(g_o, t, opts=None):
         if r_pri <= eps_pri and r_dual <= eps_dual:
             converged = True
             break
-        if (r_pri > 10.0 * r_dual and rho < 1e8) or (r_dual > 10.0 * r_pri and rho > 1e-8):
+        if (r_pri > 10.0 * r_dual and rho < 1e8 * fit_curv) or (
+            r_dual > 10.0 * r_pri and rho > 1e-8 * fit_curv
+        ):
             # rho scaled by sqrt(r_pri / r_dual) clipped to [0.1, 10], and by
-            # 10 when r_dual is zero, then kept inside [1e-8, 1e8]
+            # 10 when r_dual is zero, then kept inside [1e-8, 1e8] fit_curv
             factor = 10.0 if r_dual == 0.0 else min(max(math.sqrt(r_pri / r_dual), 0.1), 10.0)
-            rho_new = min(max(rho * factor, 1e-8), 1e8)
+            rho_new = min(max(rho * factor, 1e-8 * fit_curv), 1e8 * fit_curv)
             U_dual *= rho / rho_new
             rho = rho_new
             denom = fit_curv + rho * w
@@ -257,8 +260,10 @@ def solve_constrained_frozen(g_o, t, opts=None, *, warm_start=None):
     plain splitting step and runs the residual test and residual balancing
     on it, then projects the Anderson point z_aa again when it takes it.
     The constants are those of that loop (16 differences, 1e-10 Tikhonov
-    weight, balancing steps clipped to [0.1, 10]); the projection, adjoint
-    and bound halves are the library's."""
+    weight, balancing steps clipped to [0.1, 10]) and its normalized
+    problem: the fit divided by ||g_o||^2, rho and the stopping thresholds in
+    those units, and rho reported in the original ones; the projection,
+    adjoint and bound halves are the library's."""
     aa_mem, aa_reg, balance_max = 16, 1e-10, 10.0
     if opts is None:
         opts = hp.SolverOptions()
@@ -269,7 +274,7 @@ def solve_constrained_frozen(g_o, t, opts=None, *, warm_start=None):
     if warm_start is None:
         X = np.zeros((n, n))
         U_dual = np.zeros((n, n))
-        rho = 1.0
+        rho = None
     else:
         X0, U0, rho = warm_start
         X = np.array(X0, dtype=float)
@@ -295,18 +300,20 @@ def solve_constrained_frozen(g_o, t, opts=None, *, warm_start=None):
         v = a.ravel()
         return math.sqrt(v.dot(v))
 
-    norm_go = np.linalg.norm(gvec)
-    primal_tol = opts.primal_tol if opts.primal_tol is not None else 1e-9 * (1 + norm_go)
-    dual_tol = opts.dual_tol if opts.dual_tol is not None else 1e-9 * (1 + norm_go)
-    scale = n * min(1.0, 2.0 * t * t)
-    floor = 4e-15 * n * (1 + norm_go)
+    s2 = float(gvec @ gvec)
+    fit_rhs = (2.0 * t / s2) * gvec
+    fit_curv = 2.0 * t * t / s2
+    rho = fit_curv if rho is None else rho / s2
+    rho_lo, rho_hi = 1e-8 * fit_curv, 1e8 * fit_curv
+    primal_tol = opts.primal_tol if opts.primal_tol is not None else 2e-9
+    dual_tol = opts.dual_tol if opts.dual_tol is not None else 2e-9
+    scale = n * min(1.0, fit_curv)
+    floor = 8e-15 * n
     eps_pri = max(primal_tol * scale, floor)
     eps_dual = max(dual_tol * scale, floor)
 
     idx = embed_indices(n)
     w = hp.multiplicities(n)
-    fit_rhs = 2.0 * t * gvec
-    fit_curv = 2.0 * t * t
     denom = fit_curv + rho * w
 
     g_tilde = np.zeros(k_max)
@@ -334,10 +341,10 @@ def solve_constrained_frozen(g_o, t, opts=None, *, warm_start=None):
         if r_pri <= eps_pri and r_dual <= eps_dual:
             converged = True
             break
-        if (r_pri > 10.0 * r_dual and rho < 1e8) or (r_dual > 10.0 * r_pri and rho > 1e-8):
+        if (r_pri > 10.0 * r_dual and rho < rho_hi) or (r_dual > 10.0 * r_pri and rho > rho_lo):
             factor = balance_max if r_dual == 0.0 else math.sqrt(r_pri / r_dual)
             factor = min(max(factor, 1.0 / balance_max), balance_max)
-            rho_new = min(max(rho * factor, 1e-8), 1e8)
+            rho_new = min(max(rho * factor, rho_lo), rho_hi)
             U_dual *= rho / rho_new
             rho = rho_new
             denom = fit_curv + rho * w
@@ -389,8 +396,8 @@ def solve_constrained_frozen(g_o, t, opts=None, *, warm_start=None):
         nuclear_norm_value=nuc,
         iterations=it,
         primal_residual=r_pri,
-        dual_residual=r_dual,
+        dual_residual=r_dual * s2,
         converged=converged,
         bounds=bounds,
-        admm_state=(X, U_dual, rho),
+        admm_state=(X, U_dual, rho * s2),
     )

@@ -7,7 +7,7 @@ import pytest
 import hankelpath as hp
 from hankelpath import solver
 
-from conftest import FIXTURE_BANDS, FIXTURE_K_MAX
+from conftest import FIXTURE_BANDS, FIXTURE_K_MAX, path_solves
 from oracles import bisect_gap_crossing
 
 
@@ -116,20 +116,22 @@ class TestDualCertificate:
                 assert warm.converged
                 self._assert_subgradient(warm)
 
-    def _check_path(self, pr):
-        states = [r for r in pr.exact_solutions if r.admm_state is not None]
+    def _check_path(self, monkeypatch, g_o, eps):
+        pr, solves = path_solves(monkeypatch, g_o, eps)
+        states = [r for r in solves if r.admm_state is not None]
+        assert len(solves) == pr.m
         assert len(states) >= pr.m - 1  # only a solve at t_max is closed-form
         for res in states:
             self._assert_subgradient(res)
 
-    def test_fixture_path(self, sixth_order_path):
-        self._check_path(sixth_order_path)
+    def test_fixture_path(self, sixth_order_impulse, monkeypatch):
+        self._check_path(monkeypatch, sixth_order_impulse, 0.01)
 
-    def test_rank1_path(self, rank1_impulse):
-        self._check_path(hp.compute_path(rank1_impulse, eps=1e-4))
+    def test_rank1_path(self, rank1_impulse, monkeypatch):
+        self._check_path(monkeypatch, rank1_impulse, 1e-4)
 
-    def test_order100_path(self, order100_path):
-        self._check_path(order100_path[1])
+    def test_order100_path(self, order100_path, monkeypatch):
+        self._check_path(monkeypatch, order100_path[0], 12.0)
 
     @pytest.mark.parametrize("n", [2, 5, 16])
     def test_random_low_rank(self, n):

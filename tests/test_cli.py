@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 
@@ -19,6 +20,22 @@ def run_cli(*args, cwd=None):
         text=True,
         cwd=cwd,
     )
+
+
+def run_cli_closed_stdout(*args):
+    """run_cli with stdout a pipe whose reading end is already closed, as
+    after `hankelpath ... | head -1` has read its line."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "hankelpath", *map(str, args)],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write)
 
 
 @pytest.fixture()
@@ -145,19 +162,19 @@ class TestPath:
         assert "verify: ok" in proc.stdout
 
     def test_verify_fails_on_unconverged_uncertified_resolve(self, tmp_path):
-        # fixture-family system 19 completes its path within 3 iterations per
-        # solve, but one cold re-solve at t = 0.0502 needs 4 to certify its
-        # sample; 3 iterations leave it neither certified nor converged
+        # fixture-family system 19's path is one closed-form solve at t_max,
+        # which takes no iteration, but the cold re-solve at t = 0.0502 needs
+        # 2 to certify its sample; 1 leaves it neither certified nor converged
         g_o = hp.impulse_response(hp.random_system(6, 19, bands=FIXTURE_BANDS), FIXTURE_K_MAX)
         src = tmp_path / "impulse.csv"
         hp.write_impulse_csv(g_o, src)
         proc = run_cli(
             "path", "--input", src, "--epsilon", 0.01, "--out", tmp_path / "path",
-            "--verify", "--max-iters", 3,
+            "--verify", "--max-iters", 1,
         )
         assert proc.returncode == 3, proc.stdout
         assert "verify: ok" not in proc.stdout
-        assert "neither certified nor converged after 3 iterations" in proc.stderr
+        assert "neither certified nor converged after 1 iterations" in proc.stderr
         assert "primal_residual=" in proc.stderr and "dual_residual=" in proc.stderr
 
     def test_verify_catches_a_sample_that_excludes_the_optimum(self, sixth_order_impulse):
@@ -263,6 +280,47 @@ class TestPath:
         assert cli.main(argv) == 0
         assert "verify: ok" in capsys.readouterr().out
         assert len(calls) == 1
+
+
+class TestClosedStdout:
+    """A closed stdout ends the output, not the command: the files are
+    written, and the exit code is the command's own."""
+
+    def test_gen_writes_and_exits_0(self, tmp_path):
+        out = tmp_path / "gen"
+        proc = run_cli_closed_stdout("gen", "--out", out)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert (out / "system.json").exists() and (out / "impulse.csv").exists()
+
+    def test_path_still_verifies(self, tmp_path, impulse_file):
+        out = tmp_path / "path"
+        proc = run_cli_closed_stdout(
+            "path", "--input", impulse_file, "--epsilon", 0.01, "--out", out, "--verify"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (out / "path.json").read_bytes() == (
+            hp.compute_path(hp.read_impulse_csv(impulse_file), 0.01).to_json().encode()
+        )
+
+    def test_failed_verify_still_exits_3(self, tmp_path):
+        # the system and budget of test_verify_fails_on_unconverged_uncertified_resolve
+        g_o = hp.impulse_response(hp.random_system(6, 19, bands=FIXTURE_BANDS), FIXTURE_K_MAX)
+        src = tmp_path / "impulse.csv"
+        hp.write_impulse_csv(g_o, src)
+        proc = run_cli_closed_stdout(
+            "path", "--input", src, "--epsilon", 0.01, "--out", tmp_path / "path",
+            "--verify", "--max-iters", 1,
+        )
+        assert proc.returncode == 3
+        assert "neither certified nor converged" in proc.stderr
+
+    def test_missing_input_still_exits_2(self, tmp_path):
+        proc = run_cli_closed_stdout(
+            "solve", "--input", tmp_path / "nope.csv", "--t", 1.0, "--out", tmp_path
+        )
+        assert proc.returncode == 2
+        assert "i/o error" in proc.stderr and "Broken pipe" not in proc.stderr
 
 
 class TestCachedParser:

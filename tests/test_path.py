@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import hankelpath as hp
 
 from conftest import FIXTURE_BANDS, FIXTURE_K_MAX, ORDER100_BANDS, ORDER100_SEED
+from hankelpath._textio import fmt17
 from oracles import svd_2x2_singular_values
 
 
@@ -280,6 +282,85 @@ class TestHeldOutTightness:
         g_o, pr = _order100_family_path(ORDER100_SEED, 199, 40.0)
         assert all(r.converged for r in pr.exact_solutions)
         assert _worst_breakpoint_ratio(g_o, pr) <= 1.0
+
+
+class TestScaleCovariance:
+    """One system at residue scales 1e-6 to 1e6, eps relative to ||g_o||^2:
+    the same path in units of ||g_o||.  With the solver's constants in the
+    data's units, the scales 1e-6, 1e-3 and 1e6 aborted."""
+
+    @pytest.mark.parametrize("rel_eps, m", [(1e-4, 76), (1e-2, 9)])
+    def test_same_path_at_every_scale(self, rel_eps, m):
+        base = hp.random_system(6, 3, bands=FIXTURE_BANDS)
+        ref = None
+        for scale in (1.0, 1e-6, 1e-3, 1e3, 1e6):
+            spec = dataclasses.replace(base, residues=tuple(scale * r for r in base.residues))
+            g_o = hp.impulse_response(spec, FIXTURE_K_MAX)
+            pr = hp.compute_path(g_o, rel_eps * g_o.norm() ** 2)
+            assert pr.m == m
+            unit = np.array(pr.breakpoints) / g_o.norm()
+            if ref is None:
+                ref = unit
+            np.testing.assert_allclose(unit, ref, rtol=1e-6)
+
+
+class TestLeanPathResult:
+    """A PathResult holds what the path reports: no splitting state, and the
+    samples as one table."""
+
+    @staticmethod
+    def _assert_stateless(pr):
+        assert pr.exact_solutions
+        assert all(r.admm_state is None for r in pr.exact_solutions)
+
+    def test_completed_paths_hold_no_state(self, sixth_order_path, order100_path):
+        for pr in (sixth_order_path, order100_path[1]):
+            self._assert_stateless(pr)
+
+    def test_partial_path_holds_no_state(self, order100_path):
+        # the seventh solve needs more than 80 iterations, the six before fewer
+        g_o, _ = order100_path
+        with pytest.raises(hp.PathAborted) as err:
+            hp.compute_path(g_o, 12.0, solver_opts=hp.SolverOptions(max_iters=80))
+        partial = err.value.partial
+        assert partial.m >= 2
+        self._assert_stateless(partial)
+
+    def test_table_serializes_as_the_sample_list(self, sixth_order_path, tmp_path):
+        pr = sixth_order_path
+        rows = list(pr.samples)
+        assert all(type(s) is hp.PathSample and type(s.gap) is float for s in rows)
+        listed = dataclasses.replace(pr, samples=rows)
+        assert isinstance(listed.samples, hp.SampleTable)
+        assert listed.to_json() == pr.to_json()
+        # the samples part of to_json and samples.csv, written from the list
+        fields = ("t", "f_approx", "gap")
+        doc = ", ".join(
+            "{%s}" % ", ".join('"%s": %s' % (k, fmt17(v)) for k, v in zip(fields, s)) for s in rows
+        )
+        assert '"samples": [%s]}' % doc in pr.to_json()
+        csv = "t,f_approx,gap\n" + "".join(",".join(map(fmt17, s)) + "\n" for s in rows)
+        pr.write_samples_csv(tmp_path / "samples.csv")
+        assert (tmp_path / "samples.csv").read_text() == csv
+        # rows by index, by negative index, by slice and by iteration
+        assert len(pr.samples) == len(rows)
+        assert [pr.samples[i] for i in range(len(rows))] == rows
+        assert pr.samples[-1] == rows[-1]
+        assert pr.samples[3:45:2] == rows[3:45:2]
+
+    def test_order100_path_is_small(self, order100_path):
+        # 156 KB with every solve's splitting state and a list of samples
+        g_o, _ = order100_path
+        hp.compute_path(g_o, 12.0)  # caches filled outside the measurement
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pr = hp.compute_path(g_o, 12.0)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert pr.m == 10
+        assert held < 40_000
 
 
 class TestSerialization:

@@ -5,7 +5,7 @@ import pytest
 
 import hankelpath as hp
 
-from conftest import FIXTURE_BANDS, FIXTURE_K_MAX
+from conftest import FIXTURE_BANDS, FIXTURE_K_MAX, path_solves
 from oracles import (
     plain_admm,
     project_nuclear_ball_eigh,
@@ -280,6 +280,13 @@ class TestSolveConstrained:
         with pytest.raises(ValueError):
             hp.solve_constrained([1.0, 0.5, 0.25], -1.0)
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e160])
+    def test_data_norm_outside_float_range_rejected(self, scale):
+        # the loop divides by ||g_o||^2, which is 0 or inf here
+        g_o = scale * np.array([1.0, 0.5, 0.25])
+        with pytest.raises(ValueError, match="positive finite"):
+            hp.solve_constrained(g_o, 0.1 * scale)
+
     def test_perfect_fit_beyond_t_max(self):
         g_o = hp.ImpulseResponse(np.array([1.0, 0.5, 0.25]))
         t_max = hp.compute_t_max(g_o)  # 1.25
@@ -397,8 +404,8 @@ class TestSolverOptions:
         ):
             with pytest.raises(ValueError):
                 hp.SolverOptions(**bad)
-        # the starting penalty is no option: a cold start begins at
-        # RHO_START, and warm_start carries the penalty of an earlier solve
+        # the starting penalty is no option: a cold start begins at the fit
+        # curvature, and warm_start carries the penalty of an earlier solve
         with pytest.raises(TypeError):
             hp.SolverOptions(rho=1.0)
 
@@ -499,14 +506,14 @@ class TestWarmStart:
         hp.solve_constrained(g_o, 0.4 * t_max, warm_start=start.admm_state)
         assert np.array_equal(X, before[0]) and np.array_equal(U, before[1])
 
-    def test_iterates_stay_bit_symmetric(self, sixth_order_impulse, order100_path):
+    def test_iterates_stay_bit_symmetric(self, sixth_order_impulse, order100_path, monkeypatch):
         # a symmetric iterate is what keeps every solver projection on the
         # eigendecomposition branch
         t_max = hp.compute_t_max(sixth_order_impulse)
         states = [hp.solve_constrained(sixth_order_impulse, f * t_max).admm_state
                   for f in (0.05, 0.3, 0.7, 0.95)]
-        _, path = order100_path
-        late = [r.admm_state for r in path.exact_solutions
+        _, solves = path_solves(monkeypatch, order100_path[0], 12.0)
+        late = [r.admm_state for r in solves
                 if r.admm_state is not None
                 and np.sum(np.abs(np.linalg.eigvalsh(r.admm_state[0])) > 1e-9) >= 7]
         assert late
@@ -530,10 +537,11 @@ class TestWarmStart:
         with pytest.raises(ValueError):
             hp.solve_constrained(sixth_order_impulse, 0.1, warm_start=(good, good, 0.0))
 
-    def test_path_solves_start_from_previous_breakpoint(self, sixth_order_impulse, sixth_order_path):
-        pr = sixth_order_path
+    def test_path_solves_start_from_previous_breakpoint(self, sixth_order_impulse, monkeypatch):
+        pr, solves = path_solves(monkeypatch, sixth_order_impulse, 0.01)
         assert pr.m == 5
-        first, second = pr.exact_solutions[:2]
+        first, second = solves[:2]
+        assert np.array_equal(pr.exact_solutions[1].g_tilde.values, second.g_tilde.values)
         again = hp.solve_constrained(
             sixth_order_impulse, pr.breakpoints[1], warm_start=first.admm_state
         )
@@ -544,12 +552,14 @@ class TestWarmStart:
         assert hp.compute_path(rank1_impulse, eps=1e-4).m == 44
 
 
-def _stopping_threshold(g_o, t):
-    """The residual threshold solve_constrained stops on at default options
-    (primal and dual alike)."""
-    norm_go = np.linalg.norm(g_o.values)
-    floor = 4e-15 * g_o.n * (1 + norm_go)
-    return max(1e-9 * (1 + norm_go) * g_o.n * min(1.0, 2.0 * t * t), floor)
+def _stopping_thresholds(g_o, t):
+    """The (primal, dual) residual thresholds solve_constrained stops on at
+    default options: one threshold for the fit divided by s^2 = ||g_o||^2,
+    and the dual residual is reported in the original units, s^2 times its
+    normalized value."""
+    s2 = float(g_o.values @ g_o.values)
+    threshold = max(2e-9 * g_o.n * min(1.0, 2.0 * t * t / s2), 8e-15 * g_o.n)
+    return threshold, threshold * s2
 
 
 class TestAndersonAcceleration:
@@ -579,10 +589,10 @@ class TestAndersonAcceleration:
         for frac in self.FRACTIONS:
             t = frac * t_max
             res = hp.solve_constrained(g_o, t)
-            threshold = _stopping_threshold(g_o, t)
+            primal, dual = _stopping_thresholds(g_o, t)
             assert res.converged
-            assert 0.0 <= res.primal_residual <= threshold
-            assert 0.0 <= res.dual_residual <= threshold
+            assert 0.0 <= res.primal_residual <= primal
+            assert 0.0 <= res.dual_residual <= dual
 
     def test_rank1_small_t_within_default_budget(self, rank1_impulse):
         # this solve ran out of the default budget under over-relaxation
@@ -602,6 +612,16 @@ class TestAndersonAcceleration:
             assert res.admm_state[2] != rho
             assert np.linalg.norm(res.g_tilde.values - ref.g_tilde.values) <= 1e-6
 
+    @pytest.mark.parametrize("t", [5e-8, 5e-9])
+    def test_tiny_t_cold_solve_converges(self, t):
+        # unit-norm fixture data at about the first breakpoint of eps = 2t:
+        # with rho starting at 1 and clipped at 1e-8, far above the fit
+        # curvature 2 t^2 (5e-15 and 5e-17), these ran out of the default
+        # budget of 5,000 iterations
+        g_o = hp.impulse_response(hp.random_system(6, 3, bands=FIXTURE_BANDS), FIXTURE_K_MAX)
+        res = hp.solve_constrained(g_o.values / g_o.norm(), t)
+        assert res.converged and res.iterations <= 200
+
     def test_wide_held_out_solve_within_default_budget(self, wide_held_out_impulse):
         # a held-out breakpoint that needs most of the default budget: with
         # rho steps of 2 or 1/2 the Anderson history is dropped too often
@@ -612,7 +632,9 @@ class TestAndersonAcceleration:
     def test_order100_path_iteration_total(self, order100_path):
         _, path = order100_path
         assert path.m == 10
-        assert sum(r.iterations for r in path.exact_solutions) <= 3000
+        # 549 iterations with the solver on the normalized problem (2,717
+        # before, when its constants were in the data's units)
+        assert sum(r.iterations for r in path.exact_solutions) <= 690
 
 
 class TestPlainStepOnlyWhenTested:
@@ -638,7 +660,8 @@ class TestPlainStepOnlyWhenTested:
             assert current == frozen
 
     def test_order100_path_projection_count(self, monkeypatch, order100_path):
-        # 5,086 projections over 2,773 iterations with a plain step on each
+        # 689 projections over 549 iterations (5,086 over 2,773 with a plain
+        # step on each, and 3,250 over 2,717 before the normalized problem)
         g_o, path = order100_path
         project = hp.solver.project_nuclear_ball
         calls = []
@@ -649,22 +672,24 @@ class TestPlainStepOnlyWhenTested:
 
         monkeypatch.setattr(hp.solver, "project_nuclear_ball", counted)
         assert hp.compute_path(g_o, eps=12.0).to_json() == path.to_json()
-        assert len(calls) <= 3600
+        assert len(calls) <= 860
 
 
 class TestResidualBalancing:
     def test_zero_dual_residual_scales_rho_by_the_cap(self):
         # scalar H(g): once X sits on the ball's boundary X_new == X exactly,
-        # so balancing fires with r_dual == 0 and multiplies rho by 10
+        # so balancing fires with r_dual == 0 and multiplies rho by 10, four
+        # times from the cold start at the fit curvature 2 t^2 = 2
         res = hp.solve_constrained([2.0], 1.0)
         assert res.converged and res.dual_residual == 0.0
-        assert res.admm_state[2] == 1e4
+        assert res.admm_state[2] == 2.0 * 1e4
         np.testing.assert_allclose(res.g_tilde.values, [1.0], atol=1e-8)
 
     def test_rho_capped_at_upper_bound(self):
-        # one step of 10 from 3e7 would overshoot 1e8
+        # the cap is 1e8 times the fit curvature 2 t^2 = 2; one step of 10
+        # from 3e7 would overshoot it
         cold = hp.solve_constrained([2.0], 1.0)
         X, U, _ = cold.admm_state
         res = hp.solve_constrained([2.0], 1.0, warm_start=(X, U, 3e7))
         assert res.converged
-        assert res.admm_state[2] == 1e8
+        assert res.admm_state[2] == 1e8 * 2.0
