@@ -26,7 +26,16 @@ points along -(t* g* - g_o) to within SNAP_TOL is snapped onto it exactly.
 
 dual_bounds prices any solver state with the same h: the objective at the
 rescaled, exactly feasible point bounds the optimum from above, and the
-half-space h^T g <= 1 gives a lower bound, however inexact the solve.
+half-space h^T g <= 1 gives a lower bound, however inexact the solve.  The
+certificate and dual_bounds take ||S||_2 from an eigvalsh, so the scale of h
+is that of Z = S / ||S||_2.  The solver's stop_inside test alone divides by an
+upper bound on ||S||_2 read off its state instead (solver._dual_norm): any
+divisor at or above ||S||_2 keeps the half-space valid, at a bound looser by
+the excess.
+
+compute_path prices a segment's reporting grid as one table of residuals
+(_segment_samples), with the same arithmetic per sample as approx_objective
+and duality_gap.
 """
 
 from __future__ import annotations
@@ -90,15 +99,17 @@ def _numerical_rank(S: np.ndarray) -> int:
     return int(np.sum(S > np.finfo(float).eps * S.size * S[0]))
 
 
-def _dual_direction(U) -> np.ndarray | None:
-    """h = adjoint(S) / ||S||_2 with S the symmetric part of U; None when
-    adjoint(S) = 0 (S = 0 among them)."""
+def _dual_direction(U, norm=None) -> np.ndarray | None:
+    """h = adjoint(S) / norm with S the symmetric part of U and norm its
+    ||S||_2 unless given; None when adjoint(S) = 0 (S = 0 among them)."""
     U = np.asarray(U, dtype=float)
     S = 0.5 * (U + U.T)
     a = adjoint_fast(S)
     if not np.any(a):
         return None
-    return a / float(symmetric_singular_values(S)[0])
+    if norm is None:
+        norm = float(symmetric_singular_values(S)[0])
+    return a / norm
 
 
 def subgradient_vector(g_tilde_star, t_star: float, g_o=None, dual=None) -> GapCertificate:
@@ -136,10 +147,11 @@ def subgradient_vector(g_tilde_star, t_star: float, g_o=None, dual=None) -> GapC
         rank = _numerical_rank(S)
         h = hankel_adjoint(U[:, :rank] @ Vh[:rank, :])
     if g_o is not None:
-        # snap onto -res, keeping the norm, inside numerical slop
+        # snap onto -res, keeping the norm, inside numerical slop; a
+        # residual whose squared norm underflows to 0 has no usable direction
         res = float(t_star) * g_star.values - as_impulse(g_o).values
         rr, hr = float(res.dot(res)), float(h.dot(res))
-        if hr < 0 and rr - hr * hr / float(h.dot(h)) <= SNAP_TOL**2 * rr:
+        if hr < 0 and rr > 0 and rr - hr * hr / float(h.dot(h)) <= SNAP_TOL**2 * rr:
             h = -(np.linalg.norm(h) / math.sqrt(rr)) * res
 
     a = float(np.linalg.norm(_orth_component(g_star.values, h)))
@@ -182,7 +194,16 @@ def dual_lower_bound(g_o: np.ndarray, t: float, U) -> float:
     S with adjoint(S) = 0 (S = 0 among them) gives 0; any other U that is
     not n-by-n for a g_o of length 2n - 1 raises ValueError.
     """
-    h = _dual_direction(U)
+    return _lower_bound(g_o, t, U)
+
+
+def _lower_bound(g_o: np.ndarray, t: float, U, norm=None) -> float:
+    """dual_lower_bound, with ||S||_2 replaced by norm when given.  Any norm
+    >= ||S||_2 keeps the bound valid, since then ||S / norm||_2 <= 1, and
+    loosens it by the excess; one below ||S||_2 makes it unsound, so only a
+    caller that can vouch for its norm (the solver's stop test, see
+    solver._dual_norm) passes one."""
+    h = _dual_direction(U, norm)
     if h is None:
         return 0.0
     excess = max(0.0, float(h.dot(g_o)) - t)
@@ -204,14 +225,35 @@ def duality_gap(cert: GapCertificate, g_o, t: float) -> float:
     against roundoff.  The bound certifies the interval only for t at or
     above the certificate's own t_star.
     """
-    if cert.degenerate:
-        raise DegenerateCertificateError(
-            "certificate has h = 0 (g* = 0); the gap is undefined"
-        )
+    _require_direction(cert)
     res = t * cert.g_tilde_star.values - as_impulse(g_o).values
     h = cert.h
     raw = float(np.sum(res**2) - np.dot(h, res) ** 2 / np.dot(h, h))
     return max(raw, 0.0)
+
+
+def _require_direction(cert: GapCertificate) -> None:
+    if cert.degenerate:
+        raise DegenerateCertificateError(
+            "certificate has h = 0 (g* = 0); the gap is undefined"
+        )
+
+
+def _segment_samples(cert: GapCertificate, g_o: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """The (t, f_approx, gap) rows of the frozen solution on the grid ts, as
+    one (k, 3) table.  Row j prices the residual ts[j] g* - g_o of one
+    (k, 2n - 1) table: f_approx is its row sum of squares, and the gap takes
+    np.dot with h and the scalar square per row, as duality_gap does, so both
+    equal approx_objective and duality_gap bit for bit (a vector square
+    would not: the float64 scalar power can differ from x * x in the last
+    bit).  Raises DegenerateCertificateError as duality_gap does."""
+    _require_direction(cert)
+    h = cert.h
+    res = ts[:, None] * cert.g_tilde_star.values - g_o
+    f_approx = np.sum(res**2, axis=1)
+    hr2 = np.array([np.dot(h, row) ** 2 for row in res])
+    gap = np.maximum(f_approx - hr2 / np.dot(h, h), 0.0)
+    return np.column_stack((ts, f_approx, gap))
 
 
 def next_breakpoint(cert: GapCertificate, g_o, eps: float, t_max: float) -> float:

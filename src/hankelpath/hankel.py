@@ -206,12 +206,9 @@ def compute_t_max(g_o) -> float:
 # ---------------------------------------------------------------------------
 
 def write_impulse_csv(g: ImpulseResponse, path) -> None:
-    from ._textio import fmt17
+    from ._textio import fmt17, write_text
 
-    g = as_impulse(g)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for v in g.values:
-            fh.write(fmt17(v) + "\n")
+    write_text(path, "".join(fmt17(v) + "\n" for v in as_impulse(g).values))
 
 
 def read_impulse_csv(path) -> ImpulseResponse:
@@ -221,12 +218,11 @@ def read_impulse_csv(path) -> ImpulseResponse:
 
 
 def write_impulse_json(g: ImpulseResponse, path) -> None:
-    from ._textio import fmt17
+    from ._textio import fmt17, write_text
 
     g = as_impulse(g)
     body = ", ".join(fmt17(v) for v in g.values)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write('{"k_max": %d, "values": [%s]}\n' % (g.k_max, body))
+    write_text(path, '{"k_max": %d, "values": [%s]}\n' % (g.k_max, body))
 
 
 def read_impulse_json(path) -> ImpulseResponse:

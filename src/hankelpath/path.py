@@ -25,11 +25,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._textio import fmt17, json_list, json_nested_list
+from ._textio import fmt17, json_list, json_nested_list, write_text
 from .certificates import (
     GapCertificate,
-    approx_objective,
-    duality_gap,
+    _segment_samples,
+    duality_gap,  # not called here; kept for callers that import it from this module
     next_breakpoint,
     subgradient_vector,
 )
@@ -147,22 +147,22 @@ class PathResult:
         ]
         return "{" + ", ".join(parts) + "}\n"
 
+    # each writer rewrites its file in place (see _textio.write_text)
+
     def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_json())
+        write_text(path, self.to_json())
 
     def write_samples_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("t,f_approx,gap\n")
-            for s in self.samples:
-                fh.write("%s,%s,%s\n" % (fmt17(s.t), fmt17(s.f_approx), fmt17(s.gap)))
+        write_text(path, "t,f_approx,gap\n" + "".join(
+            "%s,%s,%s\n" % (fmt17(s.t), fmt17(s.f_approx), fmt17(s.gap)) for s in self.samples
+        ))
 
     def write_singular_values_csv(self, path) -> None:
         n = max((len(s) for s in self.singular_values), default=0)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("t," + ",".join(f"sigma_{j + 1}" for j in range(n)) + "\n")
-            for t, sig in zip(self.breakpoints, self.singular_values):
-                fh.write(fmt17(t) + "," + ",".join(fmt17(v) for v in sig) + "\n")
+        write_text(path, "t," + ",".join(f"sigma_{j + 1}" for j in range(n)) + "\n" + "".join(
+            fmt17(t) + "," + ",".join(fmt17(v) for v in sig) + "\n"
+            for t, sig in zip(self.breakpoints, self.singular_values)
+        ))
 
 
 def bootstrap_gap(g_o, t: float) -> float:
@@ -284,10 +284,9 @@ def compute_path(
         except RuntimeError as exc:
             result.partial = True
             raise PathAborted(str(exc), result) from exc
-        result.samples.extend([
-            (t, approx_objective(res.g_tilde, g_o, t), duality_gap(cert, g_o, t))
-            for t in np.linspace(t_i, t_next, grid_points_per_segment).tolist()
-        ])
+        result.samples.extend(_segment_samples(
+            cert, g_o.values, np.linspace(t_i, t_next, grid_points_per_segment)
+        ))
         t_i = t_next
 
     # the finished table, without extend's room to grow

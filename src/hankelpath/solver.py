@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg._umath_linalg import eigh_lo, solve1
 
-from .certificates import dual_bounds, dual_lower_bound, feasible_upper_bound
+from .certificates import _lower_bound, dual_bounds, feasible_upper_bound
 from .hankel import (
     ImpulseResponse,
     adjoint_fast,
@@ -63,6 +63,9 @@ BALANCE_MAX = 10.0
 #: Period, in iterations, of the plain step that the residual test and
 #: residual balancing run on while an extrapolation is at hand.
 TEST_EVERY = 4
+#: Rounding allowance of the free dual norm (_dual_norm), per unit of n:
+#: 64 machine epsilons.
+NORM_ROUNDING = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -113,14 +116,18 @@ class SolveResult:
     dual_residual are in the units of the original problem; X and U_dual do
     not depend on the scale of the data.
 
-    bounds = (lower, upper) is a certified enclosure of the optimal cost at t,
-    equal to certificates.dual_bounds on g_tilde and the returned U_dual
-    (lower is 0 on the closed-form branch, where the optimum is 0).  It is
-    sound however far the solve got, converged or not.  The solver prices
-    its final state with dual_bounds, passing the nuclear norm of the
-    H(g_tilde) it already holds; a stop_inside check takes dual_bounds' two
-    halves apart, the lower bound first, and the nuclear norm and upper
-    bound only when that lower bound clears the interval's low end.
+    bounds = (lower, upper) is a certified enclosure of the optimal cost at t.
+    It is sound however far the solve got, converged or not.  A solve that
+    ends by the residual test or the iteration budget prices its final state
+    with certificates.dual_bounds on g_tilde and the returned U_dual, passing
+    the nuclear norm of the H(g_tilde) it already holds (lower is 0 on the
+    closed-form branch, where the optimum is 0).  A stop_inside check takes
+    dual_bounds' two halves apart: the lower bound first, with ||U_dual||_2
+    replaced by the upper bound _dual_norm(X, U_dual) >= ||U_dual||_2 that
+    the state yields without an eigvalsh, and the nuclear norm and upper
+    bound only when that lower bound clears the interval's low end.  So an
+    early exit's lower bound is dual_lower_bound's with that norm, at most a
+    rounding allowance looser; its upper bound is dual_bounds' own.
     """
 
     g_tilde: ImpulseResponse
@@ -213,6 +220,32 @@ def _norm(a) -> float:
     sqrt of the flat dot product, without the wrapper's per-call cost."""
     v = a.ravel()
     return math.sqrt(v.dot(v))
+
+
+def _dual_norm(X: np.ndarray, U_dual: np.ndarray) -> float:
+    """nu >= ||U_dual||_2 for a state the nuclear-ball projection just left:
+    X = Pi(w) and U_dual = c (w - X), c in [0.1, 10] the factor of a rho
+    rescale (1 without one), both n-by-n and symmetric.
+
+    Pi keeps the eigenvectors of w and moves its eigenvalues lam to x, with
+    |lam_i - x_i| = theta on the support of x, at most theta off it, and
+    sum |x_i| = 1 when w lies outside the ball.  So, exactly,
+    ||U_dual||_2 = c theta = <U_dual, X>, and U_dual = 0 inside the ball.
+    The computed state misses that identity by the eigensolver's backward
+    error, a modest multiple of n u ||w||_2 (u the unit roundoff), and by the
+    rounding of the reconstruction and of the subtraction.  With
+    ||.||_2 <= ||.||_F, ||X||_F <= 1 and c bounded, all of it stays below
+    delta = NORM_ROUNDING n (1 + ||X||_F)(||X||_F + ||U_dual||_F), and
+    nu = max(<U_dual, X>, 0) + delta.  Three dot products replace the
+    eigvalsh of certificates.dual_lower_bound.  nu is valid only for X the
+    projection U_dual was split from, which the loop guarantees and no
+    caller of a public function could.
+    """
+    x = X.ravel()
+    v = U_dual.ravel()
+    x_fro = math.sqrt(x.dot(x))
+    delta = NORM_ROUNDING * X.shape[0] * (1.0 + x_fro) * (x_fro + math.sqrt(v.dot(v)))
+    return max(float(v.dot(x)), 0.0) + delta
 
 
 def solve_constrained(
@@ -430,8 +463,9 @@ def solve_constrained(
             f_ref = fnorm
         if stop_inside is not None:
             # one check per iteration, on the state it leaves: the cheaper
-            # dual lower bound first, since it alone rules out most exits
-            lower = dual_lower_bound(gvec, t, U_dual)
+            # dual lower bound first, since it alone rules out most exits,
+            # with ||U_dual||_2 read off that state instead of an eigvalsh
+            lower = _lower_bound(gvec, t, U_dual, _dual_norm(X, U_dual))
             if stop_inside[0] <= lower:
                 nuc = float(symmetric_singular_values(Hg).sum())
                 upper = feasible_upper_bound(gvec, t, g_tilde, nuc)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._textio import fmt17
+from ._textio import fmt17, write_text
 from .hankel import ImpulseResponse
 
 _CONJ_TOL = 1e-9
@@ -239,11 +239,10 @@ def _complex_json(values) -> str:
 
 
 def write_system_json(spec: SystemSpec, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(
-            '{"poles": %s, "residues": %s}\n'
-            % (_complex_json(spec.poles), _complex_json(spec.residues))
-        )
+    write_text(
+        path,
+        '{"poles": %s, "residues": %s}\n' % (_complex_json(spec.poles), _complex_json(spec.residues)),
+    )
 
 
 def _complex_list(doc: dict, key: str) -> tuple[complex, ...]:

@@ -43,6 +43,16 @@ class TestSubgradientVector:
         with pytest.raises(hp.DegenerateCertificateError):
             hp.duality_gap(cert, np.ones(5), 1.0)
 
+    def test_no_snap_onto_an_underflowed_residual(self):
+        # at residue scale 1e-150 the fit residual of the closed-form solve
+        # at t_max is about 1e-167, and its squared norm underflows to 0
+        bands = [(count, radii, 1e-150 * scale) for count, radii, scale in FIXTURE_BANDS]
+        g_o = hp.impulse_response(hp.random_system(6, 3, bands=bands), FIXTURE_K_MAX)
+        pr = hp.compute_path(g_o, 1e-2 * g_o.norm() ** 2)
+        assert pr.m == 9
+        for cert in pr.certificates:
+            assert np.isfinite(cert.h).all() and np.isfinite(cert.residual_dir_norm)
+
     def test_matched_certificate_fields(self, sixth_order_impulse):
         g_o = sixth_order_impulse
         t = 0.3 * hp.compute_t_max(g_o)

@@ -202,6 +202,43 @@ class TestPath:
         for name in ("path.json", "samples.csv", "singular_values.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_rerun_over_longer_outputs_matches_a_fresh_run(self, tmp_path, impulse_file):
+        # the outputs are rewritten in place and cut to their new length
+        fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+        stale.mkdir()
+        for name in ("path.json", "samples.csv", "singular_values.csv"):
+            (stale / name).write_text("0,0,0\n" * 5000)
+        for out in (fresh, stale):
+            proc = run_cli("path", "--input", impulse_file, "--epsilon", 0.01, "--out", out)
+            assert proc.returncode == 0, proc.stderr
+        for name in ("path.json", "samples.csv", "singular_values.csv"):
+            assert (stale / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_failed_write_leaves_an_empty_file_and_exits_2(self, tmp_path, impulse_file,
+                                                            monkeypatch, capsys):
+        # a write that fails half way (a full disk) leaves neither its own
+        # bytes nor the old file's: the file is cut to zero, and the CLI
+        # reports an i/o error
+        out = tmp_path / "path"
+        out.mkdir()
+        (out / "path.json").write_text("stale " * 5000)
+
+        class FullDisk:
+            def __getattr__(self, name):
+                return getattr(os, name)
+
+            @staticmethod
+            def write(fd, data):
+                os.write(fd, data[: len(data) // 2])
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(hp._textio, "os", FullDisk())
+        rc = cli.main(["path", "--input", str(impulse_file), "--epsilon", "0.01",
+                       "--out", str(out)])
+        assert rc == cli.EXIT_IO
+        assert "No space left on device" in capsys.readouterr().err
+        assert (out / "path.json").read_bytes() == b""
+
     def test_sigma3_drop_visible_in_csv(self, tmp_path, impulse_file):
         out = tmp_path / "path"
         proc = run_cli("path", "--input", impulse_file, "--epsilon", 0.01, "--out", out)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -153,6 +154,22 @@ class TestComputePath:
             assert block[-1].t == pr.breakpoints[seg + 1]
             for s in block:
                 assert abs(hp.approx_objective(owner, g_o, s.t) - s.f_approx) <= 1e-12
+
+    def test_segment_tables_price_as_the_per_sample_calls(self, order100_path):
+        # each segment's samples come from one residual table; they equal
+        # approx_objective and duality_gap at every sample, bit for bit
+        cases = [(hp.impulse_response(hp.random_system(6, seed, bands=FIXTURE_BANDS),
+                                      FIXTURE_K_MAX), 0.01) for seed in range(40)]
+        cases.append((order100_path[0], 12.0))
+        grid = 20
+        for g_o, eps in cases:
+            pr = hp.compute_path(g_o, eps)
+            for seg in range(pr.m - 1):
+                owner = pr.exact_solutions[seg].g_tilde
+                cert = pr.certificates[seg]
+                for s in pr.samples[grid * (seg + 1) : grid * (seg + 2)]:
+                    assert s.f_approx == hp.approx_objective(owner, g_o, s.t)
+                    assert s.gap == hp.duality_gap(cert, g_o, s.t)
 
     def test_fresh_gap_tiny_at_breakpoints(self, sixth_order_path, sixth_order_impulse):
         pr = sixth_order_path
@@ -390,6 +407,10 @@ class TestSerialization:
         assert len(lines) == 1 + len(pr.samples)
         t, f, gap = (float(x) for x in lines[1].split(","))
         assert (t, f, gap) == (pr.samples[0].t, pr.samples[0].f_approx, pr.samples[0].gap)
+
+    def test_write_to_a_device(self, sixth_order_impulse):
+        # a device is written as a stream, never cut to length
+        hp.write_impulse_csv(sixth_order_impulse, os.devnull)
 
     def test_singular_values_csv(self, sixth_order_path, tmp_path):
         pr = sixth_order_path

@@ -1,11 +1,13 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 
 import hankelpath as hp
+from hankelpath import cli
 
-from conftest import FIXTURE_BANDS, FIXTURE_K_MAX, path_solves
+from conftest import FIXTURE_BANDS, FIXTURE_K_MAX, ORDER100_BANDS, path_solves
 from oracles import (
     plain_admm,
     project_nuclear_ball_eigh,
@@ -415,6 +417,13 @@ class TestSolverOptions:
             opts.max_iters = 2
 
 
+def _stop_test_lower_bound(g_o, t, res):
+    """The lower bound a stop_inside check prices the returned state with:
+    dual_lower_bound with the free dual norm in place of ||U_dual||_2."""
+    X, U_dual, _ = res.admm_state
+    return hp.certificates._lower_bound(g_o.values, t, U_dual, hp.solver._dual_norm(X, U_dual))
+
+
 class TestStopInside:
     def test_certified_exit_encloses_and_stops_early(self, sixth_order_impulse):
         g_o = sixth_order_impulse
@@ -443,8 +452,9 @@ class TestStopInside:
 
     @pytest.mark.parametrize("early", [True, False], ids=["early-exit", "full-solve"])
     def test_bounds_equal_dual_bounds_of_returned_state(self, sixth_order_impulse, early):
-        # the solver prices its state with dual_bounds' own halves, so the
-        # bounds it reports are dual_bounds recomputed from what it returns
+        # a full solve prices its state with dual_bounds, so the bounds it
+        # reports are dual_bounds recomputed from what it returns; an early
+        # exit's lower bound takes the free dual norm of that state instead
         g_o = sixth_order_impulse
         for frac in (0.1, 0.5, 0.9):
             t = frac * hp.compute_t_max(g_o)
@@ -457,6 +467,8 @@ class TestStopInside:
                 assert res.converged and res.iterations < full.iterations
             U_dual = res.admm_state[1]
             expected = hp.dual_bounds(g_o.values, t, res.g_tilde.values, U_dual)
+            if early:
+                expected = (_stop_test_lower_bound(g_o, t, res), expected[1])
             assert res.bounds == expected
             assert res.nuclear_norm_value == float(hp.hankel_singular_values(res.g_tilde).sum())
 
@@ -469,8 +481,8 @@ class TestStopInside:
         slack = 1e-6 * (1 + g_o.norm() ** 2)
         res = hp.solve_constrained(g_o, t, stop_inside=(f - 100 * slack, f + 100 * slack))
         assert res.converged and res.iterations % hp.solver.TEST_EVERY != 0
-        expected = hp.dual_bounds(g_o.values, t, res.g_tilde.values, res.admm_state[1])
-        assert res.bounds == expected
+        upper = hp.dual_bounds(g_o.values, t, res.g_tilde.values, res.admm_state[1])[1]
+        assert res.bounds == (_stop_test_lower_bound(g_o, t, res), upper)
 
     def test_uncertified_budget_reports_unconverged(self, sixth_order_impulse):
         g_o = sixth_order_impulse
@@ -481,6 +493,83 @@ class TestStopInside:
         )
         assert not res.converged
         assert res.iterations == 3
+
+
+class TestFreeDualNorm:
+    """The stop test's nu = max(<U_dual, X>, 0) + delta bounds ||U_dual||_2
+    from above, for X = Pi(w) and U_dual = c (w - X), and overshoots it by at
+    most delta and 1e-8 relative."""
+
+    @staticmethod
+    def _assert_sound(X, U):
+        nu = hp.solver._dual_norm(X, U)
+        norm = np.abs(np.linalg.eigvalsh(0.5 * (U + U.T))).max()
+        x_fro, u_fro = np.linalg.norm(X), np.linalg.norm(U)
+        delta = hp.solver.NORM_ROUNDING * X.shape[0] * (1.0 + x_fro) * (x_fro + u_fro)
+        assert nu >= norm
+        assert nu <= norm * (1 + 1e-8) + delta
+
+    def test_property_scale_size_and_rescale(self):
+        # both ways the solver leaves a state: an Anderson step's
+        # U = z - Pi(z), and a plain step's U = B + (A - Pi(A + B)), the
+        # update of U by H(g) = A; each times a rho rescale factor c
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(derandomize=True, max_examples=300, deadline=None)
+        @hypothesis.given(
+            n=st.integers(1, 30),
+            seed=st.integers(0, 2**16),
+            log_scale=st.floats(-6.0, 6.0),
+            rank=st.integers(1, 30),
+            c=st.sampled_from([0.1, 0.37, 1.0, 3.1, 10.0]),
+            plain=st.booleans(),
+        )
+        def check(n, seed, log_scale, rank, c, plain):
+            rng = np.random.RandomState(seed)
+            V = rng.normal(size=(n, min(rank, n)))
+            A = (V * rng.normal(size=V.shape[1])) @ V.T
+            A = 10.0**log_scale * (A + A.T) / np.linalg.norm(A + A.T)
+            B = rng.normal(scale=10.0**log_scale, size=(n, n))
+            B = 0.5 * (B + B.T)
+            w = A + B if plain else A
+            X = hp.project_nuclear_ball(w, 1.0)
+            U = B + (A - X) if plain else w - X
+            self._assert_sound(X, c * U)
+
+        check()
+
+    def test_stop_check_states(self):
+        # every state a stop test priced in the --verify re-solves of fixture
+        # systems 0-119, order-100 systems 4-8 and wide systems 4-5, rho
+        # rescales and states inside the ball among them
+        systems = [(hp.random_system(6, s, bands=FIXTURE_BANDS), FIXTURE_K_MAX, 0.01)
+                   for s in range(120)]
+        systems += [(hp.random_system(100, s, bands=ORDER100_BANDS), 51, 12.0)
+                    for s in range(4, 9)]
+        systems += [(hp.random_system(100, s, bands=ORDER100_BANDS), 81, 40.0) for s in (4, 5)]
+        real = hp.solver._dual_norm
+        states = []
+
+        def recording(X, U_dual):
+            # the solve's iteration and rho at this check, to tell rescales apart
+            loop = sys._getframe(1).f_locals
+            states.append((loop["it"], loop["rho"], X.copy(), U_dual.copy()))
+            return real(X, U_dual)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(hp.solver, "_dual_norm", recording)
+            for spec, k_max, eps in systems:
+                g_o = hp.impulse_response(spec, k_max)
+                cli._verify_path(hp.compute_path(g_o, eps), g_o, hp.SolverOptions(), 1)
+        rescaled = inside = 0
+        prev = None
+        for it, rho, X, U in states:
+            self._assert_sound(X, U)
+            rescaled += prev is not None and it == prev[0] + 1 and rho != prev[1]
+            inside += np.abs(np.linalg.eigvalsh(X)).sum() < 1.0 - 1e-9
+            prev = (it, rho)
+        assert len(states) > 3000 and rescaled > 0 and inside > 0
 
 
 class TestWarmStart:
