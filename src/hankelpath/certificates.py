@@ -194,20 +194,21 @@ def dual_lower_bound(g_o: np.ndarray, t: float, U) -> float:
     S with adjoint(S) = 0 (S = 0 among them) gives 0; any other U that is
     not n-by-n for a g_o of length 2n - 1 raises ValueError.
     """
-    return _lower_bound(g_o, t, U)
+    h = _dual_direction(U)
+    return 0.0 if h is None else _half_space_bound(g_o, t, h)
 
 
-def _lower_bound(g_o: np.ndarray, t: float, U, norm=None) -> float:
-    """dual_lower_bound, with ||S||_2 replaced by norm when given.  Any norm
-    >= ||S||_2 keeps the bound valid, since then ||S / norm||_2 <= 1, and
-    loosens it by the excess; one below ||S||_2 makes it unsound, so only a
-    caller that can vouch for its norm (the solver's stop test, see
-    solver._dual_norm) passes one."""
-    h = _dual_direction(U, norm)
-    if h is None:
-        return 0.0
-    excess = max(0.0, float(h.dot(g_o)) - t)
-    return excess * excess / float(h.dot(h))
+def _half_space_bound(g_o: np.ndarray, t: float, h: np.ndarray) -> float:
+    """max(0, h^T g_o - t)^2 / ||h||^2, the lower bound on f*(t) of
+    h = adjoint(S) / nu for S symmetric and nu >= ||S||_2 (dual_lower_bound
+    with nu = ||S||_2); h = 0 gives 0.  Any nu >= ||S||_2 keeps the bound
+    valid, since then ||S / nu||_2 <= 1, and loosens it by the excess; one
+    below ||S||_2 makes it unsound, so only a caller that can vouch for its
+    nu passes one: the solver's stop test, with solver._dual_norm and the
+    adjoint of its bit-symmetric U_dual, its own symmetric part.
+    """
+    excess = float(h.dot(g_o)) - t
+    return excess * excess / float(h.dot(h)) if excess > 0.0 else 0.0
 
 
 def feasible_upper_bound(g_o: np.ndarray, t: float, g: np.ndarray, nuclear_norm: float) -> float:

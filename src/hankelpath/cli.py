@@ -246,12 +246,13 @@ def _verify_path(result, g_o, opts, jobs: int) -> list[str]:
     norm_go = g_o.norm()
     slack = 1e-6 * (1 + norm_go**2)
     stream = SplitMix64(0xC0FFEE)
-    candidates = [s for s in result.samples if s.t > 0]
-    picks = [candidates[int(stream.uniform() * len(candidates))] for _ in range(5)]
-    intervals = [(s.f_approx - s.gap - slack, s.f_approx + slack) for s in picks]
+    table = result.samples.array
+    candidates = table[table[:, 0] > 0]
+    picks = candidates[[int(stream.uniform() * len(candidates)) for _ in range(5)]].tolist()
+    intervals = [(f_approx - gap - slack, f_approx + slack) for _, f_approx, gap in picks]
 
     def solve_at(sample, interval):
-        return solve_constrained(g_o, sample.t, opts, stop_inside=interval)
+        return solve_constrained(g_o, sample[0], opts, stop_inside=interval)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -260,20 +261,20 @@ def _verify_path(result, g_o, opts, jobs: int) -> list[str]:
         solves = list(map(solve_at, picks, intervals))
 
     failures = []
-    for sample, (lower, upper), fresh in zip(picks, intervals, solves):
+    for (t, _, _), (lower, upper), fresh in zip(picks, intervals, solves):
         if lower <= fresh.bounds[0] and fresh.bounds[1] <= upper:
             continue
         if not fresh.converged:
             failures.append(
                 "verify failed at t=%s: re-solve neither certified nor converged after "
                 "%d iterations (primal_residual=%s dual_residual=%s)"
-                % (fmt17(sample.t), fresh.iterations, fmt17(fresh.primal_residual),
+                % (fmt17(t), fresh.iterations, fmt17(fresh.primal_residual),
                    fmt17(fresh.dual_residual))
             )
         elif not (lower <= fresh.objective <= upper):
             failures.append(
                 "verify failed at t=%s: fresh objective %s outside [%s, %s]"
-                % (fmt17(sample.t), fmt17(fresh.objective), fmt17(lower), fmt17(upper))
+                % (fmt17(t), fmt17(fresh.objective), fmt17(lower), fmt17(upper))
             )
     return failures
 

@@ -140,9 +140,8 @@ class PathResult:
             '"singular_values": %s' % json_nested_list(self.singular_values),
             '"samples": [%s]'
             % ", ".join(
-                '{"t": %s, "f_approx": %s, "gap": %s}'
-                % (fmt17(s.t), fmt17(s.f_approx), fmt17(s.gap))
-                for s in self.samples
+                '{"t": %.17g, "f_approx": %.17g, "gap": %.17g}' % (t, f, gap)
+                for t, f, gap in self.samples.array.tolist()
             ),
         ]
         return "{" + ", ".join(parts) + "}\n"
@@ -154,13 +153,13 @@ class PathResult:
 
     def write_samples_csv(self, path) -> None:
         write_text(path, "t,f_approx,gap\n" + "".join(
-            "%s,%s,%s\n" % (fmt17(s.t), fmt17(s.f_approx), fmt17(s.gap)) for s in self.samples
+            "%.17g,%.17g,%.17g\n" % (t, f, gap) for t, f, gap in self.samples.array.tolist()
         ))
 
     def write_singular_values_csv(self, path) -> None:
         n = max((len(s) for s in self.singular_values), default=0)
         write_text(path, "t," + ",".join(f"sigma_{j + 1}" for j in range(n)) + "\n" + "".join(
-            fmt17(t) + "," + ",".join(fmt17(v) for v in sig) + "\n"
+            ("%.17g," + ",".join(["%.17g"] * len(sig))) % (t, *sig) + "\n"
             for t, sig in zip(self.breakpoints, self.singular_values)
         ))
 
@@ -239,10 +238,10 @@ def compute_path(
         bootstrap_t=t_first,
     )
 
-    # zero-model segment [0, t_first]
+    # zero-model segment [0, t_first], priced as bootstrap_gap prices it
     f_zero = norm_go**2
     result.samples.extend([
-        (t, f_zero, bootstrap_gap(g_o, t))
+        (t, f_zero, f_zero - max(0.0, norm_go - t) ** 2)
         for t in np.linspace(0.0, t_first, grid_points_per_segment)
     ])
 

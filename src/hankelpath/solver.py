@@ -9,6 +9,8 @@ multiplicities * g), a nuclear-ball projection of the embedded iterate, and a
 scaled dual update, until primal and dual residuals fall below tolerances.
 The iterates are exactly symmetric, and the projection eigendecomposes them
 by LAPACK dsyevd through np.linalg.eigh's own gufunc, without the wrapper.
+A cold solve starts at the projection of the unconstrained fit H(g_o / t)
+(Fazel, Pong, Sun & Tseng, SIAM J. Matrix Anal. Appl. 2013).
 
 That splitting step is a fixed-point map of z = X + U_dual, and the loop
 extrapolates it by safeguarded type-II Anderson acceleration (Walker & Ni,
@@ -44,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg._umath_linalg import eigh_lo, solve1
 
-from .certificates import _lower_bound, dual_bounds, feasible_upper_bound
+from .certificates import _half_space_bound, dual_bounds, feasible_upper_bound
 from .hankel import (
     ImpulseResponse,
     adjoint_fast,
@@ -80,6 +82,11 @@ class SolverOptions:
     2 (t / ||g_o||)^2, so without that factor the solution error at small t
     would be residual / curvature, far looser than the certificate machinery
     downstream can tolerate.
+
+    There is no option for the start: a cold solve starts at the projected
+    unconstrained fit with rho at the normalized fit curvature (see
+    solve_constrained), and solve_constrained's warm_start sets any other
+    start, (0, 0, 2 t^2) the zero one.
     """
 
     max_iters: int = 5000
@@ -248,6 +255,34 @@ def _dual_norm(X: np.ndarray, U_dual: np.ndarray) -> float:
     return max(float(v.dot(x)), 0.0) + delta
 
 
+def _cold_start(gvec: np.ndarray, t: float, idx: np.ndarray, w: np.ndarray):
+    """(X0, U0, c): the splitting state a cold solve starts from, at the
+    projected unconstrained fit (Fazel, Pong, Sun & Tseng, SIAM J. Matrix
+    Anal. Appl. 2013).
+
+    z0 = H(g_o / t) is the unconstrained optimum, X0 = Pi(z0) its projection
+    onto the nuclear ball and U0 = c (z0 - X0).  z0 - X0 lies in the normal
+    cone of the ball at X0, and so does U0 for every c >= 0, so
+    Pi(X0 + U0) = X0: the state is one a splitting step could have left.  c
+    is the least-squares fit of the g-update's stationarity condition at the
+    cold penalty (rho = 2 t^2 / ||g_o||^2), adjoint(U) = g_o / t - g, with g
+    = adjoint(X0) / w the coefficients nearest X0.  Since adjoint(z0) =
+    w g_o / t, the right-hand side is a / w with a = adjoint(z0 - X0), and
+    c = <a, a / w> / <a, a> lies in [1 / n, 1] (0 for a = 0).  The start
+    depends on g_o / t alone: it is the same for scaled data and whatever
+    path the solve is on.  idx and w are embed_indices(n) and
+    multiplicities(n).
+    """
+    z0 = (gvec / t)[idx]
+    X0 = project_nuclear_ball(z0, 1.0)
+    D = z0 - X0
+    a = adjoint_fast(D)
+    aa = float(a.dot(a))
+    # c = 0 (U0 = 0) where <a, a> is 0 or overflows, at t below 1e-150 ||g_o||
+    c = float(a.dot(a / w)) / aa if 0.0 < aa < math.inf else 0.0
+    return X0, c * D, c
+
+
 def solve_constrained(
     g_o, t: float, opts: SolverOptions | None = None, *, warm_start=None, stop_inside=None
 ) -> SolveResult:
@@ -261,10 +296,13 @@ def solve_constrained(
         Positive regularization parameter.
     opts : SolverOptions, optional
     warm_start : tuple (X, U_dual, rho), optional
-        Splitting state to start from instead of zeros and the normalized
-        fit curvature 2 t^2 / ||g_o||^2, usually the admm_state of a solve
-        at a nearby t.  X and U_dual must be n-by-n; they are copied, not
-        modified.  The stopping rule is the same as for a cold start.
+        Splitting state to start from instead of the cold start (see Notes),
+        usually the admm_state of a solve at a nearby t.  X and U_dual must
+        be n-by-n, or scalars standing for the constant n-by-n matrix; they
+        are copied, not modified.  rho is in the units of the original
+        problem: (0, 0, 2 t^2) starts from zeros at the fit curvature, the
+        cold start of earlier versions.  The stopping rule is the same as
+        for a cold start.
     stop_inside : pair (lo, hi), optional
         Stop at the first iteration whose state has its certified enclosure
         (see SolveResult.bounds) inside [lo, hi], and report it as
@@ -288,7 +326,13 @@ def solve_constrained(
     Notes
     -----
     When ||H(g_o)||_* <= t the unconstrained optimum g_o / t is feasible and
-    is returned exactly with zero iterations.
+    is returned exactly with zero iterations.  Otherwise a cold solve starts
+    at the projected unconstrained fit (_cold_start): X = Pi(z0) for
+    z0 = H(g_o / t), U_dual = c (z0 - X) with c >= 0 the least-squares fit of
+    the coefficient update's stationarity condition, and rho at the
+    normalized fit curvature 2 t^2 / ||g_o||^2.  That state is consistent,
+    Pi(X + U_dual) = X, and depends on g_o / t alone, so a cold solve is the
+    same whatever path it belongs to and for scaled data.
 
     One splitting step maps z = X + U_dual, with X = Pi(z) on the nuclear
     ball, to T(z) = H(g) + U_dual.  Each iteration extrapolates
@@ -314,14 +358,15 @@ def solve_constrained(
     gvec = g_o.values
     n = g_o.n
 
-    if warm_start is None:
-        X = np.zeros((n, n))
-        U_dual = np.zeros((n, n))
-        rho = None
-    else:
+    rho = None
+    if warm_start is not None:
         X0, U0, rho = warm_start
-        X = np.array(X0, dtype=float)
-        U_dual = np.array(U0, dtype=float)
+        # a scalar stands for the constant n-by-n matrix, so (0, 0, 2 t^2)
+        # is the zero start at the fit curvature
+        X, U_dual = (
+            np.full((n, n), float(a)) if np.ndim(a) == 0 else np.array(a, dtype=float)
+            for a in (X0, U0)
+        )
         rho = float(rho)
         if X.shape != (n, n) or U_dual.shape != (n, n):
             raise ValueError(
@@ -374,6 +419,8 @@ def solve_constrained(
     idx = embed_indices(n)
     w = multiplicities(n)
     denom = fit_curv + rho * w
+    if warm_start is None:
+        X, U_dual, _ = _cold_start(gvec, t, idx, w)
 
     g_tilde = np.zeros(gvec.size)
     r_pri = r_dual = np.inf
@@ -464,8 +511,11 @@ def solve_constrained(
         if stop_inside is not None:
             # one check per iteration, on the state it leaves: the cheaper
             # dual lower bound first, since it alone rules out most exits,
-            # with ||U_dual||_2 read off that state instead of an eigvalsh
-            lower = _lower_bound(gvec, t, U_dual, _dual_norm(X, U_dual))
+            # with ||U_dual||_2 read off that state instead of an eigvalsh;
+            # U_dual is bit-symmetric, so it is its own symmetric part, and
+            # nu = 0 only for U_dual = 0, whose bound is 0
+            nu = _dual_norm(X, U_dual)
+            lower = _half_space_bound(gvec, t, adjoint_fast(U_dual) / nu) if nu > 0.0 else 0.0
             if stop_inside[0] <= lower:
                 nuc = float(symmetric_singular_values(Hg).sum())
                 upper = feasible_upper_bound(gvec, t, g_tilde, nuc)

@@ -277,8 +277,11 @@ def solve_constrained_frozen(g_o, t, opts=None, *, warm_start=None):
         rho = None
     else:
         X0, U0, rho = warm_start
-        X = np.array(X0, dtype=float)
-        U_dual = np.array(U0, dtype=float)
+        # a scalar stands for the constant n-by-n matrix, as in the library
+        X, U_dual = (
+            np.full((n, n), float(a)) if np.ndim(a) == 0 else np.array(a, dtype=float)
+            for a in (X0, U0)
+        )
         rho = float(rho)
 
     nuc0 = float(hp.hankel_singular_values(g_o).sum())

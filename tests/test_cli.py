@@ -10,7 +10,7 @@ import pytest
 import hankelpath as hp
 from hankelpath import cli
 
-from conftest import FIXTURE_BANDS, FIXTURE_K_MAX
+from conftest import FIXTURE_K_MAX
 
 
 def run_cli(*args, cwd=None):
@@ -162,14 +162,15 @@ class TestPath:
         assert "verify: ok" in proc.stdout
 
     def test_verify_fails_on_unconverged_uncertified_resolve(self, tmp_path):
-        # fixture-family system 19's path is one closed-form solve at t_max,
-        # which takes no iteration, but the cold re-solve at t = 0.0502 needs
-        # 2 to certify its sample; 1 leaves it neither certified nor converged
-        g_o = hp.impulse_response(hp.random_system(6, 19, bands=FIXTURE_BANDS), FIXTURE_K_MAX)
+        # the order-6 system of `hankelpath gen --seed 1` has ||g_o||^2 = 5.55,
+        # so at eps = 10 its path is one closed-form solve at t_max, which
+        # takes no iteration, but the cold re-solve at t = 1.2634 needs 2 to
+        # certify its sample; 1 leaves it neither certified nor converged
+        g_o = hp.impulse_response(hp.random_system(6, 1), FIXTURE_K_MAX)
         src = tmp_path / "impulse.csv"
         hp.write_impulse_csv(g_o, src)
         proc = run_cli(
-            "path", "--input", src, "--epsilon", 0.01, "--out", tmp_path / "path",
+            "path", "--input", src, "--epsilon", 10.0, "--out", tmp_path / "path",
             "--verify", "--max-iters", 1,
         )
         assert proc.returncode == 3, proc.stdout
@@ -341,12 +342,13 @@ class TestClosedStdout:
         )
 
     def test_failed_verify_still_exits_3(self, tmp_path):
-        # the system and budget of test_verify_fails_on_unconverged_uncertified_resolve
-        g_o = hp.impulse_response(hp.random_system(6, 19, bands=FIXTURE_BANDS), FIXTURE_K_MAX)
+        # the system, eps and budget of
+        # test_verify_fails_on_unconverged_uncertified_resolve
+        g_o = hp.impulse_response(hp.random_system(6, 1), FIXTURE_K_MAX)
         src = tmp_path / "impulse.csv"
         hp.write_impulse_csv(g_o, src)
         proc = run_cli_closed_stdout(
-            "path", "--input", src, "--epsilon", 0.01, "--out", tmp_path / "path",
+            "path", "--input", src, "--epsilon", 10.0, "--out", tmp_path / "path",
             "--verify", "--max-iters", 1,
         )
         assert proc.returncode == 3

@@ -412,6 +412,34 @@ class TestSerialization:
         # a device is written as a stream, never cut to length
         hp.write_impulse_csv(sixth_order_impulse, os.devnull)
 
+    def test_writers_match_per_float_fmt17(self, sixth_order_path, tmp_path):
+        # the writers format one "%.17g" pattern per row; every float must
+        # come out as fmt17 renders it alone, signed zeros, subnormals and
+        # the ends of the float range among them
+        edge = [-0.0, 0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e-300, 0.1,
+                1.0 / 3.0, -2.5e-17, 123456789012345678.0, 1e308, -1.7976931348623157e308,
+                1.7976931348623157e308, 1.0, -7.0]
+        rows = [edge[i : i + 3] for i in range(0, len(edge), 3)]
+        sigmas = [np.array(edge[:6]), np.array(edge[6:12]), np.array(edge[9:])]
+        pr = dataclasses.replace(
+            sixth_order_path, samples=rows, breakpoints=edge[-3:], singular_values=sigmas
+        )
+        doc = ", ".join(
+            '{"t": %s, "f_approx": %s, "gap": %s}' % tuple(map(fmt17, row)) for row in rows
+        )
+        assert pr.to_json().endswith('"samples": [%s]}\n' % doc)
+        pr.write_samples_csv(tmp_path / "samples.csv")
+        assert (tmp_path / "samples.csv").read_text() == "t,f_approx,gap\n" + "".join(
+            ",".join(map(fmt17, row)) + "\n" for row in rows
+        )
+        pr.write_singular_values_csv(tmp_path / "sv.csv")
+        assert (tmp_path / "sv.csv").read_text() == "t," + ",".join(
+            f"sigma_{j + 1}" for j in range(6)
+        ) + "\n" + "".join(
+            fmt17(t) + "," + ",".join(map(fmt17, sig)) + "\n"
+            for t, sig in zip(edge[-3:], sigmas)
+        )
+
     def test_singular_values_csv(self, sixth_order_path, tmp_path):
         pr = sixth_order_path
         path = tmp_path / "sv.csv"
