@@ -99,17 +99,15 @@ def _numerical_rank(S: np.ndarray) -> int:
     return int(np.sum(S > np.finfo(float).eps * S.size * S[0]))
 
 
-def _dual_direction(U, norm=None) -> np.ndarray | None:
-    """h = adjoint(S) / norm with S the symmetric part of U and norm its
-    ||S||_2 unless given; None when adjoint(S) = 0 (S = 0 among them)."""
+def _dual_direction(U) -> np.ndarray | None:
+    """h = adjoint(S) / ||S||_2 with S the symmetric part of U; None when
+    adjoint(S) = 0 (S = 0 among them)."""
     U = np.asarray(U, dtype=float)
     S = 0.5 * (U + U.T)
     a = adjoint_fast(S)
     if not np.any(a):
         return None
-    if norm is None:
-        norm = float(symmetric_singular_values(S)[0])
-    return a / norm
+    return a / float(symmetric_singular_values(S)[0])
 
 
 def subgradient_vector(g_tilde_star, t_star: float, g_o=None, dual=None) -> GapCertificate:

@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -106,8 +105,8 @@ def _build_parser() -> _Parser:
                       help="re-solve at 5 sampled t values; each cold re-solve stops once a "
                            "certified bracket of the optimum lies inside the sample's "
                            "interval, otherwise it must converge with its objective inside")
-    path.add_argument("--jobs", type=_count(1), default=1,
-                      help="parallel workers for --verify re-solves")
+    # the --verify re-solves run in this process; kept for argvs that pass --jobs 1
+    path.add_argument("--jobs", type=int, choices=[1], default=1, help=argparse.SUPPRESS)
     add_common(path)
     return parser
 
@@ -232,7 +231,7 @@ def _write_path_outputs(result, out: str, fmt: str) -> list[str]:
     return written
 
 
-def _verify_path(result, g_o, opts, jobs: int) -> list[str]:
+def _verify_path(result, g_o, opts) -> list[str]:
     """Re-solve at 5 deterministically sampled t values; report violations.
 
     Each cold re-solve stops as soon as its certified enclosure of the
@@ -249,19 +248,11 @@ def _verify_path(result, g_o, opts, jobs: int) -> list[str]:
     table = result.samples.array
     candidates = table[table[:, 0] > 0]
     picks = candidates[[int(stream.uniform() * len(candidates)) for _ in range(5)]].tolist()
-    intervals = [(f_approx - gap - slack, f_approx + slack) for _, f_approx, gap in picks]
-
-    def solve_at(sample, interval):
-        return solve_constrained(g_o, sample[0], opts, stop_inside=interval)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            solves = list(pool.map(solve_at, picks, intervals))
-    else:
-        solves = list(map(solve_at, picks, intervals))
 
     failures = []
-    for (t, _, _), (lower, upper), fresh in zip(picks, intervals, solves):
+    for t, f_approx, gap in picks:
+        lower, upper = f_approx - gap - slack, f_approx + slack
+        fresh = solve_constrained(g_o, t, opts, stop_inside=(lower, upper))
         if lower <= fresh.bounds[0] and fresh.bounds[1] <= upper:
             continue
         if not fresh.converged:
@@ -305,7 +296,7 @@ def cmd_path(args) -> int:
         _say(f"wrote {p}")
 
     if args.verify:
-        failures = _verify_path(result, g_o, opts, args.jobs)
+        failures = _verify_path(result, g_o, opts)
         if failures:
             for line in failures:
                 print(line, file=sys.stderr)

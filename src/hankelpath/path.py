@@ -29,7 +29,7 @@ from ._textio import fmt17, json_list, json_nested_list, write_text
 from .certificates import (
     GapCertificate,
     _segment_samples,
-    duality_gap,  # not called here; kept for callers that import it from this module
+    duality_gap,  # not called here; bench/run.py wraps hankelpath.path.duality_gap
     next_breakpoint,
     subgradient_vector,
 )
@@ -44,44 +44,30 @@ class PathSample(NamedTuple):
 
 
 class SampleTable(Sequence):
-    """The samples of a path as one float64 (N, 3) table of (t, f_approx, gap)
-    rows.  Indexing, iteration and len() see a sequence of PathSample; a
-    slice is a list of them.  Built from a sequence of such rows (or an
-    (N, 3) array), and grown by whole segments with extend."""
+    """The samples of a path as one read-only float64 (N, 3) table of
+    (t, f_approx, gap) rows.  Indexing, iteration and len() see a sequence
+    of PathSample; a slice is a list of them.  Built from a sequence of such
+    rows or an (N, 3) array, which is copied."""
 
     def __init__(self, rows=()):
         self._rows = np.array(rows, dtype=float).reshape(-1, 3)
-        self._len = len(self._rows)
+        self._rows.flags.writeable = False
 
     @property
     def array(self) -> np.ndarray:
         """The (N, 3) table itself, read-only."""
-        view = self._rows[: self._len]
-        view.flags.writeable = False
-        return view
-
-    def extend(self, rows) -> None:
-        """Append a sequence of (t, f_approx, gap) rows or a (k, 3) array."""
-        block = np.array(rows, dtype=float).reshape(-1, 3)
-        end = self._len + len(block)
-        if end > len(self._rows):
-            # doubling keeps a path of m segments at O(N) copies in all
-            grown = np.empty((max(end, 2 * len(self._rows)), 3))
-            grown[: self._len] = self._rows[: self._len]
-            self._rows = grown
-        self._rows[self._len : end] = block
-        self._len = end
+        return self._rows
 
     def __len__(self) -> int:
-        return self._len
+        return len(self._rows)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [PathSample(*row) for row in self.array[i].tolist()]
-        return PathSample(*self.array[i].tolist())
+            return [PathSample(*row) for row in self._rows[i].tolist()]
+        return PathSample(*self._rows[i].tolist())
 
     def __iter__(self):
-        return (PathSample(*row) for row in self.array.tolist())
+        return (PathSample(*row) for row in self._rows.tolist())
 
 
 class PathAborted(RuntimeError):
@@ -228,22 +214,26 @@ def compute_path(
     norm_go = g_o.norm()
     t_first = min(_bootstrap_t(norm_go, eps), t_max)
 
-    result = PathResult(
-        breakpoints=[],
-        exact_solutions=[],
-        singular_values=[],
-        samples=SampleTable(),
-        epsilon=float(eps),
-        t_max=t_max,
-        bootstrap_t=t_first,
-    )
-
+    breakpoints, solutions, singular_values, certificates = [], [], [], []
     # zero-model segment [0, t_first], priced as bootstrap_gap prices it
     f_zero = norm_go**2
-    result.samples.extend([
+    segments = [[
         (t, f_zero, f_zero - max(0.0, norm_go - t) ** 2)
         for t in np.linspace(0.0, t_first, grid_points_per_segment)
-    ])
+    ]]
+
+    def finish(partial: bool) -> PathResult:
+        return PathResult(
+            breakpoints=breakpoints,
+            exact_solutions=solutions,
+            singular_values=singular_values,
+            samples=SampleTable(np.concatenate(segments)),
+            epsilon=float(eps),
+            t_max=t_max,
+            bootstrap_t=t_first,
+            partial=partial,
+            certificates=certificates,
+        )
 
     # each certified segment advances t by at least sqrt(eps) because the
     # growth rate a is at most 1; this cap only guards against cycling
@@ -255,42 +245,35 @@ def compute_path(
         # each breakpoint solve starts from the previous one's splitting state
         res = solve_constrained(g_o, t_i, solver_opts, warm_start=warm)
         if not res.converged:
-            result.partial = True
             raise PathAborted(
                 f"solver did not converge at breakpoint t={t_i:.6g} "
                 f"(primal {res.primal_residual:.3g}, dual {res.dual_residual:.3g})",
-                result,
+                finish(partial=True),
             )
         # the splitting state stays here, for the next warm start only
         warm = res.admm_state
-        result.breakpoints.append(t_i)
-        result.exact_solutions.append(dataclasses.replace(res, admm_state=None))
-        result.singular_values.append(hankel_singular_values(t_i * res.g_tilde.values))
+        breakpoints.append(t_i)
+        solutions.append(dataclasses.replace(res, admm_state=None))
+        singular_values.append(hankel_singular_values(t_i * res.g_tilde.values))
         dual = None if warm is None else warm[1]
         cert = subgradient_vector(res.g_tilde, t_i, g_o=g_o, dual=dual)
-        result.certificates.append(cert)
+        certificates.append(cert)
 
         if t_i >= t_max * (1.0 - 1e-12):
-            break
-        if len(result.breakpoints) > max_solves:
-            result.partial = True
+            return finish(partial=False)
+        if len(breakpoints) > max_solves:
             raise PathAborted(
-                f"breakpoint count exceeded the safety cap {max_solves}", result
+                f"breakpoint count exceeded the safety cap {max_solves}", finish(partial=True)
             )
 
         try:
             t_next = next_breakpoint(cert, g_o, eps, t_max)
         except RuntimeError as exc:
-            result.partial = True
-            raise PathAborted(str(exc), result) from exc
-        result.samples.extend(_segment_samples(
+            raise PathAborted(str(exc), finish(partial=True)) from exc
+        segments.append(_segment_samples(
             cert, g_o.values, np.linspace(t_i, t_next, grid_points_per_segment)
         ))
         t_i = t_next
-
-    # the finished table, without extend's room to grow
-    result.samples = SampleTable(result.samples.array)
-    return result
 
 
 def segment_owner(result: PathResult, t: float) -> int:

@@ -156,7 +156,7 @@ class TestPath:
         out = tmp_path / "path"
         proc = run_cli(
             "path", "--input", impulse_file, "--epsilon", 0.01, "--out", out,
-            "--verify", "--jobs", 2,
+            "--verify",
         )
         assert proc.returncode == 0, proc.stderr
         assert "verify: ok" in proc.stdout
@@ -188,7 +188,7 @@ class TestPath:
         f_star = hp.solve_constrained(g_o, sample.t).objective
         bad = sample._replace(f_approx=f_star + 100 * slack, gap=0.0)
         corrupted = dataclasses.replace(path, samples=[bad])
-        failures = cli._verify_path(corrupted, g_o, hp.SolverOptions(), 1)
+        failures = cli._verify_path(corrupted, g_o, hp.SolverOptions())
         assert len(failures) == 5
         for line in failures:
             assert line.startswith("verify failed at t=")
@@ -369,7 +369,7 @@ class TestCachedParser:
         out1, out2 = tmp_path / "a", tmp_path / "b"
         code = cli.main([
             "path", "--input", str(impulse_file), "--out", str(out1),
-            "--verify", "--jobs", "2", "--grid-points", "5",
+            "--verify", "--grid-points", "5",
         ])
         assert code == 0
         assert "verify: ok" in capsys.readouterr().out
@@ -406,6 +406,9 @@ class TestCachedParser:
         ("path", [], {"max_iters": True}),
         ("path", [], {"grid_points": 3.7}),
         ("path", [], {"jobs": True}),
+        ("path", ["--jobs", "2"], None),
+        ("path", ["--jobs", "0"], None),
+        ("path", [], {"jobs": 2}),
         ("path", ["--rank-tol", "1e-6"], None),
         ("path", ["--rho", "1"], None),
         ("path", [], {"epsilonn": 0.05}),
@@ -421,7 +424,8 @@ class TestCachedParser:
         "epsilon-nan", "epsilon-inf", "t-nan", "t-inf", "config-epsilon-abc",
         "config-epsilon-null", "config-max-iters-2.5", "config-max-iters-true",
         "config-grid-points-3.7",
-        "config-jobs-true", "removed-rank-tol", "removed-rho", "config-unknown-key",
+        "config-jobs-true", "jobs-2", "jobs-0", "config-jobs-2",
+        "removed-rank-tol", "removed-rho", "config-unknown-key",
         "config-removed-rank-tol", "config-removed-rho", "config-required-input",
         "config-required-t", "config-verify-no", "config-out-null",
         "config-epsilon-list",
@@ -445,7 +449,7 @@ def test_bad_option_value_is_usage_error(tmp_path, impulse_file, command, flags,
         ("gen", "order", 3), ("gen", "seed", 5), ("gen", "k_max", 21), ("gen", "out", None),
         ("solve", "max_iters", 3), ("solve", "tol", 1e-7), ("solve", "out", None),
         ("path", "epsilon", 0.05), ("path", "grid_points", 5), ("path", "max_iters", 4000), ("path", "tol", 1e-8), ("path", "format", "csv"),
-        ("path", "verify", True), ("path", "jobs", 2), ("path", "out", None),
+        ("path", "verify", True), ("path", "jobs", 1), ("path", "out", None),
     ],
 )
 def test_config_key_acts_as_its_flag(tmp_path, impulse_file, monkeypatch, capsys,

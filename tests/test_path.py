@@ -343,6 +343,22 @@ class TestLeanPathResult:
         assert partial.m >= 2
         self._assert_stateless(partial)
 
+    def test_partial_samples_are_the_full_paths_prefix(self, order100_path):
+        # six priced segments after the bootstrap one: 7 x 20 rows, the same
+        # bits as the first 140 of the finished path
+        g_o, full = order100_path
+        with pytest.raises(hp.PathAborted) as err:
+            hp.compute_path(g_o, 12.0, solver_opts=hp.SolverOptions(max_iters=80))
+        partial = err.value.partial
+        assert partial.partial and partial.m == 6
+        assert partial.breakpoints == full.breakpoints[:6]
+        table = partial.samples.array
+        assert table.shape == (140, 3)
+        assert np.array_equal(table, full.samples.array[:140])
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+
     def test_table_serializes_as_the_sample_list(self, sixth_order_path, tmp_path):
         pr = sixth_order_path
         rows = list(pr.samples)

@@ -419,10 +419,11 @@ class TestSolverOptions:
 
 def _stop_test_lower_bound(g_o, t, res):
     """The lower bound a stop_inside check prices the returned state with:
-    dual_lower_bound with the free dual norm in place of ||U_dual||_2."""
+    dual_lower_bound with the free dual norm in place of ||U_dual||_2; the
+    bit-symmetric U_dual is its own symmetric part, so its adjoint prices h."""
     X, U_dual, _ = res.admm_state
-    h = hp.certificates._dual_direction(U_dual, hp.solver._dual_norm(X, U_dual))
-    return hp.certificates._half_space_bound(g_o.values, t, h)
+    nu = hp.solver._dual_norm(X, U_dual)
+    return hp.certificates._half_space_bound(g_o.values, t, hp.hankel.adjoint_fast(U_dual) / nu)
 
 
 class TestStopInside:
@@ -563,14 +564,14 @@ class TestFreeDualNorm:
             m.setattr(hp.solver, "_dual_norm", recording)
             for spec, k_max, eps in systems:
                 g_o = hp.impulse_response(spec, k_max)
-                cli._verify_path(hp.compute_path(g_o, eps), g_o, hp.SolverOptions(), 1)
+                cli._verify_path(hp.compute_path(g_o, eps), g_o, hp.SolverOptions())
             # a cold start at the projected fit begins on the ball's boundary
             # and here never comes back inside; started from zeros, the first
             # states of fixture systems 0-19 lie inside
             m.setattr(cli, "solve_constrained", _zero_start(hp.solve_constrained))
             for spec, k_max, eps in systems[:20]:
                 g_o = hp.impulse_response(spec, k_max)
-                cli._verify_path(hp.compute_path(g_o, eps), g_o, hp.SolverOptions(), 1)
+                cli._verify_path(hp.compute_path(g_o, eps), g_o, hp.SolverOptions())
         rescaled = inside = 0
         prev = None
         for it, rho, X, U in states:
@@ -658,7 +659,7 @@ class TestColdStart:
                 g_o = hp.impulse_response(
                     hp.random_system(6, seed, bands=FIXTURE_BANDS), FIXTURE_K_MAX
                 )
-                if cli._verify_path(hp.compute_path(g_o, 0.01), g_o, hp.SolverOptions(), 1):
+                if cli._verify_path(hp.compute_path(g_o, 0.01), g_o, hp.SolverOptions()):
                     failing.append(seed)
         assert failing == [61]
         assert len(iterations) == 600 and sum(iterations) <= 2300
