@@ -16,10 +16,12 @@ That splitting step is a fixed-point map of z = X + U_dual, and the loop
 extrapolates it by safeguarded type-II Anderson acceleration (Walker & Ni,
 SIAM J. Numer. Anal. 2011; the safeguard after Zhang, O'Donoghue & Boyd,
 SIAM J. Optim. 2020).  Every iteration starts from a consistent state.  The
-plain step, whose projection only the residual test and residual balancing
-read, runs every TEST_EVERY-th iteration, whenever no extrapolation is at
-hand and whenever the test could pass; convergence is decided on that step
-alone.
+plain step, whose projection the residual test and residual balancing read,
+runs whenever no extrapolation is at hand, every TEST_EVERY-th iteration and
+whenever the test could pass; convergence is decided on that step alone.  A
+TEST_EVERY-th iteration whose test is out of reach keeps that plain step as
+its step, as safeguarded Anderson acceleration interleaves plain steps with
+extrapolated ones and keeps its history across them, and so projects once.
 
 When one residual exceeds the other tenfold, residual balancing scales the
 penalty rho by sqrt(r_pri / r_dual) clipped to [0.1, 10] (Wohlberg, ADMM
@@ -63,7 +65,8 @@ AA_REG = 1e-10
 #: Largest factor by which one residual-balancing step scales rho.
 BALANCE_MAX = 10.0
 #: Period, in iterations, of the plain step that the residual test and
-#: residual balancing run on while an extrapolation is at hand.
+#: residual balancing run on while an extrapolation is at hand; such an
+#: iteration takes the plain step unless its test could pass.
 TEST_EVERY = 4
 #: Rounding allowance of the free dual norm (_dual_norm), per unit of n:
 #: 64 machine epsilons.
@@ -158,8 +161,10 @@ def project_simplex_l1(s, radius: float) -> np.ndarray:
     entries in descending order keeps the running sum c_k of the first k, in
     cumsum's order, and theta is the candidate (c_k - radius) / k of the last
     entry that stays above its own candidate (ties handled by that rule).
-    A NaN or non-positive radius raises ValueError; an infinite one returns
-    the input.
+    The support is a prefix of the sorted entries (Duchi, Shalev-Shwartz,
+    Singer & Chandra, ICML 2008), so the scan stops at the first entry that
+    drops out.  A NaN or non-positive radius raises ValueError; an infinite
+    one returns the input.
     """
     if not radius > 0:
         raise ValueError("radius must be positive")
@@ -179,8 +184,9 @@ def project_simplex_l1(s, radius: float) -> np.ndarray:
     for k in range(1, len(d)):
         running += d[k]
         candidate = (running - radius) / (k + 1)
-        if d[k] > candidate:
-            theta = candidate
+        if not d[k] > candidate:
+            break
+        theta = candidate
     x = s - theta
     return np.maximum(x, 0.0, out=x)
 
@@ -343,10 +349,13 @@ def solve_constrained(
     one; otherwise, and whenever residual balancing changes rho, the history
     is dropped and the plain state (Pi(T(z)), T(z) - Pi(T(z))) taken.
 
-    That plain projection feeds only the residual test and residual
-    balancing, so while z_aa is at hand it runs only every TEST_EVERY-th
-    iteration and whenever ||f|| <= eps_pri + eps_dual / rho, the one case
-    in which the test can pass.  Convergence is decided on a plain step, and
+    That plain projection feeds the residual test and residual balancing,
+    so while z_aa is at hand it runs only every TEST_EVERY-th iteration and
+    whenever ||f|| <= eps_pri + eps_dual / rho, the one case in which the
+    test can pass.  A TEST_EVERY-th iteration with ||f|| above that keeps
+    the plain state as its step, without solving for z_aa, and the history
+    carries on from it; an iteration whose test could pass runs the plain
+    step and then takes z_aa.  Convergence is decided on a plain step, and
     the returned g_tilde, residuals and admm_state are then those of that
     step.
     """
@@ -459,8 +468,15 @@ def solve_constrained(
             gram[:filled, slot] = row
             slot = (slot + 1) % AA_MEM
         prev = (Tz_flat, f_flat)
+        # f = H(g) - X, so ||f|| <= r_pri + r_dual / rho by the triangle
+        # inequality through Pi(T(z)): while ||f|| > eps_pri + eps_dual / rho
+        # the residual test cannot pass (rounding can at most defer it to the
+        # next tested iteration)
+        near = fnorm <= eps_pri + eps_dual / rho
         z_aa = None
-        if filled:
+        # a cadence iteration with the test out of reach takes the plain step
+        # it projects for balancing anyway, and extrapolates from the next one
+        if filled and (near or it % TEST_EVERY):
             # LU solve of the regularized normal equations; with tr(G) > 0
             # they are positive definite, so it cannot fail, and with all
             # differences zero (a zero trace) the plain step is taken
@@ -470,12 +486,9 @@ def solve_constrained(
                 gamma = solve1(G + AA_REG * tr * eye[:filled, :filled], dF[:filled] @ f_flat)
                 z_aa = Tz - (gamma @ dT[:filled]).reshape(n, n)
                 z_aa = 0.5 * (z_aa + z_aa.T)
-        # f = H(g) - X, so ||f|| <= r_pri + r_dual / rho by the triangle
-        # inequality through Pi(T(z)): while ||f|| > eps_pri + eps_dual / rho
-        # the residual test cannot pass (rounding can at most defer it to the
-        # next tested iteration), and the plain step that only it and
-        # balancing read is skipped except every TEST_EVERY-th iteration
-        if z_aa is None or it % TEST_EVERY == 0 or fnorm <= eps_pri + eps_dual / rho:
+        # the plain step runs when it is the step, and when the test could
+        # pass, ahead of the extrapolated point
+        if z_aa is None or near:
             X_new = project_nuclear_ball(Tz, 1.0)
             step = Hg - X_new
             r_pri = _norm(step)

@@ -11,7 +11,7 @@ projection, which reuses the library's simplex projection and so checks only
 the direct LAPACK eigendecomposition around it.  The *_frozen functions
 keep the arithmetic of earlier library kernels and of the earlier solver
 loop, so that the current ones are pinned to them bit for bit; the frozen
-loop calls the library's projection, adjoint and bound halves.
+loop calls the library's cold start, projection, adjoint and bounds.
 """
 
 import math
@@ -20,7 +20,6 @@ import numpy as np
 from numpy.linalg._umath_linalg import solve1
 
 import hankelpath as hp
-from hankelpath.certificates import dual_lower_bound, feasible_upper_bound
 from hankelpath.hankel import adjoint_fast, embed_indices, symmetric_singular_values
 
 
@@ -159,6 +158,25 @@ def simplex_cumsum_frozen(s, radius):
     return np.maximum(s - theta[k], 0.0)
 
 
+def simplex_scan_frozen(s, radius):
+    """The budgeted nonnegative projection as the library computed it before
+    its scan stopped at the first entry that drops out: every sorted entry
+    is scanned, and theta is the candidate of the last one above its own."""
+    s = np.asarray(s, dtype=float)
+    if s.sum() <= radius:
+        return s
+    d = sorted(s.ravel().tolist(), reverse=True)
+    running = d[0]
+    theta = running - radius
+    for k in range(1, len(d)):
+        running += d[k]
+        candidate = (running - radius) / (k + 1)
+        if d[k] > candidate:
+            theta = candidate
+    x = s - theta
+    return np.maximum(x, 0.0, out=x)
+
+
 def project_nuclear_ball_frozen(M, radius):
     """Symmetric nuclear-ball projection as the library computed it before
     its simplex threshold became a scan: np.linalg.eigh, the cumsum simplex
@@ -254,28 +272,25 @@ def plain_admm(g_o, t, opts=None):
     return g_tilde, float(np.sum((t * g_tilde - gvec) ** 2)), it, converged
 
 
-def solve_constrained_frozen(g_o, t, opts=None, *, warm_start=None):
-    """solve_constrained, without stop_inside, as the library ran it before
-    the plain step became test-only: every iteration projects T(z) for a
-    plain splitting step and runs the residual test and residual balancing
-    on it, then projects the Anderson point z_aa again when it takes it.
-    The constants are those of that loop (16 differences, 1e-10 Tikhonov
-    weight, balancing steps clipped to [0.1, 10]) and its normalized
-    problem: the fit divided by ||g_o||^2, rho and the stopping thresholds in
-    those units, and rho reported in the original ones; the projection,
-    adjoint and bound halves are the library's."""
+def solve_constrained_cadence_frozen(g_o, t, opts=None, *, warm_start=None, test_every=4):
+    """solve_constrained, without stop_inside, as the library ran it before a
+    cadence iteration kept its plain step: every test_every-th iteration
+    projects T(z) for the residual test and residual balancing and then,
+    with an extrapolation at hand, discards that state and projects the
+    Anderson point z_aa too.  The constants are those of that loop (16
+    differences, 1e-10 Tikhonov weight, balancing steps clipped to
+    [0.1, 10]) and its normalized problem: the fit divided by ||g_o||^2, rho
+    and the stopping thresholds in those units, and rho reported in the
+    original ones; the cold start, projection, adjoint and bounds are the
+    library's."""
     aa_mem, aa_reg, balance_max = 16, 1e-10, 10.0
     if opts is None:
         opts = hp.SolverOptions()
     g_o = hp.as_impulse(g_o)
     gvec = g_o.values
-    k_max = gvec.size
     n = g_o.n
-    if warm_start is None:
-        X = np.zeros((n, n))
-        U_dual = np.zeros((n, n))
-        rho = None
-    else:
+    rho = None
+    if warm_start is not None:
         X0, U0, rho = warm_start
         # a scalar stands for the constant n-by-n matrix, as in the library
         X, U_dual = (
@@ -318,8 +333,10 @@ def solve_constrained_frozen(g_o, t, opts=None, *, warm_start=None):
     idx = embed_indices(n)
     w = hp.multiplicities(n)
     denom = fit_curv + rho * w
+    if warm_start is None:
+        X, U_dual, _ = hp.solver._cold_start(gvec, t, idx, w)
 
-    g_tilde = np.zeros(k_max)
+    g_tilde = np.zeros(gvec.size)
     r_pri = r_dual = np.inf
     converged = False
     dT = np.empty((aa_mem, n * n))
@@ -335,27 +352,6 @@ def solve_constrained_frozen(g_o, t, opts=None, *, warm_start=None):
         g_tilde = (fit_rhs + rho * adjoint_fast(X - U_dual)) / denom
         Hg = g_tilde[idx]
         Tz = Hg + U_dual
-        X_new = hp.project_nuclear_ball(Tz, 1.0)
-        step = Hg - X_new
-        r_pri = norm(step)
-        r_dual = rho * norm(X_new - X)
-        X = X_new
-        U_dual += step
-        if r_pri <= eps_pri and r_dual <= eps_dual:
-            converged = True
-            break
-        if (r_pri > 10.0 * r_dual and rho < rho_hi) or (r_dual > 10.0 * r_pri and rho > rho_lo):
-            factor = balance_max if r_dual == 0.0 else math.sqrt(r_pri / r_dual)
-            factor = min(max(factor, 1.0 / balance_max), balance_max)
-            rho_new = min(max(rho * factor, rho_lo), rho_hi)
-            U_dual *= rho / rho_new
-            rho = rho_new
-            denom = fit_curv + rho * w
-            filled = slot = 0
-            prev = None
-            f_ref = np.inf
-            z = X + U_dual
-            continue
         f = Tz - z
         fnorm = norm(f)
         Tz_flat = Tz.ravel()
@@ -372,24 +368,44 @@ def solve_constrained_frozen(g_o, t, opts=None, *, warm_start=None):
             gram[:filled, slot] = row
             slot = (slot + 1) % aa_mem
         prev = (Tz_flat, f_flat)
+        z_aa = None
         if filled:
             G = gram[:filled, :filled]
             tr = G.trace()
             if tr > 0:
                 gamma = solve1(G + aa_reg * tr * eye[:filled, :filled], dF[:filled] @ f_flat)
-                z = Tz - (gamma @ dT[:filled]).reshape(n, n)
-                z = 0.5 * (z + z.T)
-                X = hp.project_nuclear_ball(z, 1.0)
-                U_dual = z - X
-                f_ref = fnorm
-                continue
-        z = Tz
+                z_aa = Tz - (gamma @ dT[:filled]).reshape(n, n)
+                z_aa = 0.5 * (z_aa + z_aa.T)
+        if z_aa is None or it % test_every == 0 or fnorm <= eps_pri + eps_dual / rho:
+            X_new = hp.project_nuclear_ball(Tz, 1.0)
+            step = Hg - X_new
+            r_pri = norm(step)
+            r_dual = rho * norm(X_new - X)
+            X = X_new
+            U_dual += step
+            if r_pri <= eps_pri and r_dual <= eps_dual:
+                converged = True
+                break
+            if (r_pri > 10.0 * r_dual and rho < rho_hi) or (r_dual > 10.0 * r_pri and rho > rho_lo):
+                factor = balance_max if r_dual == 0.0 else math.sqrt(r_pri / r_dual)
+                factor = min(max(factor, 1.0 / balance_max), balance_max)
+                rho_new = min(max(rho * factor, rho_lo), rho_hi)
+                U_dual *= rho / rho_new
+                rho = rho_new
+                denom = fit_curv + rho * w
+                filled = slot = 0
+                prev = z_aa = None
+                f_ref = np.inf
+                z = X + U_dual
+            elif z_aa is None:
+                z = Tz
+        if z_aa is not None:
+            z = z_aa
+            X = hp.project_nuclear_ball(z, 1.0)
+            U_dual = z - X
+            f_ref = fnorm
 
     nuc = float(symmetric_singular_values(Hg).sum())
-    bounds = (
-        dual_lower_bound(gvec, t, U_dual),
-        feasible_upper_bound(gvec, t, g_tilde, nuc),
-    )
     X.setflags(write=False)
     U_dual.setflags(write=False)
     return hp.SolveResult(
@@ -401,6 +417,6 @@ def solve_constrained_frozen(g_o, t, opts=None, *, warm_start=None):
         primal_residual=r_pri,
         dual_residual=r_dual * s2,
         converged=converged,
-        bounds=bounds,
+        bounds=hp.dual_bounds(gvec, t, g_tilde, U_dual, nuclear_norm=nuc),
         admm_state=(X, U_dual, rho * s2),
     )

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import sys
 
 import numpy as np
@@ -13,8 +14,9 @@ from oracles import (
     project_nuclear_ball_eigh,
     project_nuclear_ball_frozen,
     simplex_cumsum_frozen,
+    simplex_scan_frozen,
     simplex_sort_loop,
-    solve_constrained_frozen,
+    solve_constrained_cadence_frozen,
     solve_k3_oracle,
     theta_scan_simplex,
 )
@@ -102,6 +104,36 @@ class TestProjectSimplexL1:
             got = hp.project_simplex_l1(s, radius)
             ref = simplex_cumsum_frozen(s, radius)
             assert got.dtype == ref.dtype and np.array_equal(got, ref), (trial, n, radius)
+
+    def test_property_matches_full_scan_bit_for_bit(self):
+        # the scan stops at the first entry that drops out, where the full
+        # scan went on to the end: runs of tied and near-tied entries (a few
+        # ulps apart), zeros, scales and radii on both sides of the sum
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(derandomize=True, max_examples=1000, deadline=None)
+        @hypothesis.given(
+            runs=st.lists(
+                st.tuples(st.floats(0.0, 1.0), st.integers(1, 5), st.integers(-3, 3)),
+                min_size=1,
+                max_size=40,
+            ),
+            log_scale=st.floats(-6.0, 6.0),
+            frac=st.floats(1e-6, 1.2),
+        )
+        def check(runs, log_scale, frac):
+            s = np.array([v + i * ulps * np.spacing(v) for v, count, ulps in runs
+                          for i in range(count)])
+            s = np.maximum(s, 0.0) * 10.0**log_scale
+            radius = frac * s.sum()
+            if not radius > 0:
+                radius = 1.0
+            got = hp.project_simplex_l1(s, radius)
+            ref = simplex_scan_frozen(s, radius)
+            assert np.array_equal(got, ref)
+
+        check()
 
     def test_largest_entry_stays_in_support_under_rounding(self):
         # d[0] - radius rounds to d[0]: no entry is strictly above its
@@ -486,6 +518,38 @@ class TestStopInside:
         upper = hp.dual_bounds(g_o.values, t, res.g_tilde.values, res.admm_state[1])[1]
         assert res.bounds == (_stop_test_lower_bound(g_o, t, res), upper)
 
+    def test_exit_on_a_cadence_step(self, sixth_order_impulse, monkeypatch):
+        # a TEST_EVERY-th iteration whose test is out of reach projects T(z)
+        # alone and leaves the plain state (Pi(T(z)), U_dual + H(g) - Pi(T(z)))
+        g_o = sixth_order_impulse
+        t = 0.5 * hp.compute_t_max(g_o)
+        f = hp.solve_constrained(g_o, t).objective
+        slack = 1e-6 * (1 + g_o.norm() ** 2)
+        project = hp.solver.project_nuclear_ball
+        calls = []
+
+        def recording(M, radius):
+            # the loop's iteration, whether its test could pass, and H(g) and
+            # U_dual as the projection found them (the cold start has none)
+            loop = sys._getframe(1).f_locals
+            X = project(M, radius)
+            if "near" in loop:
+                calls.append((loop["it"], loop["near"], M.copy(), loop["Hg"].copy(),
+                              loop["U_dual"].copy(), X))
+            return X
+
+        monkeypatch.setattr(hp.solver, "project_nuclear_ball", recording)
+        res = hp.solve_constrained(g_o, t, stop_inside=(f - 10 * slack, f + 10 * slack))
+        assert res.converged and res.iterations % hp.solver.TEST_EVERY == 0
+        last = [c for c in calls if c[0] == res.iterations]
+        assert len(last) == 1
+        _, near, Tz, Hg, U_dual, X = last[0]
+        assert not near and np.array_equal(Tz, Hg + U_dual)
+        assert np.array_equal(res.admm_state[0], X)
+        assert np.array_equal(res.admm_state[1], U_dual + (Hg - X))
+        upper = hp.dual_bounds(g_o.values, t, res.g_tilde.values, res.admm_state[1])[1]
+        assert res.bounds == (_stop_test_lower_bound(g_o, t, res), upper)
+
     def test_uncertified_budget_reports_unconverged(self, sixth_order_impulse):
         g_o = sixth_order_impulse
         t = 0.5 * hp.compute_t_max(g_o)
@@ -641,8 +705,8 @@ class TestColdStart:
             assert np.array_equal(scalar.g_tilde.values, matrix.g_tilde.values)
 
     def test_fixture_verify_iterations_and_outcomes(self):
-        # the --verify re-solves of fixture systems 0-119 take 2,128
-        # iterations (3,364 from the zero start), and system 61, whose
+        # the --verify re-solves of fixture systems 0-119 take 2,132
+        # iterations (3,404 from the zero start), and system 61, whose
         # samples over-claim (ROADMAP item 1), is still the only failure
         real = cli.solve_constrained
         iterations = []
@@ -814,8 +878,8 @@ class TestAndersonAcceleration:
     def test_order100_path_iteration_total(self, order100_path):
         _, path = order100_path
         assert path.m == 10
-        # 549 iterations with the solver on the normalized problem (2,717
-        # before, when its constants were in the data's units)
+        # 552 iterations (523 when a cadence iteration also projected the
+        # extrapolated point; 2,717 before the solver normalized the problem)
         assert sum(r.iterations for r in path.exact_solutions) <= 690
 
 
@@ -834,32 +898,52 @@ def _zero_start(solve):
 
 class TestPlainStepOnlyWhenTested:
     """The plain step's projection, read only by the residual test and
-    residual balancing, runs every TEST_EVERY-th iteration, when no
-    extrapolation is at hand and when the test could pass."""
+    residual balancing, runs when no extrapolation is at hand, every
+    TEST_EVERY-th iteration and when the test could pass; a TEST_EVERY-th
+    iteration whose test is out of reach takes that plain step as its step
+    and projects no extrapolated point."""
 
-    def test_every_iteration_reproduces_the_frozen_loop(self, monkeypatch, order100_spec):
-        # with a plain step on every iteration, and the path's cold first
-        # solve started from zeros at the fit curvature as the frozen loop
-        # starts it, the loop is the earlier one, every bit of path.json
-        # included
+    def test_every_iteration_tested_is_plain_admm(self, monkeypatch, sixth_order_impulse,
+                                                  rank1_impulse, order100_path):
+        # with a cadence step on every iteration, the loop started from
+        # zeros at the fit curvature extrapolates only once the test comes
+        # within reach, from iteration 40 on in these solves; before that it
+        # is the unaccelerated loop, balancing included, bit for bit
+        monkeypatch.setattr(hp.solver, "TEST_EVERY", 1)
+        cases = [(g_o, frac, iters) for g_o in (sixth_order_impulse, rank1_impulse)
+                 for frac in (0.1, 0.3, 0.6, 0.9) for iters in (1, 5, 30)]
+        cases.append((order100_path[0], 0.3, 300))
+        for g_o, frac, iters in cases:
+            t = frac * hp.compute_t_max(g_o)
+            opts = hp.SolverOptions(max_iters=iters)
+            res = hp.solve_constrained(g_o, t, opts, warm_start=(0, 0, 2.0 * t * t))
+            g_ref, _, ref_iters, ref_converged = plain_admm(g_o, t, opts)
+            assert not (res.converged or ref_converged)
+            assert res.iterations == ref_iters == iters
+            assert np.array_equal(res.g_tilde.values, g_ref)
+
+    def test_no_cadence_step_reproduces_the_frozen_loop(self, monkeypatch, order100_spec):
+        # with TEST_EVERY beyond the iteration budget no cadence step ever
+        # runs, and the loop is the earlier one that discarded a cadence
+        # step's plain state, every bit of path.json included
+        never = hp.SolverOptions().max_iters + 1
+        frozen = functools.partial(solve_constrained_cadence_frozen, test_every=never)
         cases = [
             (hp.impulse_response(hp.random_system(6, seed, bands=FIXTURE_BANDS), FIXTURE_K_MAX),
              0.01)
             for seed in range(20)
         ]
         cases.append((hp.impulse_response(order100_spec, 51), 12.0))
-        monkeypatch.setattr(hp.solver, "TEST_EVERY", 1)
+        monkeypatch.setattr(hp.solver, "TEST_EVERY", never)
         for g_o, eps in cases:
+            current = hp.compute_path(g_o, eps).to_json()
             with monkeypatch.context() as m:
-                m.setattr(hp.path, "solve_constrained", _zero_start(hp.solve_constrained))
-                current = hp.compute_path(g_o, eps).to_json()
-                m.setattr(hp.path, "solve_constrained", _zero_start(solve_constrained_frozen))
-                frozen = hp.compute_path(g_o, eps).to_json()
-            assert current == frozen
+                m.setattr(hp.path, "solve_constrained", frozen)
+                assert hp.compute_path(g_o, eps).to_json() == current
 
     def test_order100_path_projection_count(self, monkeypatch, order100_path):
-        # 689 projections over 549 iterations (5,086 over 2,773 with a plain
-        # step on each, and 3,250 over 2,717 before the normalized problem)
+        # 565 projections over 552 iterations (645 over 523 when a cadence
+        # iteration also projected the extrapolated point)
         g_o, path = order100_path
         project = hp.solver.project_nuclear_ball
         calls = []
@@ -870,7 +954,7 @@ class TestPlainStepOnlyWhenTested:
 
         monkeypatch.setattr(hp.solver, "project_nuclear_ball", counted)
         assert hp.compute_path(g_o, eps=12.0).to_json() == path.to_json()
-        assert len(calls) <= 860
+        assert len(calls) <= 620
 
 
 class TestResidualBalancing:
