@@ -21,8 +21,11 @@ is a nuclear-norm subgradient at X, at every iterate however rough the solve,
 after an Anderson step or a rho rescale too: U_dual lies in the normal cone
 of the ball at X (the ADMM optimality conditions, Boyd et al. 2011, section
 3.3).  Without a dual (closed-form solves, callers holding only g*) Z is the
-W = 0 form U_r V_r^T of H(g*).  Given the data vector, an h that already
-points along -(t* g* - g_o) to within SNAP_TOL is snapped onto it exactly.
+W = 0 form U_r V_r^T of H(g*): H(g*) is symmetric, so with its cached
+eigendecomposition Q diag(lam) Q^T (ImpulseResponse.hankel_eigh) that is
+Q_r sign(lam_r) Q_r^T over the eigenvalues above the noise floor.  Given the
+data vector, an h that already points along -(t* g* - g_o) to within
+SNAP_TOL is snapped onto it exactly.
 
 dual_bounds prices any solver state with the same h: the objective at the
 rescaled, exactly feasible point bounds the optimum from above, and the
@@ -50,7 +53,6 @@ from .hankel import (
     adjoint_fast,
     as_impulse,
     hankel_adjoint,
-    hankel_embed,
     hankel_singular_values,
     symmetric_singular_values,
 )
@@ -93,12 +95,6 @@ def _orth_component(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     return x - h * (np.dot(h, x) / np.dot(h, h))
 
 
-def _numerical_rank(S: np.ndarray) -> int:
-    """Number of singular values above the noise floor n * sigma_1 * machine
-    epsilon (at least one when sigma_1 > 0; S is sorted descending)."""
-    return int(np.sum(S > np.finfo(float).eps * S.size * S[0]))
-
-
 def _dual_direction(U) -> np.ndarray | None:
     """h = adjoint(S) / ||S||_2 with S the symmetric part of U; None when
     adjoint(S) = 0 (S = 0 among them)."""
@@ -127,12 +123,19 @@ def subgradient_vector(g_tilde_star, t_star: float, g_o=None, dual=None) -> GapC
         g_tilde_star); h = adjoint(S) / ||S||_2 with S its symmetric part.
         Without it, or when adjoint(S) = 0, h is the W = 0 form
         adjoint(U_r V_r^T) of H(g*), cut at the noise floor n * sigma_1 times
-        machine epsilon.
+        machine epsilon, and taken as adjoint(Q_r sign(lam_r) Q_r^T) from
+        g*.hankel_eigh.
 
     Returns
     -------
     GapCertificate
         Degenerate (h = 0) iff g_tilde_star = 0.
+
+    Raises
+    ------
+    np.linalg.LinAlgError
+        When the dual has a non-finite entry, or the spectrum of H(g*) or of
+        S overflows (symmetric_eigh, symmetric_singular_values).
     """
     g_star = as_impulse(g_tilde_star)
     k_max = g_star.k_max
@@ -141,9 +144,13 @@ def subgradient_vector(g_tilde_star, t_star: float, g_o=None, dual=None) -> GapC
 
     h = None if dual is None else _dual_direction(dual)
     if h is None:
-        U, S, Vh = np.linalg.svd(hankel_embed(g_star).entries)
-        rank = _numerical_rank(S)
-        h = hankel_adjoint(U[:, :rank] @ Vh[:rank, :])
+        # U_r V_r^T = Q_r sign(lam_r) Q_r^T over the singular values |lam|
+        # above the noise floor n * sigma_1 * machine epsilon
+        lam, Q = g_star.hankel_eigh
+        mag = np.abs(lam)
+        keep = mag > np.finfo(float).eps * mag.size * mag.max()
+        Q_r = Q[:, keep]
+        h = hankel_adjoint((Q_r * np.sign(lam[keep])) @ Q_r.T)
     if g_o is not None:
         # snap onto -res, keeping the norm, inside numerical slop; a
         # residual whose squared norm underflows to 0 has no usable direction

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigh_lo, eigvalsh_lo
 
 
 def _as_vector(values) -> np.ndarray:
@@ -65,11 +66,39 @@ class ImpulseResponse:
         return float(np.linalg.norm(self.values))
 
     @functools.cached_property
+    def hankel_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lam, Q), read-only: the eigendecomposition H(g) = Q diag(lam) Q^T
+        (symmetric_eigh), computed once per instance.  Every reader of the
+        spectrum of H(g_o) shares it: hankel_nuclear_norm (so compute_t_max),
+        and the closed-form test, closed-form result and cold start of
+        every solve_constrained, so a path and its --verify re-solves
+        decompose H(g_o) once.  The W = 0 certificate of subgradient_vector
+        reads that of H(g*)."""
+        lam, Q = symmetric_eigh(hankel_embed(self).entries)
+        lam.setflags(write=False)
+        Q.setflags(write=False)
+        return lam, Q
+
+    def _divided(self, t: float) -> "ImpulseResponse":
+        """ImpulseResponse(values / t) for t > 0.  H(g / t) = H(g) / t, so a
+        cached hankel_eigh (lam, Q) carries over as (lam / t, Q), and the
+        result's readers of the spectrum decompose nothing."""
+        out = ImpulseResponse(self.values / t)
+        if "hankel_eigh" in self.__dict__:
+            lam, Q = self.hankel_eigh
+            lam = lam / t
+            lam.setflags(write=False)
+            # where cached_property keeps its value
+            out.__dict__["hankel_eigh"] = (lam, Q)
+        return out
+
+    @functools.cached_property
     def hankel_nuclear_norm(self) -> float:
-        """||H(g)||_*, the sum of hankel_singular_values(g), computed once
-        per instance: compute_t_max and the solver's closed-form test both
-        read it, so a path and its --verify re-solves decompose H(g_o) once."""
-        return float(hankel_singular_values(self).sum())
+        """||H(g)||_* = sum |lam| of hankel_eigh, computed once per instance.
+        It agrees with hankel_singular_values(g).sum() to rounding, not bit
+        for bit: an eigendecomposition with vectors and one without round
+        the eigenvalues differently."""
+        return float(np.abs(self.hankel_eigh[0]).sum())
 
     def __len__(self) -> int:
         return self.values.size
@@ -179,25 +208,51 @@ def multiplicities(n: int) -> np.ndarray:
     return np.minimum(k, 2 * n - k).astype(float)
 
 
+def _require_finite(a: np.ndarray) -> None:
+    # the gufuncs return NaNs for a non-finite entry, with a RuntimeWarning
+    # from n = 3 on, where np.linalg's wrappers raised; and a finite matrix
+    # can still have an eigenvalue that overflows
+    if not np.isfinite(a).all():
+        raise np.linalg.LinAlgError("non-finite matrix or eigenvalues")
+
+
+def symmetric_eigh(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, Q) with H = Q diag(lam) Q^T and lam ascending, for a symmetric
+    float matrix (only the lower triangle is read), by LAPACK dsyevd through
+    the eigh_lo gufunc of np.linalg.eigh.  A non-finite entry, or an
+    eigenvalue that overflows, raises np.linalg.LinAlgError."""
+    _require_finite(H)
+    lam, Q = eigh_lo(H)
+    _require_finite(lam)
+    return lam, Q
+
+
 def symmetric_singular_values(H: np.ndarray) -> np.ndarray:
-    """All singular values of a symmetric matrix, descending: the magnitudes
-    of its eigenvalues (only the lower triangle is read)."""
-    return np.sort(np.abs(np.linalg.eigvalsh(H)))[::-1]
+    """All singular values of a symmetric float matrix, descending: the
+    magnitudes of its eigenvalues (only the lower triangle is read), by the
+    eigvalsh_lo gufunc of np.linalg.eigvalsh.  A non-finite entry, or an
+    eigenvalue that overflows, raises np.linalg.LinAlgError."""
+    _require_finite(H)
+    lam = eigvalsh_lo(H)
+    _require_finite(lam)
+    return np.sort(np.abs(lam))[::-1]
 
 
 def hankel_singular_values(g) -> np.ndarray:
     """All singular values of the Hankel embedding of g, descending.
 
-    H(g) is symmetric, so they are the magnitudes of its eigenvalues.  Every
-    Hankel nuclear norm in the package is the sum of this array (or of
-    symmetric_singular_values on an H(g) already at hand), which keeps
-    compute_t_max and the solver's closed-form test in exact agreement.
+    H(g) is symmetric, so they are the magnitudes of its eigenvalues, taken
+    without eigenvectors (symmetric_singular_values).  Their sum agrees with
+    compute_t_max(g) to rounding, not bit for bit (see
+    ImpulseResponse.hankel_nuclear_norm).  A path reads its breakpoints'
+    singular values off its solves instead (SolveResult.singular_values).
     """
     return symmetric_singular_values(hankel_embed(as_impulse(g)).entries)
 
 
 def compute_t_max(g_o) -> float:
-    """Smallest t with a perfect fit: the nuclear norm of H(g_o)."""
+    """Smallest t with a perfect fit: the nuclear norm of H(g_o), read off
+    its cached eigendecomposition (ImpulseResponse.hankel_nuclear_norm)."""
     return as_impulse(g_o).hankel_nuclear_norm
 
 

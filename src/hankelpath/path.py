@@ -33,6 +33,8 @@ from .certificates import (
     next_breakpoint,
     subgradient_vector,
 )
+# hankel_singular_values is not called here; bench/run.py wraps
+# hankelpath.path.hankel_singular_values
 from .hankel import as_impulse, compute_t_max, hankel_singular_values
 from .solver import SolveResult, SolverOptions, solve_constrained
 
@@ -82,8 +84,10 @@ class PathAborted(RuntimeError):
 class PathResult:
     """Breakpoints, exact solutions, singular-value records and gap samples.
 
-    The exact solutions hold no splitting state (admm_state is None):
-    compute_path keeps only the last one, for the next warm start.  samples
+    The exact solutions hold no splitting state and no spectrum
+    (admm_state and singular_values are None): compute_path keeps only the
+    last state, for the next warm start, and singular_values[i] is t times
+    solve i's spectrum.  samples
     is a SampleTable; a sequence of (t, f_approx, gap) rows passed in, as
     by dataclasses.replace(path, samples=[...]), becomes one.
     """
@@ -253,8 +257,9 @@ def compute_path(
         # the splitting state stays here, for the next warm start only
         warm = res.admm_state
         breakpoints.append(t_i)
-        solutions.append(dataclasses.replace(res, admm_state=None))
-        singular_values.append(hankel_singular_values(t_i * res.g_tilde.values))
+        solutions.append(dataclasses.replace(res, admm_state=None, singular_values=None))
+        # sigma(H(t g~)) = t sigma(H(g~)), the spectrum the solve already took
+        singular_values.append(t_i * res.singular_values)
         dual = None if warm is None else warm[1]
         cert = subgradient_vector(res.g_tilde, t_i, g_o=g_o, dual=dual)
         certificates.append(cert)

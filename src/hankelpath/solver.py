@@ -10,7 +10,8 @@ scaled dual update, until primal and dual residuals fall below tolerances.
 The iterates are exactly symmetric, and the projection eigendecomposes them
 by LAPACK dsyevd through np.linalg.eigh's own gufunc, without the wrapper.
 A cold solve starts at the projection of the unconstrained fit H(g_o / t)
-(Fazel, Pong, Sun & Tseng, SIAM J. Matrix Anal. Appl. 2013).
+(Fazel, Pong, Sun & Tseng, SIAM J. Matrix Anal. Appl. 2013), read off the
+eigendecomposition of H(g_o) that the data vector caches.
 
 That splitting step is a fixed-point map of z = X + U_dual, and the loop
 extrapolates it by safeguarded type-II Anderson acceleration (Walker & Ni,
@@ -126,6 +127,13 @@ class SolveResult:
     dual_residual are in the units of the original problem; X and U_dual do
     not depend on the scale of the data.
 
+    singular_values is sigma(H(g_tilde)), descending and read-only: the
+    spectrum whose sum is nuclear_norm_value and which bounds prices, so
+    t * singular_values are the Hankel singular values of the fit t g_tilde.
+    The closed-form branch reads it as sigma(H(g_o)) / t off the cached
+    g_o.hankel_eigh.  None in every solve a PathResult keeps, whose own
+    singular_values hold t times it.
+
     bounds = (lower, upper) is a certified enclosure of the optimal cost at t.
     It is sound however far the solve got, converged or not.  A solve that
     ends by the residual test or the iteration budget prices its final state
@@ -149,6 +157,7 @@ class SolveResult:
     dual_residual: float
     converged: bool
     bounds: tuple[float, float]
+    singular_values: np.ndarray | None = field(repr=False, compare=False)
     admm_state: tuple | None = field(default=None, repr=False, compare=False)
 
 
@@ -261,27 +270,33 @@ def _dual_norm(X: np.ndarray, U_dual: np.ndarray) -> float:
     return max(float(v.dot(x)), 0.0) + delta
 
 
-def _cold_start(gvec: np.ndarray, t: float, idx: np.ndarray, w: np.ndarray):
+def _cold_start(g_o: ImpulseResponse, t: float, idx: np.ndarray, w: np.ndarray):
     """(X0, U0, c): the splitting state a cold solve starts from, at the
     projected unconstrained fit (Fazel, Pong, Sun & Tseng, SIAM J. Matrix
     Anal. Appl. 2013).
 
     z0 = H(g_o / t) is the unconstrained optimum, X0 = Pi(z0) its projection
-    onto the nuclear ball and U0 = c (z0 - X0).  z0 - X0 lies in the normal
-    cone of the ball at X0, and so does U0 for every c >= 0, so
-    Pi(X0 + U0) = X0: the state is one a splitting step could have left.  c
-    is the least-squares fit of the g-update's stationarity condition at the
-    cold penalty (rho = 2 t^2 / ||g_o||^2), adjoint(U) = g_o / t - g, with g
-    = adjoint(X0) / w the coefficients nearest X0.  Since adjoint(z0) =
-    w g_o / t, the right-hand side is a / w with a = adjoint(z0 - X0), and
-    c = <a, a / w> / <a, a> lies in [1 / n, 1] (0 for a = 0).  The start
-    depends on g_o / t alone: it is the same for scaled data and whatever
-    path the solve is on.  idx and w are embed_indices(n) and
-    multiplicities(n).
+    onto the nuclear ball and U0 = c (z0 - X0).  With H(g_o) = Q diag(lam)
+    Q^T the cached g_o.hankel_eigh, z0 = Q diag(lam / t) Q^T, so X0 shrinks
+    |lam| / t by project_simplex_l1, keeps the signs and is symmetrized bit
+    for bit, as project_nuclear_ball does, without a decomposition of its
+    own.  z0 - X0 lies in the normal cone of the ball at X0, and so does U0
+    for every c >= 0, so Pi(X0 + U0) = X0: the state is one a splitting step
+    could have left.  c is the least-squares fit of the g-update's
+    stationarity condition at the cold penalty (rho = 2 t^2 / ||g_o||^2),
+    adjoint(U) = g_o / t - g, with g = adjoint(X0) / w the coefficients
+    nearest X0.  Since adjoint(z0) = w g_o / t, the right-hand side is a / w
+    with a = adjoint(z0 - X0), and c = <a, a / w> / <a, a> lies in
+    [1 / n, 1] (0 for a = 0).  The start
+    depends on g_o / t alone, up to the rounding of the decomposition: it is
+    the same whatever path the solve is on, and for scaled data to
+    rounding.  idx and w are embed_indices(n) and multiplicities(n).
     """
-    z0 = (gvec / t)[idx]
-    X0 = project_nuclear_ball(z0, 1.0)
-    D = z0 - X0
+    lam, Q = g_o.hankel_eigh
+    lam = lam / t
+    P = (Q * np.copysign(project_simplex_l1(np.abs(lam), 1.0), lam)) @ Q.T
+    X0 = 0.5 * (P + P.T)
+    D = (g_o.values / t)[idx] - X0
     a = adjoint_fast(D)
     aa = float(a.dot(a))
     # c = 0 (U0 = 0) where <a, a> is 0 or overflows, at t below 1e-150 ||g_o||
@@ -304,11 +319,11 @@ def solve_constrained(
     warm_start : tuple (X, U_dual, rho), optional
         Splitting state to start from instead of the cold start (see Notes),
         usually the admm_state of a solve at a nearby t.  X and U_dual must
-        be n-by-n, or scalars standing for the constant n-by-n matrix; they
-        are copied, not modified.  rho is in the units of the original
-        problem: (0, 0, 2 t^2) starts from zeros at the fit curvature, the
-        cold start of earlier versions.  The stopping rule is the same as
-        for a cold start.
+        be finite and n-by-n, or scalars standing for the constant n-by-n
+        matrix; they are copied, not modified.  rho is in the units of the
+        original problem: (0, 0, 2 t^2) starts from zeros at the fit
+        curvature, the cold start of earlier versions.  The stopping rule is
+        the same as for a cold start.
     stop_inside : pair (lo, hi), optional
         Stop at the first iteration whose state has its certified enclosure
         (see SolveResult.bounds) inside [lo, hi], and report it as
@@ -381,13 +396,19 @@ def solve_constrained(
             raise ValueError(
                 f"warm start must be {n}-by-{n}, got {X.shape} and {U_dual.shape}"
             )
+        if not (np.isfinite(X).all() and np.isfinite(U_dual).all()):
+            raise ValueError("warm-start X and U_dual must be finite")
         if not np.isfinite(rho) or rho <= 0:
             raise ValueError("warm-start rho must be positive")
 
     nuc0 = g_o.hankel_nuclear_norm
     if nuc0 <= t:
-        g_tilde = ImpulseResponse(gvec / t)
+        # g_o / t, with the eigendecomposition of H(g_o) / t, which
+        # singular_values and a W = 0 certificate read
+        g_tilde = g_o._divided(t)
         obj = float(np.sum((t * g_tilde.values - gvec) ** 2))
+        sv = np.sort(np.abs(g_tilde.hankel_eigh[0]))[::-1]
+        sv.setflags(write=False)
         return SolveResult(
             g_tilde=g_tilde,
             t=float(t),
@@ -398,6 +419,7 @@ def solve_constrained(
             dual_residual=0.0,
             converged=True,
             bounds=dual_bounds(gvec, t, g_tilde.values, nuclear_norm=nuc0 / t),
+            singular_values=sv,
         )
 
     # the loop solves the fit divided by s^2 = ||g_o||^2; X and U_dual are
@@ -429,7 +451,7 @@ def solve_constrained(
     w = multiplicities(n)
     denom = fit_curv + rho * w
     if warm_start is None:
-        X, U_dual, _ = _cold_start(gvec, t, idx, w)
+        X, U_dual, _ = _cold_start(g_o, t, idx, w)
 
     g_tilde = np.zeros(gvec.size)
     r_pri = r_dual = np.inf
@@ -530,7 +552,8 @@ def solve_constrained(
             nu = _dual_norm(X, U_dual)
             lower = _half_space_bound(gvec, t, adjoint_fast(U_dual) / nu) if nu > 0.0 else 0.0
             if stop_inside[0] <= lower:
-                nuc = float(symmetric_singular_values(Hg).sum())
+                sv = symmetric_singular_values(Hg)
+                nuc = float(sv.sum())
                 upper = feasible_upper_bound(gvec, t, g_tilde, nuc)
                 if upper <= stop_inside[1]:
                     bounds = (lower, upper)
@@ -539,12 +562,14 @@ def solve_constrained(
 
     if bounds is None:
         # Hg = H(g_tilde), so its singular values give dual_bounds' nuclear norm
-        nuc = float(symmetric_singular_values(Hg).sum())
+        sv = symmetric_singular_values(Hg)
+        nuc = float(sv.sum())
         bounds = dual_bounds(gvec, t, g_tilde, U_dual, nuclear_norm=nuc)
     result_g = ImpulseResponse(g_tilde)
     obj = float(np.sum((t * g_tilde - gvec) ** 2))
     X.setflags(write=False)
     U_dual.setflags(write=False)
+    sv.setflags(write=False)
     return SolveResult(
         g_tilde=result_g,
         t=float(t),
@@ -555,5 +580,6 @@ def solve_constrained(
         dual_residual=r_dual * s2,
         converged=converged,
         bounds=bounds,
+        singular_values=sv,
         admm_state=(X, U_dual, rho * s2),
     )

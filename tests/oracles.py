@@ -299,9 +299,10 @@ def solve_constrained_cadence_frozen(g_o, t, opts=None, *, warm_start=None, test
         )
         rho = float(rho)
 
-    nuc0 = float(hp.hankel_singular_values(g_o).sum())
+    nuc0 = g_o.hankel_nuclear_norm
     if nuc0 <= t:
         g_tilde = hp.ImpulseResponse(gvec / t)
+        lam = g_o.hankel_eigh[0] / t
         return hp.SolveResult(
             g_tilde=g_tilde,
             t=float(t),
@@ -312,6 +313,7 @@ def solve_constrained_cadence_frozen(g_o, t, opts=None, *, warm_start=None, test
             dual_residual=0.0,
             converged=True,
             bounds=hp.dual_bounds(gvec, t, g_tilde.values, nuclear_norm=nuc0 / t),
+            singular_values=np.sort(np.abs(lam))[::-1],
         )
 
     def norm(a):
@@ -334,7 +336,7 @@ def solve_constrained_cadence_frozen(g_o, t, opts=None, *, warm_start=None, test
     w = hp.multiplicities(n)
     denom = fit_curv + rho * w
     if warm_start is None:
-        X, U_dual, _ = hp.solver._cold_start(gvec, t, idx, w)
+        X, U_dual, _ = hp.solver._cold_start(g_o, t, idx, w)
 
     g_tilde = np.zeros(gvec.size)
     r_pri = r_dual = np.inf
@@ -405,7 +407,8 @@ def solve_constrained_cadence_frozen(g_o, t, opts=None, *, warm_start=None, test
             U_dual = z - X
             f_ref = fnorm
 
-    nuc = float(symmetric_singular_values(Hg).sum())
+    sv = symmetric_singular_values(Hg)
+    nuc = float(sv.sum())
     X.setflags(write=False)
     U_dual.setflags(write=False)
     return hp.SolveResult(
@@ -418,5 +421,6 @@ def solve_constrained_cadence_frozen(g_o, t, opts=None, *, warm_start=None, test
         dual_residual=r_dual * s2,
         converged=converged,
         bounds=hp.dual_bounds(gvec, t, g_tilde, U_dual, nuclear_norm=nuc),
+        singular_values=sv,
         admm_state=(X, U_dual, rho * s2),
     )

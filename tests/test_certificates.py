@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,33 @@ class TestSubgradientVector:
         assert pr.m == 9
         for cert in pr.certificates:
             assert np.isfinite(cert.h).all() and np.isfinite(cert.residual_dir_norm)
+
+    def test_w0_form_matches_the_svd(self, sixth_order_impulse, rank1_impulse):
+        # adjoint(Q_r sign(lam_r) Q_r^T) from the cached eigendecomposition is
+        # adjoint(U_r V_r^T) of the SVD, cut at the same noise floor: at t_max
+        # of the fixture (the closed-form solve), rank one and n = 1.  Both
+        # carry a backward error of about u sigma_1 (u the unit roundoff),
+        # which the singular vectors of sigma_r amplify by 1 / sigma_r; at
+        # t_max, sigma_6 / sigma_1 = 3e-9 and the forms differ by 4e-9
+        g_o = sixth_order_impulse
+        cases = [hp.solve_constrained(g_o, hp.compute_t_max(g_o)).g_tilde, rank1_impulse,
+                 [1.0, 0.5, 0.25], [0.7], [-0.3]]
+        eps = np.finfo(float).eps
+        for g in cases:
+            U, S, Vh = np.linalg.svd(hp.hankel_embed(g).entries)
+            rank = int(np.sum(S > eps * S.size * S[0]))
+            ref = hp.hankel_adjoint(U[:, :rank] @ Vh[:rank])
+            h = hp.subgradient_vector(g, 1.0).h
+            tol = 1e-12 + S.size * eps * S[0] / S[rank - 1]
+            assert np.linalg.norm(h - ref) <= tol * np.linalg.norm(ref)
+
+    def test_w0_form_of_an_overflowing_spectrum_raises(self):
+        # H(g) has finite entries 1e308 and the eigenvalue 2e308; the SVD
+        # form returned h = 0 for it, with RuntimeWarnings from a = 0 / 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError):
+                hp.subgradient_vector(np.full(3, 1e308), 1.0)
 
     def test_matched_certificate_fields(self, sixth_order_impulse):
         g_o = sixth_order_impulse

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import hankelpath as hp
+from hankelpath.hankel import symmetric_eigh, symmetric_singular_values
 
 from oracles import adjoint_double_sum, inner_product_pair
 
@@ -25,6 +28,69 @@ class TestImpulseResponse:
         g = hp.ImpulseResponse(np.array([1.0, 2.0, 3.0]))
         with pytest.raises(ValueError):
             g.values[0] = 5.0
+
+
+class TestSymmetricSpectrum:
+    """symmetric_eigh and symmetric_singular_values call the LAPACK gufuncs
+    of np.linalg.eigh and np.linalg.eigvalsh directly."""
+
+    @staticmethod
+    def _symmetric(rng, n):
+        M = rng.randn(n, n)
+        return M + M.T
+
+    def test_same_bits_as_np_linalg(self):
+        rng = np.random.RandomState(8)
+        for n in (1, 2, 5, 16, 26):
+            H = self._symmetric(rng, n)
+            lam, Q = symmetric_eigh(H)
+            ref_lam, ref_Q = np.linalg.eigh(H)
+            assert np.array_equal(lam, ref_lam) and np.array_equal(Q, ref_Q)
+            ref = np.sort(np.abs(np.linalg.eigvalsh(H)))[::-1]
+            assert np.array_equal(symmetric_singular_values(H), ref)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entry_raises_without_warning(self, bad):
+        # the gufuncs would return NaNs, with a RuntimeWarning from n = 3 on
+        rng = np.random.RandomState(9)
+        for n in (1, 3, 8, 26):
+            H = self._symmetric(rng, n)
+            i, j = rng.randint(n, size=2)
+            H[i, j] = H[j, i] = bad
+            for decompose in (symmetric_eigh, symmetric_singular_values):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(np.linalg.LinAlgError):
+                        decompose(H)
+
+    def test_overflowing_spectrum_raises_without_warning(self):
+        # H(g) has finite entries 1e308 and the eigenvalue 2e308
+        g = np.full(3, 1e308)
+        for read in (hp.hankel_singular_values, hp.compute_t_max):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(np.linalg.LinAlgError):
+                    read(g)
+
+    def test_cached_decomposition(self, sixth_order_impulse):
+        g = sixth_order_impulse
+        lam, Q = g.hankel_eigh
+        assert g.hankel_eigh[0] is lam
+        assert not (lam.flags.writeable or Q.flags.writeable)
+        H = hp.hankel_embed(g).entries
+        assert np.abs((Q * lam) @ Q.T - H).max() <= 1e-14 * np.abs(lam).max()
+        assert g.hankel_nuclear_norm == float(np.abs(lam).sum())
+
+    def test_division_carries_the_decomposition(self, sixth_order_impulse):
+        g = hp.ImpulseResponse(sixth_order_impulse.values)
+        t = 0.7
+        assert "hankel_eigh" not in vars(g._divided(t))
+        lam, Q = g.hankel_eigh
+        scaled = g._divided(t)
+        assert np.array_equal(scaled.values, g.values / t)
+        assert scaled.hankel_eigh[1] is Q
+        assert np.array_equal(scaled.hankel_eigh[0], lam / t)
+        assert not scaled.hankel_eigh[0].flags.writeable
 
 
 class TestEmbed:

@@ -8,7 +8,7 @@ import pytest
 
 import hankelpath as hp
 
-from conftest import FIXTURE_BANDS, FIXTURE_K_MAX, ORDER100_BANDS, ORDER100_SEED
+from conftest import FIXTURE_BANDS, FIXTURE_K_MAX, ORDER100_BANDS, ORDER100_SEED, path_solves
 from hankelpath._textio import fmt17
 from oracles import svd_2x2_singular_values
 
@@ -76,6 +76,25 @@ class TestHankelSingularValues:
 
 
 class TestComputePath:
+    def test_singular_values_are_t_times_the_solves(self, sixth_order_impulse, monkeypatch):
+        # each record is t times the spectrum the solve took, not a fresh
+        # decomposition of H(t g~); the two agree to rounding.  A loop
+        # solve's spectrum is that of the H(g~) its bounds price, the
+        # closed-form one (the last) that of H(g_o) over t
+        g_o = sixth_order_impulse
+        pr, solves = path_solves(monkeypatch, g_o, 0.01)
+        assert solves[-1].iterations == 0
+        for t, sig, res in zip(pr.breakpoints, pr.singular_values, solves):
+            assert np.array_equal(sig, t * res.singular_values)
+            fresh = hp.hankel_singular_values(t * res.g_tilde.values)
+            assert np.abs(sig - fresh).max() <= 1e-14 * sig[0]
+            if res.iterations:
+                own = hp.hankel_singular_values(res.g_tilde)
+                assert np.array_equal(res.singular_values, own)
+                assert res.nuclear_norm_value == float(own.sum())
+        lam = g_o.hankel_eigh[0]
+        assert np.array_equal(solves[-1].singular_values, np.sort(np.abs(lam))[::-1] / pr.t_max)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             hp.compute_path(np.zeros(5), eps=0.01)
@@ -301,6 +320,25 @@ class TestHeldOutTightness:
         assert _worst_breakpoint_ratio(g_o, pr) <= 1.0
 
 
+class TestFinePaths:
+    """The paper's O(1/sqrt(eps)) law: each certified segment advances t by
+    at least about sqrt(eps), since the gap's growth rate a <= ||g*||_2 <=
+    ||H(g*)||_* <= 1, so m <= (t_max - bootstrap_t) / sqrt(eps) + 2 (the
+    first solve and the one at t_max)."""
+
+    def test_solve_count_law(self, sixth_order_impulse):
+        g_o = sixth_order_impulse
+        for k in range(1, 6):
+            eps = 10.0**-k * g_o.norm() ** 2
+            pr = hp.compute_path(g_o, eps)
+            assert not pr.partial
+            # m / bound measured 0.43 at k = 1, falling to 0.34 at k = 5
+            assert pr.m <= (pr.t_max - pr.bootstrap_t) / np.sqrt(eps) + 2
+            # criteria 2 and 3 on every such path
+            assert max(s.gap for s in pr.samples) <= 1.05 * eps
+            assert _worst_breakpoint_ratio(g_o, pr) <= 1.0
+
+
 class TestScaleCovariance:
     """One system at residue scales 1e-6 to 1e6, eps relative to ||g_o||^2:
     the same path in units of ||g_o||.  With the solver's constants in the
@@ -329,6 +367,7 @@ class TestLeanPathResult:
     def _assert_stateless(pr):
         assert pr.exact_solutions
         assert all(r.admm_state is None for r in pr.exact_solutions)
+        assert all(r.singular_values is None for r in pr.exact_solutions)
 
     def test_completed_paths_hold_no_state(self, sixth_order_path, order100_path):
         for pr in (sixth_order_path, order100_path[1]):

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -654,7 +655,7 @@ class TestColdStart:
     def _start(g, t):
         n = (len(g) + 1) // 2
         return hp.solver._cold_start(
-            np.asarray(g, dtype=float), t, hp.hankel.embed_indices(n), hp.multiplicities(n)
+            hp.as_impulse(g), t, hp.hankel.embed_indices(n), hp.multiplicities(n)
         )
 
     def test_property_consistent_state_at_every_scale(self):
@@ -782,6 +783,19 @@ class TestWarmStart:
                 hp.solve_constrained(sixth_order_impulse, 0.1, warm_start=start)
         with pytest.raises(ValueError):
             hp.solve_constrained(sixth_order_impulse, 0.1, warm_start=(good, good, 0.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", [0, 1], ids=["X", "U_dual"])
+    def test_non_finite_warm_start_rejected(self, sixth_order_impulse, which, bad):
+        # rejected at entry: the loop used to raise LinAlgError in its first
+        # projection, after RuntimeWarnings from the arithmetic before it
+        n = sixth_order_impulse.n
+        start = [np.zeros((n, n)), np.zeros((n, n)), 1.0]
+        start[which][1, 2] = start[which][2, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                hp.solve_constrained(sixth_order_impulse, 0.1, warm_start=tuple(start))
 
     def test_path_solves_start_from_previous_breakpoint(self, sixth_order_impulse, monkeypatch):
         pr, solves = path_solves(monkeypatch, sixth_order_impulse, 0.01)
