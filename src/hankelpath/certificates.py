@@ -31,10 +31,10 @@ dual_bounds prices any solver state with the same h: the objective at the
 rescaled, exactly feasible point bounds the optimum from above, and the
 half-space h^T g <= 1 gives a lower bound, however inexact the solve.  The
 certificate and dual_bounds take ||S||_2 from an eigvalsh, so the scale of h
-is that of Z = S / ||S||_2.  The solver's stop_inside test alone divides by an
-upper bound on ||S||_2 read off its state instead (solver._dual_norm): any
-divisor at or above ||S||_2 keeps the half-space valid, at a bound looser by
-the excess.
+is that of Z = S / ||S||_2.  The solver prices every state it stops at with
+an upper bound on ||S||_2 read off that state instead (solver._dual_norm):
+any divisor at or above ||S||_2 keeps the half-space valid, at a bound looser
+by the excess.
 
 compute_path prices a segment's reporting grid as one table of residuals
 (_segment_samples), with the same arithmetic per sample as approx_objective
@@ -97,8 +97,12 @@ def _orth_component(x: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 def _dual_direction(U) -> np.ndarray | None:
     """h = adjoint(S) / ||S||_2 with S the symmetric part of U; None when
-    adjoint(S) = 0 (S = 0 among them)."""
+    adjoint(S) = 0 (S = 0 among them).  A non-finite U raises
+    np.linalg.LinAlgError before any arithmetic: +inf and -inf at mirrored
+    entries would sum to NaN, with a RuntimeWarning."""
     U = np.asarray(U, dtype=float)
+    if not np.isfinite(U).all():
+        raise np.linalg.LinAlgError("dual has non-finite entries")
     S = 0.5 * (U + U.T)
     a = adjoint_fast(S)
     if not np.any(a):
@@ -172,45 +176,42 @@ def approx_objective(g_tilde_star, g_o, t: float) -> float:
     return float(np.sum((t * gs - go) ** 2))
 
 
-def dual_bounds(g_o, t: float, g, U=None, nuclear_norm=None) -> tuple[float, float]:
+def dual_bounds(g_o, t: float, g, U=None) -> tuple[float, float]:
     """Certified enclosure (lower, upper) of the optimal cost f*(t) from any g and U.
 
     upper is feasible_upper_bound: the objective ||t g_hat - g_o||^2 of the
-    exactly feasible point g_hat = g / max(1, ||H(g)||_*); nuclear_norm, when
-    given, is that Hankel nuclear norm of g, so a caller that has it saves
-    one eigvalsh.  lower is dual_lower_bound(g_o, t, U), 0 for U = None.
+    exactly feasible point g_hat = g / max(1, ||H(g)||_*).  lower comes from
+    the dual point U, 0 for U = None: with S the symmetric part of U and
+    h = adjoint(S) / ||S||_2, every feasible g has
+    h^T g = <S, H(g)> / ||S||_2 <= ||H(g)||_* <= 1, so t g stays in the
+    half-space h^T x <= t and f*(t) >= max(0, h^T g_o - t)^2 / ||h||^2.
+    That holds for any U, however inexact the solve it came from; at an
+    optimum, with U the solver's scaled dual, the bound is tight.  An S with
+    adjoint(S) = 0 (S = 0 among them) gives 0; any other U that is not
+    n-by-n for a g_o of length 2n - 1 raises ValueError, and a U with a
+    non-finite entry np.linalg.LinAlgError.  Each bound takes one eigvalsh.
+
+    solve_constrained prices its own states without these eigvalsh: it
+    divides by an upper bound on ||S||_2 read off the state, and takes the
+    nuclear norm from the spectrum it already holds (SolveResult.bounds),
+    so its lower bound is at most a rounding allowance below this one.
     """
     go = np.asarray(g_o, dtype=float)
     gv = np.asarray(g, dtype=float)
-    if nuclear_norm is None:
-        nuclear_norm = float(hankel_singular_values(gv).sum())
-    lower = 0.0 if U is None else dual_lower_bound(go, t, U)
-    return lower, feasible_upper_bound(go, t, gv, nuclear_norm)
-
-
-def dual_lower_bound(g_o: np.ndarray, t: float, U) -> float:
-    """Lower bound on f*(t) from a dual point U, for a float data vector g_o.
-
-    With S the symmetric part of U and h = adjoint(S) / ||S||_2, every
-    feasible g has h^T g = <S, H(g)> / ||S||_2 <= ||H(g)||_* <= 1, so t g
-    stays in the half-space h^T x <= t and f*(t) >= max(0, h^T g_o - t)^2 /
-    ||h||^2.  That holds for any U, however inexact the solve it came from;
-    at an optimum, with U the solver's scaled dual, the bound is tight.  An
-    S with adjoint(S) = 0 (S = 0 among them) gives 0; any other U that is
-    not n-by-n for a g_o of length 2n - 1 raises ValueError.
-    """
-    h = _dual_direction(U)
-    return 0.0 if h is None else _half_space_bound(g_o, t, h)
+    h = None if U is None else _dual_direction(U)
+    lower = 0.0 if h is None else _half_space_bound(go, t, h)
+    return lower, feasible_upper_bound(go, t, gv, float(hankel_singular_values(gv).sum()))
 
 
 def _half_space_bound(g_o: np.ndarray, t: float, h: np.ndarray) -> float:
     """max(0, h^T g_o - t)^2 / ||h||^2, the lower bound on f*(t) of
-    h = adjoint(S) / nu for S symmetric and nu >= ||S||_2 (dual_lower_bound
-    with nu = ||S||_2); h = 0 gives 0.  Any nu >= ||S||_2 keeps the bound
-    valid, since then ||S / nu||_2 <= 1, and loosens it by the excess; one
-    below ||S||_2 makes it unsound, so only a caller that can vouch for its
-    nu passes one: the solver's stop test, with solver._dual_norm and the
-    adjoint of its bit-symmetric U_dual, its own symmetric part.
+    h = adjoint(S) / nu for S symmetric and nu >= ||S||_2 (dual_bounds' lower
+    bound with nu = ||S||_2); h = 0 gives 0.  Any nu >= ||S||_2 keeps the
+    bound valid, since then ||S / nu||_2 <= 1, and loosens it by the excess;
+    one below ||S||_2 makes it unsound, so only a caller that can vouch for
+    its nu passes one: the solver, pricing the states it stops at with
+    solver._dual_norm and the adjoint of its bit-symmetric U_dual, its own
+    symmetric part.
     """
     excess = float(h.dot(g_o)) - t
     return excess * excess / float(h.dot(h)) if excess > 0.0 else 0.0

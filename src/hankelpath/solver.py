@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg._umath_linalg import eigh_lo, solve1
 
-from .certificates import _half_space_bound, dual_bounds, feasible_upper_bound
+from .certificates import _half_space_bound, feasible_upper_bound
 from .hankel import (
     ImpulseResponse,
     adjoint_fast,
@@ -135,17 +135,17 @@ class SolveResult:
     singular_values hold t times it.
 
     bounds = (lower, upper) is a certified enclosure of the optimal cost at t.
-    It is sound however far the solve got, converged or not.  A solve that
-    ends by the residual test or the iteration budget prices its final state
-    with certificates.dual_bounds on g_tilde and the returned U_dual, passing
-    the nuclear norm of the H(g_tilde) it already holds (lower is 0 on the
-    closed-form branch, where the optimum is 0).  A stop_inside check takes
-    dual_bounds' two halves apart: the lower bound first, with ||U_dual||_2
-    replaced by the upper bound _dual_norm(X, U_dual) >= ||U_dual||_2 that
-    the state yields without an eigvalsh, and the nuclear norm and upper
-    bound only when that lower bound clears the interval's low end.  So an
-    early exit's lower bound is dual_lower_bound's with that norm, at most a
-    rounding allowance looser; its upper bound is dual_bounds' own.
+    It is sound however far the solve got, converged or not, and one rule
+    prices it at every exit of the loop, the residual test, the iteration
+    budget and a stop_inside check alike: the returned state is one a
+    projection just left, so its dual norm ||U_dual||_2 has the upper bound
+    nu = _dual_norm(X, U_dual) without an eigvalsh, and lower is the
+    half-space bound of certificates.dual_bounds with nu in place of
+    ||U_dual||_2, at most a rounding allowance looser than dual_bounds'
+    own; upper is certificates.feasible_upper_bound at the nuclear norm of
+    the H(g_tilde) that singular_values holds, dual_bounds' own upper bound.
+    The closed-form branch, whose g_tilde is the optimum, reports
+    (0.0, objective).
     """
 
     g_tilde: ImpulseResponse
@@ -259,8 +259,8 @@ def _dual_norm(X: np.ndarray, U_dual: np.ndarray) -> float:
     ||.||_2 <= ||.||_F, ||X||_F <= 1 and c bounded, all of it stays below
     delta = NORM_ROUNDING n (1 + ||X||_F)(||X||_F + ||U_dual||_F), and
     nu = max(<U_dual, X>, 0) + delta.  Three dot products replace the
-    eigvalsh of certificates.dual_lower_bound.  nu is valid only for X the
-    projection U_dual was split from, which the loop guarantees and no
+    eigvalsh of certificates.dual_bounds' lower bound.  nu is valid only for
+    X the projection U_dual was split from, which the loop guarantees and no
     caller of a public function could.
     """
     x = X.ravel()
@@ -299,7 +299,7 @@ def _cold_start(g_o: ImpulseResponse, t: float, idx: np.ndarray, w: np.ndarray):
     D = (g_o.values / t)[idx] - X0
     a = adjoint_fast(D)
     aa = float(a.dot(a))
-    # c = 0 (U0 = 0) where <a, a> is 0 or overflows, at t below 1e-150 ||g_o||
+    # c = 0 (U0 = 0) where <a, a> is 0 or overflows
     c = float(a.dot(a / w)) / aa if 0.0 < aa < math.inf else 0.0
     return X0, c * D, c
 
@@ -336,13 +336,17 @@ def solve_constrained(
     SolveResult
         Deterministic for fixed inputs, options and start (no randomness).
         Non-convergence is reported through converged=False with residuals
-        and bounds populated, never as an exception.
+        and bounds populated, never as an exception.  Every exit prices
+        bounds by the one rule of SolveResult.bounds: after the loop that
+        takes a single eigvalsh, of H(g_tilde), and the closed form none.
 
     Raises
     ------
     ValueError
-        For t <= 0, a malformed warm start, or data whose ||g_o||^2
-        underflows to 0 or overflows (the loop divides by it).
+        For t <= 0, a malformed warm start, data whose ||g_o||^2 underflows
+        to 0 or overflows (the loop divides by it), or a t so small next to
+        ||g_o|| that the loop's fit curvature 2 t^2 / ||g_o||^2, or 1e-8
+        times it, is not a normal float (t below about 1e-150 ||g_o||).
 
     Notes
     -----
@@ -418,7 +422,7 @@ def solve_constrained(
             primal_residual=0.0,
             dual_residual=0.0,
             converged=True,
-            bounds=dual_bounds(gvec, t, g_tilde.values, nuclear_norm=nuc0 / t),
+            bounds=(0.0, obj),
             singular_values=sv,
         )
 
@@ -438,6 +442,10 @@ def solve_constrained(
     rho = fit_curv if rho is None else rho / s2
     rho_lo = 1e-8 * fit_curv
     rho_hi = 1e8 * fit_curv
+    # below the normal floats (t under about 1e-150 ||g_o||) the cold
+    # start's H(g_o / t) overflows, or the loop divides by zero
+    if not rho_lo >= np.finfo(float).tiny:
+        raise ValueError("t is too small for ||g_o||: 2e-8 t^2 / ||g_o||^2 must be a normal float")
     primal_tol = opts.primal_tol if opts.primal_tol is not None else 2e-9
     dual_tol = opts.dual_tol if opts.dual_tol is not None else 2e-9
     # sqrt of the X entry count times the curvature factor (see SolverOptions),
@@ -561,10 +569,14 @@ def solve_constrained(
                     break
 
     if bounds is None:
-        # Hg = H(g_tilde), so its singular values give dual_bounds' nuclear norm
+        # the residual test and the budget leave the state right after a
+        # projection too, so the stop test's rule prices it: nu off the
+        # state, and the nuclear norm of Hg = H(g_tilde)
+        nu = _dual_norm(X, U_dual)
+        lower = _half_space_bound(gvec, t, adjoint_fast(U_dual) / nu) if nu > 0.0 else 0.0
         sv = symmetric_singular_values(Hg)
         nuc = float(sv.sum())
-        bounds = dual_bounds(gvec, t, g_tilde, U_dual, nuclear_norm=nuc)
+        bounds = (lower, feasible_upper_bound(gvec, t, g_tilde, nuc))
     result_g = ImpulseResponse(g_tilde)
     obj = float(np.sum((t * g_tilde - gvec) ** 2))
     X.setflags(write=False)

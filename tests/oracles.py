@@ -312,7 +312,7 @@ def solve_constrained_cadence_frozen(g_o, t, opts=None, *, warm_start=None, test
             primal_residual=0.0,
             dual_residual=0.0,
             converged=True,
-            bounds=hp.dual_bounds(gvec, t, g_tilde.values, nuclear_norm=nuc0 / t),
+            bounds=hp.dual_bounds(gvec, t, g_tilde.values),
             singular_values=np.sort(np.abs(lam))[::-1],
         )
 
@@ -420,7 +420,7 @@ def solve_constrained_cadence_frozen(g_o, t, opts=None, *, warm_start=None, test
         primal_residual=r_pri,
         dual_residual=r_dual * s2,
         converged=converged,
-        bounds=hp.dual_bounds(gvec, t, g_tilde, U_dual, nuclear_norm=nuc),
+        bounds=hp.dual_bounds(gvec, t, g_tilde, U_dual),
         singular_values=sv,
         admm_state=(X, U_dual, rho * s2),
     )

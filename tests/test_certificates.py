@@ -495,6 +495,21 @@ class TestDualBounds:
         assert hp.dual_bounds(g_o, 0.3, g, np.zeros((n, n))) == (0.0, g_o.norm() ** 2)
         assert hp.dual_bounds(g_o, 0.3, g)[0] == 0.0
 
+    def test_non_finite_dual_raises_before_any_arithmetic(self, sixth_order_impulse):
+        # +inf and -inf at mirrored entries sum to NaN in the symmetric part,
+        # with a RuntimeWarning, unless the dual is checked first
+        g_o = sixth_order_impulse
+        n = g_o.n
+        for bad in [(np.inf, -np.inf), (np.nan, 0.0), (np.inf, np.inf)]:
+            U = np.zeros((n, n))
+            U[0, 1], U[1, 0] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(np.linalg.LinAlgError):
+                    hp.dual_bounds(g_o, 0.3, g_o.values, U)
+                with pytest.raises(np.linalg.LinAlgError):
+                    hp.subgradient_vector(g_o.values, 0.3, dual=U)
+
     def test_dual_of_the_wrong_side_is_rejected(self, sixth_order_impulse):
         # the side of U sets the length of h, so a U that is not n-by-n for
         # g_o is refused rather than priced as a bound for another problem

@@ -98,6 +98,22 @@ class TestSolve:
         assert proc.returncode == 1
         assert flag[2:].replace("-", "_") in proc.stderr
 
+    @pytest.mark.parametrize("scale", [1e-154, 1e-200, 1e-300, 1e-310])
+    def test_tiny_t_is_a_numerical_error(self, tmp_path, impulse_file, sixth_order_impulse,
+                                         scale):
+        # the solver refuses a t whose fit curvature 2 t^2 / ||g_o||^2, or
+        # 1e-8 times it, is not a normal float, before any RuntimeWarning
+        t = scale * sixth_order_impulse.norm()
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "hankelpath", "solve",
+             "--input", str(impulse_file), "--t", repr(t), "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("numerical error:") and "normal float" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_missing_input_is_io_error(self, tmp_path):
         proc = run_cli("solve", "--input", tmp_path / "nope.csv", "--t", 1.0, "--out", tmp_path)
         assert proc.returncode == 2

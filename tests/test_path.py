@@ -326,17 +326,27 @@ class TestFinePaths:
     ||H(g*)||_* <= 1, so m <= (t_max - bootstrap_t) / sqrt(eps) + 2 (the
     first solve and the one at t_max)."""
 
-    def test_solve_count_law(self, sixth_order_impulse):
-        g_o = sixth_order_impulse
-        for k in range(1, 6):
+    @staticmethod
+    def _assert_law(g_o, ks, opts=None):
+        for k in ks:
             eps = 10.0**-k * g_o.norm() ** 2
-            pr = hp.compute_path(g_o, eps)
+            pr = hp.compute_path(g_o, eps, solver_opts=opts)
             assert not pr.partial
-            # m / bound measured 0.43 at k = 1, falling to 0.34 at k = 5
             assert pr.m <= (pr.t_max - pr.bootstrap_t) / np.sqrt(eps) + 2
             # criteria 2 and 3 on every such path
             assert max(s.gap for s in pr.samples) <= 1.05 * eps
             assert _worst_breakpoint_ratio(g_o, pr) <= 1.0
+
+    def test_solve_count_law(self, sixth_order_impulse):
+        # m / bound measured 0.43 at k = 1, falling to 0.34 at k = 5
+        self._assert_law(sixth_order_impulse, range(1, 6))
+
+    def test_solve_count_law_order100(self, order100_spec):
+        # the order-100 system at n = 26 with the bench's iteration budget:
+        # m = 8, 22, 64 and 196, so m / bound falls from 0.362 to 0.305, and
+        # the largest sample gap is eps to rounding
+        g_o = hp.impulse_response(order100_spec, 51)
+        self._assert_law(g_o, range(1, 5), hp.SolverOptions(max_iters=200000))
 
 
 class TestScaleCovariance:

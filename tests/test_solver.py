@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import math
 import sys
 import warnings
 
@@ -315,6 +316,27 @@ class TestSolveConstrained:
         with pytest.raises(ValueError):
             hp.solve_constrained([1.0, 0.5, 0.25], -1.0)
 
+    @pytest.mark.parametrize("scale", [1e-154, 1e-200, 1e-300, 1e-310])
+    def test_tiny_t_rejected_before_any_arithmetic(self, sixth_order_impulse, scale):
+        # the fit curvature 2 t^2 / ||g_o||^2, or 1e-8 times it, is not a
+        # normal float, and the solve refuses t before the cold start's
+        # H(g_o / t) can overflow
+        g_o = sixth_order_impulse
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="normal float"):
+                hp.solve_constrained(g_o, scale * g_o.norm())
+
+    def test_small_t_above_the_floor_still_solves(self, sixth_order_impulse):
+        g_o = sixth_order_impulse
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = hp.solve_constrained(g_o, 1e-8 * g_o.norm())
+            assert res.converged and res.iterations == 41
+            # the smallest t whose rho floor is normal starts without warning
+            t = math.sqrt(sys.float_info.min / 2e-8) * g_o.norm() * (1 + 1e-12)
+            assert hp.solve_constrained(g_o, t, hp.SolverOptions(max_iters=20)).iterations == 20
+
     @pytest.mark.parametrize("scale", [1e-170, 1e160])
     def test_data_norm_outside_float_range_rejected(self, scale):
         # the loop divides by ||g_o||^2, which is 0 or inf here
@@ -451,9 +473,10 @@ class TestSolverOptions:
 
 
 def _stop_test_lower_bound(g_o, t, res):
-    """The lower bound a stop_inside check prices the returned state with:
-    dual_lower_bound with the free dual norm in place of ||U_dual||_2; the
-    bit-symmetric U_dual is its own symmetric part, so its adjoint prices h."""
+    """The lower bound every loop exit prices the returned state with, as a
+    stop_inside check does: dual_bounds' lower bound with the free dual norm
+    in place of ||U_dual||_2; the bit-symmetric U_dual is its own symmetric
+    part, so its adjoint prices h."""
     X, U_dual, _ = res.admm_state
     nu = hp.solver._dual_norm(X, U_dual)
     return hp.certificates._half_space_bound(g_o.values, t, hp.hankel.adjoint_fast(U_dual) / nu)
@@ -487,9 +510,10 @@ class TestStopInside:
 
     @pytest.mark.parametrize("early", [True, False], ids=["early-exit", "full-solve"])
     def test_bounds_equal_dual_bounds_of_returned_state(self, sixth_order_impulse, early):
-        # a full solve prices its state with dual_bounds, so the bounds it
-        # reports are dual_bounds recomputed from what it returns; an early
-        # exit's lower bound takes the free dual norm of that state instead
+        # a full solve prices its state as an early exit does: the upper
+        # bound is dual_bounds' own, recomputed from what the solve returns,
+        # and the lower bound takes the free dual norm of that state, at
+        # most a rounding allowance below dual_bounds' lower bound
         g_o = sixth_order_impulse
         for frac in (0.1, 0.5, 0.9):
             t = frac * hp.compute_t_max(g_o)
@@ -501,11 +525,30 @@ class TestStopInside:
                 res = hp.solve_constrained(g_o, t, stop_inside=interval)
                 assert res.converged and res.iterations < full.iterations
             U_dual = res.admm_state[1]
-            expected = hp.dual_bounds(g_o.values, t, res.g_tilde.values, U_dual)
-            if early:
-                expected = (_stop_test_lower_bound(g_o, t, res), expected[1])
-            assert res.bounds == expected
+            lower, upper = hp.dual_bounds(g_o.values, t, res.g_tilde.values, U_dual)
+            assert res.bounds == (_stop_test_lower_bound(g_o, t, res), upper)
+            assert lower - 1e-12 * (1 + g_o.norm() ** 2) <= res.bounds[0] <= lower
             assert res.nuclear_norm_value == float(hp.hankel_singular_values(res.g_tilde).sum())
+
+    def test_budget_exit_and_closed_form_price_by_the_same_rule(self, sixth_order_impulse):
+        # a solve that runs out of budget, with or without an interval it
+        # never reaches, prices its state as every other loop exit; the
+        # closed form reports (0, objective), which is dual_bounds' value
+        g_o = sixth_order_impulse
+        t = 0.5 * hp.compute_t_max(g_o)
+        f = hp.solve_constrained(g_o, t).objective
+        for iters in (1, 2, 3, 7):
+            for interval in (None, (f, f)):
+                res = hp.solve_constrained(g_o, t, hp.SolverOptions(max_iters=iters),
+                                           stop_inside=interval)
+                assert not res.converged and res.iterations == iters
+                upper = hp.dual_bounds(g_o.values, t, res.g_tilde.values)[1]
+                assert res.bounds == (_stop_test_lower_bound(g_o, t, res), upper)
+        t = 2.0 * hp.compute_t_max(g_o)
+        closed = hp.solve_constrained(g_o, t)
+        assert closed.iterations == 0
+        assert closed.bounds == (0.0, closed.objective)
+        assert closed.bounds == hp.dual_bounds(g_o.values, t, closed.g_tilde.values)
 
     def test_exit_on_a_skipped_plain_step(self, sixth_order_impulse):
         # the exit iteration projects only z_aa: its state is an extrapolated
@@ -645,6 +688,41 @@ class TestFreeDualNorm:
             inside += np.abs(np.linalg.eigvalsh(X)).sum() < 1.0 - 1e-9
             prev = (it, rho)
         assert len(states) > 3000 and rescaled > 0 and inside > 0
+
+
+class TestDecompositionsAfterTheLoop:
+    """Outside its projections a loop solve decomposes one matrix, H(g_tilde),
+    whose spectrum prices bounds and singular_values, and the path's
+    certificate one more, the symmetric part of U_dual: two eigvalsh per loop
+    solve.  A closed form reads the cached eigendecomposition of H(g_o) and
+    decomposes nothing."""
+
+    def test_two_eigvalsh_per_loop_solve(self, monkeypatch, sixth_order_spec, order100_spec):
+        counts = {"eigvalsh_lo": 0, "eigh_lo": 0}
+
+        def counting(name, fn):
+            def counted(a):
+                counts[name] += 1
+                return fn(a)
+            return counted
+
+        for name in counts:
+            monkeypatch.setattr(hp.hankel, name, counting(name, getattr(hp.hankel, name)))
+        # 4 and 9 loop solves, each path ending in a closed form at t_max;
+        # with the eigh of H(g_o), the order-100 path takes 19
+        # decompositions besides its projections
+        for spec, k_max, eps in [(sixth_order_spec, FIXTURE_K_MAX, 0.01),
+                                 (order100_spec, 51, 12.0)]:
+            g_o = hp.impulse_response(spec, k_max)
+            counts.update(eigvalsh_lo=0, eigh_lo=0)
+            _, solves = path_solves(monkeypatch, g_o, eps)
+            loop = sum(res.iterations > 0 for res in solves)
+            assert solves[-1].iterations == 0 and loop == len(solves) - 1
+            assert counts == {"eigvalsh_lo": 2 * loop, "eigh_lo": 1}
+            counts.update(eigvalsh_lo=0)
+            closed = hp.solve_constrained(g_o, 2.0 * hp.compute_t_max(g_o))
+            hp.subgradient_vector(closed.g_tilde, closed.t, g_o=g_o)
+            assert closed.iterations == 0 and counts == {"eigvalsh_lo": 0, "eigh_lo": 1}
 
 
 class TestColdStart:
