@@ -200,12 +200,16 @@ def adjoint_fast(M: np.ndarray) -> np.ndarray:
     return np.bincount(embed_indices(M.shape[0]).ravel(), weights=M.ravel())
 
 
+@functools.lru_cache(maxsize=64)
 def multiplicities(n: int) -> np.ndarray:
-    """Number of appearances of each coefficient in the embedding: min(k, 2n-k)."""
+    """Number of appearances of each coefficient in the embedding:
+    min(k, 2n-k); read-only, cached per n."""
     if n < 1:
         raise ValueError("n must be >= 1")
     k = np.arange(1, 2 * n)
-    return np.minimum(k, 2 * n - k).astype(float)
+    w = np.minimum(k, 2 * n - k).astype(float)
+    w.setflags(write=False)
+    return w
 
 
 def _require_finite(a: np.ndarray) -> None:

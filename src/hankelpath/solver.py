@@ -8,7 +8,9 @@ update (the normal equations are diagonal because adjoint(embed(g)) equals
 multiplicities * g), a nuclear-ball projection of the embedded iterate, and a
 scaled dual update, until primal and dual residuals fall below tolerances.
 The iterates are exactly symmetric, and the projection eigendecomposes them
-by LAPACK dsyevd through np.linalg.eigh's own gufunc, without the wrapper.
+by LAPACK dsyevd through np.linalg.eigh's own gufunc, without the wrapper;
+the loop vouches for their symmetry and finiteness (_Iterate), so the
+projection does not test them entry by entry.
 A cold solve starts at the projection of the unconstrained fit H(g_o / t)
 (Fazel, Pong, Sun & Tseng, SIAM J. Matrix Anal. Appl. 2013), read off the
 eigendecomposition of H(g_o) that the data vector caches.
@@ -52,6 +54,7 @@ from numpy.linalg._umath_linalg import eigh_lo, solve1
 from .certificates import _half_space_bound, feasible_upper_bound
 from .hankel import (
     ImpulseResponse,
+    _require_finite,
     adjoint_fast,
     as_impulse,
     embed_indices,
@@ -72,6 +75,21 @@ TEST_EVERY = 4
 #: Rounding allowance of the free dual norm (_dual_norm), per unit of n:
 #: 64 machine epsilons.
 NORM_ROUNDING = 64 * np.finfo(float).eps
+
+# per-solve constants: the identity of the Anderson normal equations' Tikhonov
+# term, and the smallest normal float, below which rho_lo must not fall
+_AA_EYE = np.eye(AA_MEM)
+_TINY = np.finfo(float).tiny
+
+
+class _Iterate(np.ndarray):
+    """Marker view of an iterate that solve_constrained vouches for, so that
+    project_nuclear_ball takes it without its two entrywise checks.  Only
+    the loop creates one, for T(z) and z_aa: it builds both bit-symmetric
+    from a symmetric start, and a finite sum of squares it holds anyway
+    (||T(z) - z||, ||z_aa||^2) implies finite entries; where that sum is
+    not finite, the entrywise test decides.  Every other input keeps every
+    check."""
 
 
 @dataclass(frozen=True)
@@ -214,27 +232,32 @@ def project_nuclear_ball(M, radius: float) -> np.ndarray:
     eigh_lo gufunc of np.linalg.eigh): |lam| are its singular values, so the
     projection shrinks |lam| on the simplex and keeps the signs.  The result
     is symmetrized bit for bit, so the solver's iterates stay on this branch.
+    The solver's loop passes its iterates as _Iterate views, which it built
+    symmetric and vouched finite; those skip the two entrywise checks.
     """
     if not radius > 0:
         raise ValueError("radius must be positive")
-    arr = np.asarray(M, dtype=float)
-    if not np.isfinite(arr).all():
-        # the SVD can loop forever on inf, and eigh_lo returns NaNs and warns
-        raise np.linalg.LinAlgError("matrix has non-finite entries")
-    if arr.ndim == 2 and arr.shape[0] == arr.shape[1] and (arr == arr.T).all():
-        lam, Q = eigh_lo(arr)
-        mag = np.abs(lam)
-        total = mag.sum()
-        if not math.isfinite(total):
-            raise np.linalg.LinAlgError("eigendecomposition failed")
-        if total <= radius:
-            return arr
-        P = (Q * np.copysign(project_simplex_l1(mag, radius), lam)) @ Q.T
-        return 0.5 * (P + P.T)
-    U, S, Vh = np.linalg.svd(arr, full_matrices=False)
-    if S.sum() <= radius:
+    if type(M) is _Iterate:
+        arr = M.view(np.ndarray)
+    else:
+        arr = np.asarray(M, dtype=float)
+        if not np.isfinite(arr).all():
+            # the SVD can loop forever on inf, and eigh_lo returns NaNs and warns
+            raise np.linalg.LinAlgError("matrix has non-finite entries")
+        if not (arr.ndim == 2 and arr.shape[0] == arr.shape[1] and (arr == arr.T).all()):
+            U, S, Vh = np.linalg.svd(arr, full_matrices=False)
+            if S.sum() <= radius:
+                return arr
+            return (U * project_simplex_l1(S, radius)) @ Vh
+    lam, Q = eigh_lo(arr)
+    mag = np.abs(lam)
+    total = mag.sum()
+    if not math.isfinite(total):
+        raise np.linalg.LinAlgError("eigendecomposition failed")
+    if total <= radius:
         return arr
-    return (U * project_simplex_l1(S, radius)) @ Vh
+    P = (Q * np.copysign(project_simplex_l1(mag, radius), lam)) @ Q.T
+    return 0.5 * (P + P.T)
 
 
 def _norm(a) -> float:
@@ -319,8 +342,8 @@ def solve_constrained(
     warm_start : tuple (X, U_dual, rho), optional
         Splitting state to start from instead of the cold start (see Notes),
         usually the admm_state of a solve at a nearby t.  X and U_dual must
-        be finite and n-by-n, or scalars standing for the constant n-by-n
-        matrix; they are copied, not modified.  rho is in the units of the
+        be finite, exactly symmetric and n-by-n, or scalars standing for the
+        constant n-by-n matrix; they are copied, not modified.  rho is in the units of the
         original problem: (0, 0, 2 t^2) starts from zeros at the fit
         curvature, the cold start of earlier versions.  The stopping rule is
         the same as for a cold start.
@@ -347,6 +370,9 @@ def solve_constrained(
         to 0 or overflows (the loop divides by it), or a t so small next to
         ||g_o|| that the loop's fit curvature 2 t^2 / ||g_o||^2, or 1e-8
         times it, is not a normal float (t below about 1e-150 ||g_o||).
+    np.linalg.LinAlgError
+        When an iterate turns non-finite, before anything decomposes it or
+        does arithmetic on it, or when a decomposition fails.
 
     Notes
     -----
@@ -402,6 +428,10 @@ def solve_constrained(
             )
         if not (np.isfinite(X).all() and np.isfinite(U_dual).all()):
             raise ValueError("warm-start X and U_dual must be finite")
+        # the loop keeps every iterate bit-symmetric from a symmetric start,
+        # and vouches for them to the projection on that ground
+        if not ((X == X.T).all() and (U_dual == U_dual.T).all()):
+            raise ValueError("warm-start X and U_dual must be exactly symmetric")
         if not np.isfinite(rho) or rho <= 0:
             raise ValueError("warm-start rho must be positive")
 
@@ -444,7 +474,7 @@ def solve_constrained(
     rho_hi = 1e8 * fit_curv
     # below the normal floats (t under about 1e-150 ||g_o||) the cold
     # start's H(g_o / t) overflows, or the loop divides by zero
-    if not rho_lo >= np.finfo(float).tiny:
+    if not rho_lo >= _TINY:
         raise ValueError("t is too small for ||g_o||: 2e-8 t^2 / ||g_o||^2 must be a normal float")
     primal_tol = opts.primal_tol if opts.primal_tol is not None else 2e-9
     dual_tol = opts.dual_tol if opts.dual_tol is not None else 2e-9
@@ -471,7 +501,6 @@ def solve_constrained(
     dT = np.empty((AA_MEM, n * n))
     dF = np.empty((AA_MEM, n * n))
     gram = np.empty((AA_MEM, AA_MEM))
-    eye = np.eye(AA_MEM)
     filled = slot = 0
     prev = None  # flat (T(z), f) of the previous step
     f_ref = np.inf  # ||f|| where the last extrapolation was taken
@@ -483,6 +512,10 @@ def solve_constrained(
         Tz = Hg + U_dual
         f = Tz - z
         fnorm = _norm(f)
+        if not math.isfinite(fnorm):
+            # a finite ||T(z) - z|| vouches for a finite T(z); otherwise the
+            # entrywise test decides, before the Anderson update can warn
+            _require_finite(Tz)
         Tz_flat = Tz.ravel()
         f_flat = f.ravel()
         if fnorm > f_ref:
@@ -513,13 +546,13 @@ def solve_constrained(
             G = gram[:filled, :filled]
             tr = G.trace()
             if tr > 0:
-                gamma = solve1(G + AA_REG * tr * eye[:filled, :filled], dF[:filled] @ f_flat)
+                gamma = solve1(G + AA_REG * tr * _AA_EYE[:filled, :filled], dF[:filled] @ f_flat)
                 z_aa = Tz - (gamma @ dT[:filled]).reshape(n, n)
                 z_aa = 0.5 * (z_aa + z_aa.T)
         # the plain step runs when it is the step, and when the test could
         # pass, ahead of the extrapolated point
         if z_aa is None or near:
-            X_new = project_nuclear_ball(Tz, 1.0)
+            X_new = project_nuclear_ball(Tz.view(_Iterate), 1.0)
             step = Hg - X_new
             r_pri = _norm(step)
             r_dual = rho * _norm(X_new - X)
@@ -548,7 +581,10 @@ def solve_constrained(
                 z = Tz
         if z_aa is not None:
             z = z_aa
-            X = project_nuclear_ball(z, 1.0)
+            z_flat = z.ravel()
+            if not math.isfinite(z_flat.dot(z_flat)):
+                _require_finite(z)
+            X = project_nuclear_ball(z.view(_Iterate), 1.0)
             U_dual = z - X
             f_ref = fnorm
         if stop_inside is not None:

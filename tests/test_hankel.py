@@ -208,6 +208,13 @@ class TestMultiplicities:
     def test_values(self, n, expected):
         np.testing.assert_array_equal(hp.multiplicities(n), expected)
 
+    def test_cached_and_read_only(self):
+        # every solve reads it, so it is computed once per n and shared
+        w = hp.multiplicities(7)
+        assert hp.multiplicities(7) is w and not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 2.0
+
     def test_composition_is_exact(self):
         # adjoint(embed(g)) must equal multiplicities * g bit for bit
         rng = np.random.RandomState(3)

@@ -23,12 +23,19 @@ class TestTMax:
     def test_zero(self):
         assert hp.compute_t_max(np.zeros(5)) == 0.0
 
-    def test_cached_value_is_the_singular_value_sum(self, sixth_order_spec):
-        # bit for bit, from a fresh instance and from a plain array
-        g_o = hp.impulse_response(sixth_order_spec, FIXTURE_K_MAX)
-        expected = float(hp.hankel_singular_values(g_o).sum())
-        assert hp.compute_t_max(g_o) == g_o.hankel_nuclear_norm == expected
-        assert hp.compute_t_max(g_o.values) == expected
+    def test_cached_value_is_the_singular_value_sum(self):
+        # t_max sums the cached eigh of H(g_o), hankel_singular_values an
+        # eigvalsh: the two round the eigenvalues differently, so they agree
+        # to rounding, not bit for bit (fixture systems 3 and 5 differ by 3
+        # and 4 ulps with OpenBLAS 0.3.31, system 10 agrees).  A fresh
+        # instance and a plain array give the cached value's bits.
+        for seed in (3, 5, 10):
+            g_o = hp.impulse_response(hp.random_system(6, seed, bands=FIXTURE_BANDS),
+                                      FIXTURE_K_MAX)
+            expected = float(hp.hankel_singular_values(g_o).sum())
+            t_max = hp.compute_t_max(g_o)
+            assert t_max == g_o.hankel_nuclear_norm == hp.compute_t_max(g_o.values)
+            assert abs(t_max - expected) <= g_o.n * np.finfo(float).eps * expected
 
 
 class TestHankelSingularValues:

@@ -875,6 +875,18 @@ class TestWarmStart:
             with pytest.raises(ValueError, match="finite"):
                 hp.solve_constrained(sixth_order_impulse, 0.1, warm_start=tuple(start))
 
+    @pytest.mark.parametrize("which", [0, 1], ids=["X", "U_dual"])
+    def test_asymmetric_warm_start_rejected(self, sixth_order_impulse, which):
+        # the loop vouches for its iterates' symmetry to the projection, which
+        # holds only from a symmetric start: one ulp off is rejected at entry
+        g_o = sixth_order_impulse
+        start = list(hp.solve_constrained(g_o, 0.3 * hp.compute_t_max(g_o)).admm_state)
+        M = start[which].copy()
+        M[0, 1] = np.nextafter(M[0, 1], np.inf)
+        start[which] = M
+        with pytest.raises(ValueError, match="symmetric"):
+            hp.solve_constrained(g_o, 0.1, warm_start=tuple(start))
+
     def test_path_solves_start_from_previous_breakpoint(self, sixth_order_impulse, monkeypatch):
         pr, solves = path_solves(monkeypatch, sixth_order_impulse, 0.01)
         assert pr.m == 5
@@ -1047,6 +1059,108 @@ class TestPlainStepOnlyWhenTested:
         monkeypatch.setattr(hp.solver, "project_nuclear_ball", counted)
         assert hp.compute_path(g_o, eps=12.0).to_json() == path.to_json()
         assert len(calls) <= 620
+
+
+class TestVouchedIterates:
+    """The loop passes each iterate to project_nuclear_ball as an _Iterate,
+    which skips the projection's finiteness and symmetry checks: T(z) is
+    vouched for by a finite ||T(z) - z||, the extrapolated z_aa by a finite
+    ||z_aa||^2, and a non-finite value raises LinAlgError from the
+    entrywise test before any arithmetic on it."""
+
+    @staticmethod
+    def _from_iteration(monkeypatch, name, bad, first=3):
+        """Make solver.<name> return `bad` everywhere when the loop calls it
+        at iteration `first` or later; returns the iterations it was called
+        at."""
+        real = getattr(hp.solver, name)
+        seen = []
+
+        def poisoned(*args):
+            out = real(*args)
+            caller = sys._getframe(1)
+            loop = caller.f_locals
+            if caller.f_code.co_name == "solve_constrained" and "it" in loop:
+                seen.append(loop["it"])
+                if loop["it"] >= first:
+                    out = np.full_like(out, bad)
+            return out
+
+        monkeypatch.setattr(hp.solver, name, poisoned)
+        return seen
+
+    @staticmethod
+    def _finite_decompositions(monkeypatch):
+        real = hp.solver.eigh_lo
+        seen = []
+
+        def checked(a):
+            assert np.isfinite(a).all()
+            seen.append(1)
+            return real(a)
+
+        monkeypatch.setattr(hp.solver, "eigh_lo", checked)
+        return seen
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_plain_step_raises(self, monkeypatch, sixth_order_impulse, bad):
+        # a non-finite adjoint makes H(g), so T(z), non-finite: the loop
+        # rejects it at ||f||, before eigh_lo or the Anderson update sees it
+        g_o = sixth_order_impulse
+        seen = self._from_iteration(monkeypatch, "adjoint_fast", bad)
+        decompositions = self._finite_decompositions(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+                hp.solve_constrained(g_o, 0.5 * hp.compute_t_max(g_o))
+        assert seen == [1, 2, 3] and decompositions
+
+    def test_non_finite_extrapolation_raises(self, monkeypatch, sixth_order_impulse):
+        # a NaN Anderson coefficient makes z_aa NaN with a finite T(z): the
+        # one check on ||z_aa||^2 rejects it before eigh_lo sees it
+        g_o = sixth_order_impulse
+        seen = self._from_iteration(monkeypatch, "solve1", np.nan)
+        decompositions = self._finite_decompositions(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+                hp.solve_constrained(g_o, 0.5 * hp.compute_t_max(g_o))
+        assert seen and seen[-1] >= 3 and decompositions
+
+    def test_checked_projection_is_bit_identical(self, monkeypatch, sixth_order_impulse,
+                                                 order100_path):
+        # stripping the marker sends every loop projection through both
+        # checks; the solves at the breakpoints of both paths, cold and
+        # warm, return the same bits either way
+        real = hp.solver.project_nuclear_ball
+        marked = []
+
+        def checked(M, radius):
+            marked.append(type(M) is hp.solver._Iterate)
+            return real(M.view(np.ndarray), radius)
+
+        def fields(res):
+            X, U, rho = res.admm_state
+            return (res.g_tilde.values.tobytes(), res.t, res.objective, res.nuclear_norm_value,
+                    res.iterations, res.primal_residual, res.dual_residual, res.converged,
+                    res.bounds, res.singular_values.tobytes(), X.tobytes(), U.tobytes(), rho)
+
+        for g_o, eps in ((sixth_order_impulse, 0.01), (order100_path[0], 12.0)):
+            _, warm = path_solves(monkeypatch, g_o, eps)
+            loop = [(res, prev) for res, prev in zip(warm[1:], warm) if res.iterations]
+            assert len(loop) >= 3
+            runs = []
+            for strip in (False, True):
+                with monkeypatch.context() as m:
+                    if strip:
+                        m.setattr(hp.solver, "project_nuclear_ball", checked)
+                    runs.append([
+                        fields(hp.solve_constrained(g_o, res.t, warm_start=prev.admm_state))
+                        for res, prev in loop
+                    ] + [fields(hp.solve_constrained(g_o, res.t)) for res, _ in loop])
+            assert runs[0] == runs[1]
+            assert runs[0][:len(loop)] == [fields(res) for res, _ in loop]
+        assert marked and all(marked)
 
 
 class TestResidualBalancing:
