@@ -5,10 +5,11 @@ a nuclear-norm subgradient Z with ||Z||_2 = 1.  The half-space
 {g : h^T (g - g*) <= 0} contains the whole feasible set, so projecting the
 data onto it lower-bounds the optimal cost at any t >= t*, and the difference
 
-    gap(t) = ||t g* - g_o||^2 - <h, t g* - g_o>^2 / ||h||^2
+    gap(t) = ||(I - h h^T / ||h||^2) (t g* - g_o)||^2,
 
-is a certified upper bound on how far the frozen solution's objective sits
-above the true optimum at t.  At an exact optimum the fit residual is parallel
+the squared norm of the part of the fit residual orthogonal to h, is a
+certified upper bound on how far the frozen solution's objective sits above
+the true optimum at t.  At an exact optimum the fit residual is parallel
 to h, so the gap vanishes at t* and grows as (t - t*)^2 * a^2 with a the
 component of g* orthogonal to h.
 
@@ -36,9 +37,12 @@ an upper bound on ||S||_2 read off that state instead (solver._dual_norm):
 any divisor at or above ||S||_2 keeps the half-space valid, at a bound looser
 by the excess.
 
-compute_path prices a segment's reporting grid as one table of residuals
-(_segment_samples), with the same arithmetic per sample as approx_objective
-and duality_gap.
+Every gap is that one formula (_orth_norm2, for a vector or for each row of
+a table): compute_path's segment grids are one table (_segment_samples),
+duality_gap is a table of one row, and the snap test and next_breakpoint
+take the same orthogonal part (_orth_component).  The objective
+||t g - g_o||^2 is one routine too (_objective), which approx_objective,
+feasible_upper_bound, the tables and the solver read.
 """
 
 from __future__ import annotations
@@ -52,7 +56,6 @@ from .hankel import (
     ImpulseResponse,
     adjoint_fast,
     as_impulse,
-    hankel_adjoint,
     hankel_singular_values,
     symmetric_singular_values,
 )
@@ -92,7 +95,25 @@ class GapCertificate:
 
 
 def _orth_component(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    return x - h * (np.dot(h, x) / np.dot(h, h))
+    """The part of x orthogonal to h, for a vector x or for each row of a
+    table x.  The dot with h is a sum along the row, whose rounding does not
+    depend on how many rows the table has (a matrix-vector product's can),
+    so a row of a table gets the bits of that row alone."""
+    return x - (np.sum(x * h, axis=-1) / np.dot(h, h))[..., None] * h
+
+
+def _orth_norm2(x: np.ndarray, h: np.ndarray):
+    """||x - (<h, x> / ||h||^2) h||^2, the gap of a fit residual x, for a
+    vector or for each row of a table."""
+    o = _orth_component(x, h)
+    return np.sum(o * o, axis=-1)
+
+
+def _objective(g: np.ndarray, g_o: np.ndarray, t):
+    """||t g - g_o||^2 of float arrays g and g_o at a level t, or one value
+    per row for a column of levels t, each with the bits of its level
+    alone."""
+    return np.sum((t * g - g_o) ** 2, axis=-1)
 
 
 def _dual_direction(U) -> np.ndarray | None:
@@ -154,13 +175,14 @@ def subgradient_vector(g_tilde_star, t_star: float, g_o=None, dual=None) -> GapC
         mag = np.abs(lam)
         keep = mag > np.finfo(float).eps * mag.size * mag.max()
         Q_r = Q[:, keep]
-        h = hankel_adjoint((Q_r * np.sign(lam[keep])) @ Q_r.T)
+        h = adjoint_fast((Q_r * np.sign(lam[keep])) @ Q_r.T)
     if g_o is not None:
-        # snap onto -res, keeping the norm, inside numerical slop; a
-        # residual whose squared norm underflows to 0 has no usable direction
+        # snap onto -res, keeping the norm, when the gap of res is inside
+        # numerical slop; a residual whose squared norm underflows to 0 has
+        # no usable direction
         res = float(t_star) * g_star.values - as_impulse(g_o).values
-        rr, hr = float(res.dot(res)), float(h.dot(res))
-        if hr < 0 and rr > 0 and rr - hr * hr / float(h.dot(h)) <= SNAP_TOL**2 * rr:
+        rr = float(res.dot(res))
+        if rr > 0 and h.dot(res) < 0 and _orth_norm2(res, h) <= SNAP_TOL**2 * rr:
             h = -(np.linalg.norm(h) / math.sqrt(rr)) * res
 
     a = float(np.linalg.norm(_orth_component(g_star.values, h)))
@@ -171,9 +193,7 @@ def subgradient_vector(g_tilde_star, t_star: float, g_o=None, dual=None) -> GapC
 
 def approx_objective(g_tilde_star, g_o, t: float) -> float:
     """Objective of the frozen solution at parameter t: ||t g* - g_o||^2."""
-    gs = as_impulse(g_tilde_star).values
-    go = as_impulse(g_o).values
-    return float(np.sum((t * gs - go) ** 2))
+    return float(_objective(as_impulse(g_tilde_star).values, as_impulse(g_o).values, t))
 
 
 def dual_bounds(g_o, t: float, g, U=None) -> tuple[float, float]:
@@ -221,22 +241,18 @@ def feasible_upper_bound(g_o: np.ndarray, t: float, g: np.ndarray, nuclear_norm:
     """Upper bound on f*(t): the objective ||t g_hat - g_o||^2 of the exactly
     feasible point g_hat = g / max(1, nuclear_norm), with nuclear_norm the
     Hankel nuclear norm of g (float arrays g_o and g)."""
-    return float(np.sum((t * (g / max(1.0, nuclear_norm)) - g_o) ** 2))
+    return float(_objective(g / max(1.0, nuclear_norm), g_o, t))
 
 
 def duality_gap(cert: GapCertificate, g_o, t: float) -> float:
     """Certified bound on the frozen solution's excess objective at t.
 
-    Evaluates ||t g* - g_o||^2 - <h, t g* - g_o>^2 / ||h||^2, i.e. the squared
-    norm of the residual component orthogonal to h, clamped below at zero
-    against roundoff.  The bound certifies the interval only for t at or
-    above the certificate's own t_star.
+    The squared norm of the part of the residual t g* - g_o orthogonal to h,
+    priced as a one-row segment table (_segment_samples), so a path's
+    samples carry these bits.  The bound certifies the interval only for t
+    at or above the certificate's own t_star.
     """
-    _require_direction(cert)
-    res = t * cert.g_tilde_star.values - as_impulse(g_o).values
-    h = cert.h
-    raw = float(np.sum(res**2) - np.dot(h, res) ** 2 / np.dot(h, h))
-    return max(raw, 0.0)
+    return float(_segment_samples(cert, as_impulse(g_o).values, np.array([t], dtype=float))[0, 2])
 
 
 def _require_direction(cert: GapCertificate) -> None:
@@ -248,19 +264,13 @@ def _require_direction(cert: GapCertificate) -> None:
 
 def _segment_samples(cert: GapCertificate, g_o: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """The (t, f_approx, gap) rows of the frozen solution on the grid ts, as
-    one (k, 3) table.  Row j prices the residual ts[j] g* - g_o of one
-    (k, 2n - 1) table: f_approx is its row sum of squares, and the gap takes
-    np.dot with h and the scalar square per row, as duality_gap does, so both
-    equal approx_objective and duality_gap bit for bit (a vector square
-    would not: the float64 scalar power can differ from x * x in the last
-    bit).  Raises DegenerateCertificateError as duality_gap does."""
+    one (k, 3) table: f_approx is _objective and the gap _orth_norm2 of the
+    residual ts[j] g* - g_o, row by row, each row with the bits it would get
+    alone.  Raises DegenerateCertificateError for h = 0."""
     _require_direction(cert)
-    h = cert.h
-    res = ts[:, None] * cert.g_tilde_star.values - g_o
-    f_approx = np.sum(res**2, axis=1)
-    hr2 = np.array([np.dot(h, row) ** 2 for row in res])
-    gap = np.maximum(f_approx - hr2 / np.dot(h, h), 0.0)
-    return np.column_stack((ts, f_approx, gap))
+    g_star = cert.g_tilde_star.values
+    gap = _orth_norm2(ts[:, None] * g_star - g_o, cert.h)
+    return np.column_stack((ts, _objective(g_star, g_o, ts[:, None]), gap))
 
 
 def next_breakpoint(cert: GapCertificate, g_o, eps: float, t_max: float) -> float:

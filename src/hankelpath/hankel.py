@@ -74,7 +74,7 @@ class ImpulseResponse:
         every solve_constrained, so a path and its --verify re-solves
         decompose H(g_o) once.  The W = 0 certificate of subgradient_vector
         reads that of H(g*)."""
-        lam, Q = symmetric_eigh(hankel_embed(self).entries)
+        lam, Q = symmetric_eigh(self.values[embed_indices(self.n)])
         lam.setflags(write=False)
         Q.setflags(write=False)
         return lam, Q
@@ -251,7 +251,8 @@ def hankel_singular_values(g) -> np.ndarray:
     ImpulseResponse.hankel_nuclear_norm).  A path reads its breakpoints'
     singular values off its solves instead (SolveResult.singular_values).
     """
-    return symmetric_singular_values(hankel_embed(as_impulse(g)).entries)
+    g = as_impulse(g)
+    return symmetric_singular_values(g.values[embed_indices(g.n)])
 
 
 def compute_t_max(g_o) -> float:

@@ -9,16 +9,17 @@ is confined to [f_approx - gap, f_approx] throughout.
 
 The loop cannot start at t = 0 (the zero solution has no subgradient
 certificate).  Instead the zero model is certified directly on [0, t1] by the
-norm bound f_t(g) >= max(0, ||g_o|| - t)^2 (feasible g have ||g||_2 <= 1), and
-t1 = ||g_o|| - sqrt(max(0, ||g_o||^2 - eps)) is the largest level at which
-that elementary certificate still meets eps.
+norm bound f_t(g) >= max(0, ||g_o|| - t)^2 (feasible g have ||g||_2 <= 1),
+so its gap is t (2 ||g_o|| - t) below ||g_o||, and
+t1 = eps / (||g_o|| + sqrt(||g_o||^2 - eps)) is the largest level at which
+that elementary certificate still meets eps.  Both forms are free of
+cancellation at small eps.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -36,7 +37,7 @@ from .certificates import (
 # hankel_singular_values is not called here; bench/run.py wraps
 # hankelpath.path.hankel_singular_values
 from .hankel import as_impulse, compute_t_max, hankel_singular_values
-from .solver import SolveResult, SolverOptions, solve_constrained
+from .solver import SolveResult, SolverOptions, _require_count, solve_constrained
 
 
 class PathSample(NamedTuple):
@@ -156,15 +157,20 @@ class PathResult:
 
 def bootstrap_gap(g_o, t: float) -> float:
     """Certified excess of the zero model at level t: ||g_o||^2 - max(0, ||g_o|| - t)^2."""
-    norm_go = as_impulse(g_o).norm()
-    return norm_go**2 - max(0.0, norm_go - t) ** 2
+    return float(_zero_model_gap(as_impulse(g_o).norm(), t))
+
+
+def _zero_model_gap(norm_go: float, t):
+    """bootstrap_gap at a level t, or at each of an array of levels."""
+    t = np.minimum(t, norm_go)
+    return t * (2.0 * norm_go - t)
 
 
 def _bootstrap_t(norm_go: float, eps: float) -> float:
+    """t1, where the zero model's gap reaches eps; inf where it never does."""
     if eps >= norm_go**2:
-        # the zero model is an eps-approximation everywhere
         return math.inf
-    return norm_go - math.sqrt(norm_go**2 - eps)
+    return eps / (norm_go + math.sqrt(norm_go**2 - eps))
 
 
 def compute_path(
@@ -201,13 +207,7 @@ def compute_path(
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError("eps must be positive and finite")
-    # as SolverOptions.max_iters: a bool is an Integral, but no point count
-    if not (
-        isinstance(grid_points_per_segment, numbers.Integral)
-        and not isinstance(grid_points_per_segment, bool)
-        and grid_points_per_segment >= 2
-    ):
-        raise ValueError("grid_points_per_segment must be an integer >= 2")
+    _require_count("grid_points_per_segment", grid_points_per_segment, 2)
     if solver_opts is None:
         solver_opts = SolverOptions()
     g_o = as_impulse(g_o)
@@ -220,11 +220,8 @@ def compute_path(
 
     breakpoints, solutions, singular_values, certificates = [], [], [], []
     # zero-model segment [0, t_first], priced as bootstrap_gap prices it
-    f_zero = norm_go**2
-    segments = [[
-        (t, f_zero, f_zero - max(0.0, norm_go - t) ** 2)
-        for t in np.linspace(0.0, t_first, grid_points_per_segment)
-    ]]
+    ts = np.linspace(0.0, t_first, grid_points_per_segment)
+    segments = [np.column_stack((ts, np.full_like(ts, norm_go**2), _zero_model_gap(norm_go, ts)))]
 
     def finish(partial: bool) -> PathResult:
         return PathResult(

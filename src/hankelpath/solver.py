@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg._umath_linalg import eigh_lo, solve1
 
-from .certificates import _half_space_bound, feasible_upper_bound
+from .certificates import _half_space_bound, _objective, feasible_upper_bound
 from .hankel import (
     ImpulseResponse,
     _require_finite,
@@ -92,6 +92,13 @@ class _Iterate(np.ndarray):
     check."""
 
 
+def _require_count(name: str, value, low: int) -> None:
+    """ValueError unless value is an integer >= low; a bool is an Integral,
+    but a config file's true is no count."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}")
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     """Knobs for solve_constrained.
@@ -116,13 +123,7 @@ class SolverOptions:
     dual_tol: float | None = None
 
     def __post_init__(self):
-        # bool is an Integral, but a config file's true is no iteration count
-        if not (
-            isinstance(self.max_iters, numbers.Integral)
-            and not isinstance(self.max_iters, bool)
-            and self.max_iters >= 1
-        ):
-            raise ValueError("max_iters must be an integer >= 1")
+        _require_count("max_iters", self.max_iters, 1)
         for name in ("primal_tol", "dual_tol"):
             tol = getattr(self, name)
             if tol is not None and not (np.isfinite(tol) and tol > 0):
@@ -256,6 +257,13 @@ def project_nuclear_ball(M, radius: float) -> np.ndarray:
         raise np.linalg.LinAlgError("eigendecomposition failed")
     if total <= radius:
         return arr
+    return _shrink_eigen(lam, Q, mag, radius)
+
+
+def _shrink_eigen(lam: np.ndarray, Q: np.ndarray, mag: np.ndarray, radius: float) -> np.ndarray:
+    """Q diag(x) Q^T, symmetrized bit for bit, with x the eigenvalues lam
+    shrunk onto the nuclear ball: the simplex projection of mag = |lam| to
+    radius, with the signs of lam kept."""
     P = (Q * np.copysign(project_simplex_l1(mag, radius), lam)) @ Q.T
     return 0.5 * (P + P.T)
 
@@ -300,25 +308,24 @@ def _cold_start(g_o: ImpulseResponse, t: float, idx: np.ndarray, w: np.ndarray):
 
     z0 = H(g_o / t) is the unconstrained optimum, X0 = Pi(z0) its projection
     onto the nuclear ball and U0 = c (z0 - X0).  With H(g_o) = Q diag(lam)
-    Q^T the cached g_o.hankel_eigh, z0 = Q diag(lam / t) Q^T, so X0 shrinks
-    |lam| / t by project_simplex_l1, keeps the signs and is symmetrized bit
-    for bit, as project_nuclear_ball does, without a decomposition of its
-    own.  z0 - X0 lies in the normal cone of the ball at X0, and so does U0
-    for every c >= 0, so Pi(X0 + U0) = X0: the state is one a splitting step
-    could have left.  c is the least-squares fit of the g-update's
-    stationarity condition at the cold penalty (rho = 2 t^2 / ||g_o||^2),
-    adjoint(U) = g_o / t - g, with g = adjoint(X0) / w the coefficients
-    nearest X0.  Since adjoint(z0) = w g_o / t, the right-hand side is a / w
-    with a = adjoint(z0 - X0), and c = <a, a / w> / <a, a> lies in
-    [1 / n, 1] (0 for a = 0).  The start
-    depends on g_o / t alone, up to the rounding of the decomposition: it is
-    the same whatever path the solve is on, and for scaled data to
-    rounding.  idx and w are embed_indices(n) and multiplicities(n).
+    Q^T the cached g_o.hankel_eigh, z0 = Q diag(lam / t) Q^T, so X0 is
+    _shrink_eigen of lam / t, as project_nuclear_ball would compute it,
+    without a decomposition of its own.  z0 - X0 lies in the normal cone of
+    the ball at X0, and so does U0 for every c >= 0, so Pi(X0 + U0) = X0:
+    the state is one a splitting step could have left.  c is the
+    least-squares fit of the g-update's stationarity condition at the cold
+    penalty (rho = 2 t^2 / ||g_o||^2), adjoint(U) = g_o / t - g, with
+    g = adjoint(X0) / w the coefficients nearest X0.  Since
+    adjoint(z0) = w g_o / t, the right-hand side is a / w with
+    a = adjoint(z0 - X0), and c = <a, a / w> / <a, a> lies in [1 / n, 1]
+    (0 for a = 0).  The start depends on g_o / t alone, up to the rounding
+    of the decomposition: it is the same whatever path the solve is on, and
+    for scaled data to rounding.  idx and w are embed_indices(n) and
+    multiplicities(n).
     """
     lam, Q = g_o.hankel_eigh
     lam = lam / t
-    P = (Q * np.copysign(project_simplex_l1(np.abs(lam), 1.0), lam)) @ Q.T
-    X0 = 0.5 * (P + P.T)
+    X0 = _shrink_eigen(lam, Q, np.abs(lam), 1.0)
     D = (g_o.values / t)[idx] - X0
     a = adjoint_fast(D)
     aa = float(a.dot(a))
@@ -440,7 +447,7 @@ def solve_constrained(
         # g_o / t, with the eigendecomposition of H(g_o) / t, which
         # singular_values and a W = 0 certificate read
         g_tilde = g_o._divided(t)
-        obj = float(np.sum((t * g_tilde.values - gvec) ** 2))
+        obj = float(_objective(g_tilde.values, gvec, t))
         sv = np.sort(np.abs(g_tilde.hankel_eigh[0]))[::-1]
         sv.setflags(write=False)
         return SolveResult(
@@ -614,7 +621,7 @@ def solve_constrained(
         nuc = float(sv.sum())
         bounds = (lower, feasible_upper_bound(gvec, t, g_tilde, nuc))
     result_g = ImpulseResponse(g_tilde)
-    obj = float(np.sum((t * g_tilde - gvec) ** 2))
+    obj = float(_objective(g_tilde, gvec, t))
     X.setflags(write=False)
     U_dual.setflags(write=False)
     sv.setflags(write=False)
