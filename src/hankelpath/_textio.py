@@ -20,10 +20,6 @@ def json_list(values) -> str:
     return "[" + ", ".join(fmt17(v) for v in values) + "]"
 
 
-def json_nested_list(rows) -> str:
-    return "[" + ", ".join(json_list(row) for row in rows) + "]"
-
-
 def write_text(path, text: str) -> None:
     """Write text to path as UTF-8, in place.
 

@@ -232,14 +232,14 @@ def symmetric_eigh(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def symmetric_singular_values(H: np.ndarray) -> np.ndarray:
-    """All singular values of a symmetric float matrix, descending: the
-    magnitudes of its eigenvalues (only the lower triangle is read), by the
-    eigvalsh_lo gufunc of np.linalg.eigvalsh.  A non-finite entry, or an
-    eigenvalue that overflows, raises np.linalg.LinAlgError."""
+    """All singular values of a symmetric float matrix, descending, as one
+    array of its own: the magnitudes of its eigenvalues (only the lower
+    triangle is read), by the eigvalsh_lo gufunc of np.linalg.eigvalsh.  A
+    non-finite entry, or an eigenvalue that overflows, raises LinAlgError."""
     _require_finite(H)
     lam = eigvalsh_lo(H)
     _require_finite(lam)
-    return np.sort(np.abs(lam))[::-1]
+    return -np.sort(-np.abs(lam))
 
 
 def hankel_singular_values(g) -> np.ndarray:

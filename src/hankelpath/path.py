@@ -26,8 +26,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._textio import fmt17, json_list, json_nested_list, write_text
+from ._textio import fmt17, json_list, write_text
 from .certificates import (
+    DegenerateCertificateError,
     GapCertificate,
     _segment_samples,
     duality_gap,  # not called here; bench/run.py wraps hankelpath.path.duality_gap
@@ -83,19 +84,15 @@ class PathAborted(RuntimeError):
 
 @dataclass
 class PathResult:
-    """Breakpoints, exact solutions, singular-value records and gap samples.
+    """One exact solve per breakpoint, its certificate, and the gap samples.
 
-    The exact solutions hold no splitting state and no spectrum
-    (admm_state and singular_values are None): compute_path keeps only the
-    last state, for the next warm start, and singular_values[i] is t times
-    solve i's spectrum.  samples
-    is a SampleTable; a sequence of (t, f_approx, gap) rows passed in, as
-    by dataclasses.replace(path, samples=[...]), becomes one.
+    breakpoints, objectives and singular_values (t times the spectrum) are
+    read off the solves, which hold no splitting state (admm_state is None).
+    samples is a SampleTable; a sequence of (t, f_approx, gap) rows passed
+    in, as by dataclasses.replace(path, samples=[...]), becomes one.
     """
 
-    breakpoints: list[float]
     exact_solutions: list[SolveResult]
-    singular_values: list[np.ndarray]
     samples: SampleTable
     epsilon: float
     t_max: float
@@ -110,11 +107,19 @@ class PathResult:
     @property
     def m(self) -> int:
         """Number of exact solves along the path."""
-        return len(self.breakpoints)
+        return len(self.exact_solutions)
+
+    @property
+    def breakpoints(self) -> list[float]:
+        return [r.t for r in self.exact_solutions]
 
     @property
     def objectives(self) -> list[float]:
         return [r.objective for r in self.exact_solutions]
+
+    @property
+    def singular_values(self) -> list[np.ndarray]:
+        return [r.t * r.singular_values for r in self.exact_solutions]
 
     # -- serialization ------------------------------------------------------
 
@@ -128,7 +133,7 @@ class PathResult:
             '"bootstrap_t": %s' % fmt17(self.bootstrap_t),
             '"breakpoints": %s' % json_list(self.breakpoints),
             '"objectives": %s' % json_list(self.objectives),
-            '"singular_values": %s' % json_nested_list(self.singular_values),
+            '"singular_values": [%s]' % ", ".join(map(json_list, self.singular_values)),
             '"samples": [%s]'
             % ", ".join(
                 '{"t": %.17g, "f_approx": %.17g, "gap": %.17g}' % (t, f, gap)
@@ -148,7 +153,7 @@ class PathResult:
         ))
 
     def write_singular_values_csv(self, path) -> None:
-        n = max((len(s) for s in self.singular_values), default=0)
+        n = max((len(r.singular_values) for r in self.exact_solutions), default=0)
         write_text(path, "t," + ",".join(f"sigma_{j + 1}" for j in range(n)) + "\n" + "".join(
             ("%.17g," + ",".join(["%.17g"] * len(sig))) % (t, *sig) + "\n"
             for t, sig in zip(self.breakpoints, self.singular_values)
@@ -202,8 +207,8 @@ def compute_path(
     Raises
     ------
     PathAborted
-        If any breakpoint solve fails to converge; the partial path rides on
-        the exception.
+        If any breakpoint solve fails to converge, or stops at g~ = 0 (whose
+        certificate prices no gap); the partial path rides on the exception.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError("eps must be positive and finite")
@@ -218,16 +223,14 @@ def compute_path(
     norm_go = g_o.norm()
     t_first = min(_bootstrap_t(norm_go, eps), t_max)
 
-    breakpoints, solutions, singular_values, certificates = [], [], [], []
+    solutions, certificates = [], []
     # zero-model segment [0, t_first], priced as bootstrap_gap prices it
     ts = np.linspace(0.0, t_first, grid_points_per_segment)
     segments = [np.column_stack((ts, np.full_like(ts, norm_go**2), _zero_model_gap(norm_go, ts)))]
 
     def finish(partial: bool) -> PathResult:
         return PathResult(
-            breakpoints=breakpoints,
             exact_solutions=solutions,
-            singular_values=singular_values,
             samples=SampleTable(np.concatenate(segments)),
             epsilon=float(eps),
             t_max=t_max,
@@ -253,28 +256,25 @@ def compute_path(
             )
         # the splitting state stays here, for the next warm start only
         warm = res.admm_state
-        breakpoints.append(t_i)
-        solutions.append(dataclasses.replace(res, admm_state=None, singular_values=None))
-        # sigma(H(t g~)) = t sigma(H(g~)), the spectrum the solve already took
-        singular_values.append(t_i * res.singular_values)
+        solutions.append(dataclasses.replace(res, admm_state=None))
         dual = None if warm is None else warm[1]
         cert = subgradient_vector(res.g_tilde, t_i, g_o=g_o, dual=dual)
         certificates.append(cert)
 
         if t_i >= t_max * (1.0 - 1e-12):
             return finish(partial=False)
-        if len(breakpoints) > max_solves:
+        if len(solutions) > max_solves:
             raise PathAborted(
                 f"breakpoint count exceeded the safety cap {max_solves}", finish(partial=True)
             )
 
         try:
             t_next = next_breakpoint(cert, g_o, eps, t_max)
-        except RuntimeError as exc:
+            segments.append(_segment_samples(
+                cert, g_o.values, np.linspace(t_i, t_next, grid_points_per_segment)
+            ))
+        except (RuntimeError, DegenerateCertificateError) as exc:
             raise PathAborted(str(exc), finish(partial=True)) from exc
-        segments.append(_segment_samples(
-            cert, g_o.values, np.linspace(t_i, t_next, grid_points_per_segment)
-        ))
         t_i = t_next
 
 

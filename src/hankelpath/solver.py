@@ -146,12 +146,11 @@ class SolveResult:
     dual_residual are in the units of the original problem; X and U_dual do
     not depend on the scale of the data.
 
-    singular_values is sigma(H(g_tilde)), descending and read-only: the
-    spectrum whose sum is nuclear_norm_value and which bounds prices, so
-    t * singular_values are the Hankel singular values of the fit t g_tilde.
-    The closed-form branch reads it as sigma(H(g_o)) / t off the cached
-    g_o.hankel_eigh.  None in every solve a PathResult keeps, whose own
-    singular_values hold t times it.
+    singular_values is sigma(H(g_tilde)), descending, read-only and one
+    contiguous array: the spectrum whose sum is nuclear_norm_value and which
+    bounds prices; PathResult.singular_values reports t times it, the Hankel
+    singular values of the fit t g_tilde.  The closed-form branch reads it
+    as sigma(H(g_o)) / t off the cached g_o.hankel_eigh.
 
     bounds = (lower, upper) is a certified enclosure of the optimal cost at t.
     It is sound however far the solve got, converged or not, and one rule
@@ -176,7 +175,7 @@ class SolveResult:
     dual_residual: float
     converged: bool
     bounds: tuple[float, float]
-    singular_values: np.ndarray | None = field(repr=False, compare=False)
+    singular_values: np.ndarray = field(repr=False, compare=False)
     admm_state: tuple | None = field(default=None, repr=False, compare=False)
 
 
@@ -348,9 +347,10 @@ def solve_constrained(
     opts : SolverOptions, optional
     warm_start : tuple (X, U_dual, rho), optional
         Splitting state to start from instead of the cold start (see Notes),
-        usually the admm_state of a solve at a nearby t.  X and U_dual must
-        be finite, exactly symmetric and n-by-n, or scalars standing for the
-        constant n-by-n matrix; they are copied, not modified.  rho is in the units of the
+        usually the admm_state of a solve at a nearby t.  X and U_dual are
+        exactly symmetric n-by-n matrices, or scalars standing for the
+        constant one, whose sums of squares and that of X + U_dual are
+        finite; they are copied, not modified.  rho is in the units of the
         original problem: (0, 0, 2 t^2) starts from zeros at the fit
         curvature, the cold start of earlier versions.  The stopping rule is
         the same as for a cold start.
@@ -433,8 +433,11 @@ def solve_constrained(
             raise ValueError(
                 f"warm start must be {n}-by-{n}, got {X.shape} and {U_dual.shape}"
             )
-        if not (np.isfinite(X).all() and np.isfinite(U_dual).all()):
-            raise ValueError("warm-start X and U_dual must be finite")
+        # NaN or inf entries, or norms of X, U_dual or z = X + U_dual that overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = all(math.isfinite(np.vdot(a, a)) for a in (X, U_dual, X + U_dual))
+        if not finite:
+            raise ValueError("warm-start X, U_dual and X + U_dual need finite sums of squares")
         # the loop keeps every iterate bit-symmetric from a symmetric start,
         # and vouches for them to the projection on that ground
         if not ((X == X.T).all() and (U_dual == U_dual.T).all()):
@@ -448,7 +451,7 @@ def solve_constrained(
         # singular_values and a W = 0 certificate read
         g_tilde = g_o._divided(t)
         obj = float(_objective(g_tilde.values, gvec, t))
-        sv = np.sort(np.abs(g_tilde.hankel_eigh[0]))[::-1]
+        sv = -np.sort(-np.abs(g_tilde.hankel_eigh[0]))
         sv.setflags(write=False)
         return SolveResult(
             g_tilde=g_tilde,

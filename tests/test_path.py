@@ -266,6 +266,19 @@ class TestComputePath:
         assert partial.m == 1 and len(partial.certificates) == 1
         assert len(partial.samples) == 20  # the zero-model segment only
 
+    def test_degenerate_breakpoint_aborts_with_partial_path(self):
+        # the first solve of g_o = [2] at eps = 1e-16 ||g_o||^2 (t = 1e-16)
+        # stops after one iteration at g~ = 0, whose certificate has h = 0
+        # and prices no gap: that ended the path in a
+        # DegenerateCertificateError, not in the documented PathAborted
+        with pytest.raises(hp.PathAborted, match="h = 0") as err:
+            hp.compute_path([2.0], 4e-16)
+        partial = err.value.partial
+        assert partial.partial is True
+        assert partial.m == 1 and partial.certificates[0].degenerate
+        assert not np.any(partial.exact_solutions[0].g_tilde.values)
+        assert len(partial.samples) == 20  # the zero-model segment only
+
     def test_wide_system_sample_gaps_stay_within_eps(self, wide_path):
         # the n = 41 path of the order-100 system: a step off the exact gap
         # crossing showed up here as a sample gap of 1.029 eps
@@ -382,10 +395,11 @@ class TestFinePaths:
 
     def test_solve_count_law_order100(self, order100_spec):
         # the order-100 system at n = 26 with the bench's iteration budget:
-        # m = 8, 22, 64 and 196, so m / bound falls from 0.362 to 0.305, and
-        # the largest sample gap is eps to rounding
+        # m = 8, 22, 64, 196 and 615, so m / bound falls from 0.362 to 0.304,
+        # and the largest sample gap is eps to rounding (1 + 6.5e-14 at
+        # k = 5, whose path takes about 26,000 iterations)
         g_o = hp.impulse_response(order100_spec, 51)
-        self._assert_law(g_o, range(1, 5), hp.SolverOptions(max_iters=200000))
+        self._assert_law(g_o, range(1, 6), hp.SolverOptions(max_iters=200000))
 
 
 class TestScaleCovariance:
@@ -409,14 +423,21 @@ class TestScaleCovariance:
 
 
 class TestLeanPathResult:
-    """A PathResult holds what the path reports: no splitting state, and the
-    samples as one table."""
+    """A PathResult holds what the path reports: one solve per breakpoint,
+    with no splitting state, and the samples as one table."""
 
     @staticmethod
     def _assert_stateless(pr):
+        # each solve keeps its spectrum, one read-only array of its own (a
+        # reversed view would hold a second array object), and the path
+        # reports t times it
         assert pr.exact_solutions
         assert all(r.admm_state is None for r in pr.exact_solutions)
-        assert all(r.singular_values is None for r in pr.exact_solutions)
+        assert pr.breakpoints == [r.t for r in pr.exact_solutions]
+        for r, sig in zip(pr.exact_solutions, pr.singular_values):
+            sv = r.singular_values
+            assert sv.flags.c_contiguous and sv.base is None and not sv.flags.writeable
+            assert np.array_equal(sig, r.t * sv)
 
     def test_completed_paths_hold_no_state(self, sixth_order_path, order100_path):
         for pr in (sixth_order_path, order100_path[1]):
@@ -524,24 +545,35 @@ class TestSerialization:
                 1.0 / 3.0, -2.5e-17, 123456789012345678.0, 1e308, -1.7976931348623157e308,
                 1.7976931348623157e308, 1.0, -7.0]
         rows = [edge[i : i + 3] for i in range(0, len(edge), 3)]
-        sigmas = [np.array(edge[:6]), np.array(edge[6:12]), np.array(edge[9:])]
-        pr = dataclasses.replace(
-            sixth_order_path, samples=rows, breakpoints=edge[-3:], singular_values=sigmas
-        )
+        # each breakpoint's row is t times its solve's spectrum: every edge
+        # float as a t over the spectrum [1] and in a spectrum at t = 1, both
+        # products exact
+        ts = edge + [1.0]
+        sigmas = [[1.0]] * len(edge) + [edge]
+        reported = [[t] for t in edge] + [edge]
+        solve = sixth_order_path.exact_solutions[0]
+        pr = dataclasses.replace(sixth_order_path, samples=rows, exact_solutions=[
+            dataclasses.replace(solve, t=t, singular_values=np.array(sig))
+            for t, sig in zip(ts, sigmas)
+        ])
         doc = ", ".join(
             '{"t": %s, "f_approx": %s, "gap": %s}' % tuple(map(fmt17, row)) for row in rows
         )
         assert pr.to_json().endswith('"samples": [%s]}\n' % doc)
+        assert '"breakpoints": [%s]' % ", ".join(map(fmt17, ts)) in pr.to_json()
+        assert '"singular_values": [%s]' % ", ".join(
+            "[%s]" % ", ".join(map(fmt17, sig)) for sig in reported
+        ) in pr.to_json()
         pr.write_samples_csv(tmp_path / "samples.csv")
         assert (tmp_path / "samples.csv").read_text() == "t,f_approx,gap\n" + "".join(
             ",".join(map(fmt17, row)) + "\n" for row in rows
         )
         pr.write_singular_values_csv(tmp_path / "sv.csv")
         assert (tmp_path / "sv.csv").read_text() == "t," + ",".join(
-            f"sigma_{j + 1}" for j in range(6)
+            f"sigma_{j + 1}" for j in range(len(edge))
         ) + "\n" + "".join(
             fmt17(t) + "," + ",".join(map(fmt17, sig)) + "\n"
-            for t, sig in zip(edge[-3:], sigmas)
+            for t, sig in zip(ts, reported)
         )
 
     def test_singular_values_csv(self, sixth_order_path, tmp_path):

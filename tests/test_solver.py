@@ -875,6 +875,31 @@ class TestWarmStart:
             with pytest.raises(ValueError, match="finite"):
                 hp.solve_constrained(sixth_order_impulse, 0.1, warm_start=tuple(start))
 
+    @pytest.mark.parametrize("value", [1e308, 1e200, 5e152])
+    def test_overflowing_warm_start_rejected(self, sixth_order_impulse, value):
+        # finite, but a sum of squares overflows: that of X and U_dual at
+        # 1e308 and 1e200, that of X + U_dual alone at 5e152 (n = 16).  The
+        # loop stopped on "overflow encountered in add" at 1e308 and "in dot"
+        # at 1e200 instead of raising ValueError
+        n = sixth_order_impulse.n
+        start = (np.full((n, n), value), np.full((n, n), value), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite sums of squares"):
+                hp.solve_constrained(sixth_order_impulse, 0.5, warm_start=start)
+
+    def test_huge_warm_start_still_runs(self, sixth_order_impulse):
+        # entries of 1e150 square to finite sums: the start is taken, and its
+        # iterations run without a RuntimeWarning
+        n = sixth_order_impulse.n
+        start = (np.full((n, n), 1e150), np.full((n, n), 1e150), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = hp.solve_constrained(
+                sixth_order_impulse, 0.5, hp.SolverOptions(max_iters=50), warm_start=start
+            )
+        assert res.iterations == 50
+
     @pytest.mark.parametrize("which", [0, 1], ids=["X", "U_dual"])
     def test_asymmetric_warm_start_rejected(self, sixth_order_impulse, which):
         # the loop vouches for its iterates' symmetry to the projection, which
