@@ -152,18 +152,19 @@ class SolveResult:
     singular values of the fit t g_tilde.  The closed-form branch reads it
     as sigma(H(g_o)) / t off the cached g_o.hankel_eigh.
 
-    bounds = (lower, upper) is a certified enclosure of the optimal cost at t.
-    It is sound however far the solve got, converged or not, and one rule
-    prices it at every exit of the loop, the residual test, the iteration
-    budget and a stop_inside check alike: the returned state is one a
-    projection just left, so its dual norm ||U_dual||_2 has the upper bound
-    nu = _dual_norm(X, U_dual) without an eigvalsh, and lower is the
-    half-space bound of certificates.dual_bounds with nu in place of
-    ||U_dual||_2, at most a rounding allowance looser than dual_bounds'
-    own; upper is certificates.feasible_upper_bound at the nuclear norm of
-    the H(g_tilde) that singular_values holds, dual_bounds' own upper bound.
+    bounds = (lower, upper) encloses the optimal cost at t however far the
+    solve got, converged or not.  One routine, _price, prices the state
+    every loop exit returns, the residual test, the iteration budget and a
+    stop_inside check alike: lower is certificates.dual_bounds' half-space
+    bound with ||U_dual||_2 replaced by the free bound _dual_norm, at most a
+    rounding allowance looser, and upper is dual_bounds' own,
+    certificates.feasible_upper_bound at the nuclear norm sum(singular_values).
     The closed-form branch, whose g_tilde is the optimum, reports
-    (0.0, objective).
+    (0.0, objective).  The enclosure is not yet certified to the last ulp:
+    both halves treat float eigenvalues and sums as exact, and where the true
+    gap falls below their rounding, lower can exceed upper by a few ulps of
+    upper (in 29 of 500 converged solves on fixture systems 0-19, all at
+    t <= 7.5e-7 t_max); ROADMAP item 12 rounds both outward.
     """
 
     g_tilde: ImpulseResponse
@@ -300,6 +301,21 @@ def _dual_norm(X: np.ndarray, U_dual: np.ndarray) -> float:
     return max(float(v.dot(x)), 0.0) + delta
 
 
+def _price(g_o, t, X, U_dual, g_tilde, Hg, lo=None):
+    """(lower, upper, sv) of SolveResult.bounds for a state the loop leaves,
+    one a projection just left, with sv = sigma(Hg) for Hg = H(g_tilde).
+    lower, the half-space bound with nu = _dual_norm(X, U_dual) for
+    ||U_dual||_2 (the bit-symmetric U_dual is its own symmetric part, and
+    nu = 0 only for U_dual = 0, whose bound is 0), comes first: unless
+    lo <= lower, None is returned before anything decomposes Hg."""
+    nu = _dual_norm(X, U_dual)
+    lower = _half_space_bound(g_o, t, adjoint_fast(U_dual) / nu) if nu > 0.0 else 0.0
+    if lo is not None and not lo <= lower:
+        return None
+    sv = symmetric_singular_values(Hg)
+    return lower, feasible_upper_bound(g_o, t, g_tilde, float(sv.sum())), sv
+
+
 def _cold_start(g_o: ImpulseResponse, t: float, idx: np.ndarray, w: np.ndarray):
     """(X0, U0, c): the splitting state a cold solve starts from, at the
     projected unconstrained fit (Fazel, Pong, Sun & Tseng, SIAM J. Matrix
@@ -366,9 +382,10 @@ def solve_constrained(
     SolveResult
         Deterministic for fixed inputs, options and start (no randomness).
         Non-convergence is reported through converged=False with residuals
-        and bounds populated, never as an exception.  Every exit prices
-        bounds by the one rule of SolveResult.bounds: after the loop that
-        takes a single eigvalsh, of H(g_tilde), and the closed form none.
+        and bounds populated, never as an exception.  bounds is priced as
+        SolveResult.bounds says, with one eigvalsh of each returned loop
+        state's H(g_tilde), shared with the stop test, and none for the
+        closed form.
 
     Raises
     ------
@@ -445,199 +462,180 @@ def solve_constrained(
         if not np.isfinite(rho) or rho <= 0:
             raise ValueError("warm-start rho must be positive")
 
-    nuc0 = g_o.hankel_nuclear_norm
-    if nuc0 <= t:
-        # g_o / t, with the eigendecomposition of H(g_o) / t, which
-        # singular_values and a W = 0 certificate read
+    closed = g_o.hankel_nuclear_norm <= t
+    if closed:
+        # the optimum g_o / t is feasible, so its objective closes the bounds;
+        # its spectrum and W = 0 certificate read H(g_o)'s cached eigh / t
         g_tilde = g_o._divided(t)
-        obj = float(_objective(g_tilde.values, gvec, t))
         sv = -np.sort(-np.abs(g_tilde.hankel_eigh[0]))
-        sv.setflags(write=False)
-        return SolveResult(
-            g_tilde=g_tilde,
-            t=float(t),
-            objective=obj,
-            nuclear_norm_value=nuc0 / t,
-            iterations=0,
-            primal_residual=0.0,
-            dual_residual=0.0,
-            converged=True,
-            bounds=(0.0, obj),
-            singular_values=sv,
-        )
+        nuc = g_o.hankel_nuclear_norm / t
+        it, r_pri, r_dual, converged, lower, state = 0, 0.0, 0.0, True, 0.0, None
+    else:
+        # the loop solves the fit divided by s^2 = ||g_o||^2; X and U_dual are
+        # the same in both problems, and rho is rho / s^2 inside the loop
+        with np.errstate(over="ignore"):
+            s2 = float(gvec @ gvec)
+        if not 0.0 < s2 < math.inf:
+            raise ValueError("||g_o||^2 must be a positive finite float")
+        # loop invariants: the normalized fit term's linear part 2 t g_o / s^2
+        # and curvature 2 t^2 / s^2; the diagonal of the normal equations
+        # changes only with rho
+        fit_rhs = (2.0 * t / s2) * gvec
+        fit_curv = 2.0 * t * t / s2
+        # a cold start meets the fit curvature; balancing keeps rho within
+        # [1e-8, 1e8] times it
+        rho = fit_curv if rho is None else rho / s2
+        rho_lo = 1e-8 * fit_curv
+        rho_hi = 1e8 * fit_curv
+        # below the normal floats (t under about 1e-150 ||g_o||) the cold
+        # start's H(g_o / t) overflows, or the loop divides by zero
+        if not rho_lo >= _TINY:
+            raise ValueError(
+                "t is too small for ||g_o||: 2e-8 t^2 / ||g_o||^2 must be a normal float"
+            )
+        primal_tol = opts.primal_tol if opts.primal_tol is not None else 2e-9
+        dual_tol = opts.dual_tol if opts.dual_tol is not None else 2e-9
+        # sqrt of the X entry count times the curvature factor (see SolverOptions),
+        # floored at the resolution float iterates of unit-norm data can reach
+        scale = n * min(1.0, fit_curv)
+        floor = 8e-15 * n
+        eps_pri = max(primal_tol * scale, floor)
+        eps_dual = max(dual_tol * scale, floor)
 
-    # the loop solves the fit divided by s^2 = ||g_o||^2; X and U_dual are
-    # the same in both problems, and rho is rho / s^2 inside the loop
-    with np.errstate(over="ignore"):
-        s2 = float(gvec @ gvec)
-    if not 0.0 < s2 < math.inf:
-        raise ValueError("||g_o||^2 must be a positive finite float")
-    # loop invariants: the normalized fit term's linear part 2 t g_o / s^2
-    # and curvature 2 t^2 / s^2; the diagonal of the normal equations
-    # changes only with rho
-    fit_rhs = (2.0 * t / s2) * gvec
-    fit_curv = 2.0 * t * t / s2
-    # a cold start meets the fit curvature; balancing keeps rho within
-    # [1e-8, 1e8] times it
-    rho = fit_curv if rho is None else rho / s2
-    rho_lo = 1e-8 * fit_curv
-    rho_hi = 1e8 * fit_curv
-    # below the normal floats (t under about 1e-150 ||g_o||) the cold
-    # start's H(g_o / t) overflows, or the loop divides by zero
-    if not rho_lo >= _TINY:
-        raise ValueError("t is too small for ||g_o||: 2e-8 t^2 / ||g_o||^2 must be a normal float")
-    primal_tol = opts.primal_tol if opts.primal_tol is not None else 2e-9
-    dual_tol = opts.dual_tol if opts.dual_tol is not None else 2e-9
-    # sqrt of the X entry count times the curvature factor (see SolverOptions),
-    # floored at the resolution float iterates of unit-norm data can reach
-    scale = n * min(1.0, fit_curv)
-    floor = 8e-15 * n
-    eps_pri = max(primal_tol * scale, floor)
-    eps_dual = max(dual_tol * scale, floor)
+        idx = embed_indices(n)
+        w = multiplicities(n)
+        denom = fit_curv + rho * w
+        if warm_start is None:
+            X, U_dual, _ = _cold_start(g_o, t, idx, w)
 
-    idx = embed_indices(n)
-    w = multiplicities(n)
-    denom = fit_curv + rho * w
-    if warm_start is None:
-        X, U_dual, _ = _cold_start(g_o, t, idx, w)
-
-    g_tilde = np.zeros(gvec.size)
-    r_pri = r_dual = np.inf
-    converged = False
-    bounds = None  # set only by a certified early exit
-    # Anderson history over z = X + U_dual: ring buffers of the differences
-    # between consecutive steps of T(z) = H(g) + U_dual (dT = dZ + dF) and of
-    # the residual f = T(z) - z, and the Gram matrix of the dF rows
-    dT = np.empty((AA_MEM, n * n))
-    dF = np.empty((AA_MEM, n * n))
-    gram = np.empty((AA_MEM, AA_MEM))
-    filled = slot = 0
-    prev = None  # flat (T(z), f) of the previous step
-    f_ref = np.inf  # ||f|| where the last extrapolation was taken
-    z = X + U_dual
-    it = 0
-    for it in range(1, opts.max_iters + 1):
-        g_tilde = (fit_rhs + rho * adjoint_fast(X - U_dual)) / denom
-        Hg = g_tilde[idx]
-        Tz = Hg + U_dual
-        f = Tz - z
-        fnorm = _norm(f)
-        if not math.isfinite(fnorm):
-            # a finite ||T(z) - z|| vouches for a finite T(z); otherwise the
-            # entrywise test decides, before the Anderson update can warn
-            _require_finite(Tz)
-        Tz_flat = Tz.ravel()
-        f_flat = f.ravel()
-        if fnorm > f_ref:
-            # the last extrapolation did not reduce the residual: restart
-            filled = slot = 0
-            f_ref = np.inf
-        elif prev is not None:
-            np.subtract(Tz_flat, prev[0], out=dT[slot])
-            np.subtract(f_flat, prev[1], out=dF[slot])
-            filled = min(filled + 1, AA_MEM)
-            row = dF[:filled] @ dF[slot]
-            gram[slot, :filled] = row
-            gram[:filled, slot] = row
-            slot = (slot + 1) % AA_MEM
-        prev = (Tz_flat, f_flat)
-        # f = H(g) - X, so ||f|| <= r_pri + r_dual / rho by the triangle
-        # inequality through Pi(T(z)): while ||f|| > eps_pri + eps_dual / rho
-        # the residual test cannot pass (rounding can at most defer it to the
-        # next tested iteration)
-        near = fnorm <= eps_pri + eps_dual / rho
-        z_aa = None
-        # a cadence iteration with the test out of reach takes the plain step
-        # it projects for balancing anyway, and extrapolates from the next one
-        if filled and (near or it % TEST_EVERY):
-            # LU solve of the regularized normal equations; with tr(G) > 0
-            # they are positive definite, so it cannot fail, and with all
-            # differences zero (a zero trace) the plain step is taken
-            G = gram[:filled, :filled]
-            tr = G.trace()
-            if tr > 0:
-                gamma = solve1(G + AA_REG * tr * _AA_EYE[:filled, :filled], dF[:filled] @ f_flat)
-                z_aa = Tz - (gamma @ dT[:filled]).reshape(n, n)
-                z_aa = 0.5 * (z_aa + z_aa.T)
-        # the plain step runs when it is the step, and when the test could
-        # pass, ahead of the extrapolated point
-        if z_aa is None or near:
-            X_new = project_nuclear_ball(Tz.view(_Iterate), 1.0)
-            step = Hg - X_new
-            r_pri = _norm(step)
-            r_dual = rho * _norm(X_new - X)
-            # the plain ADMM state after this step: (Pi(T(z)), T(z) - Pi(T(z)))
-            X = X_new
-            U_dual += step
-            if r_pri <= eps_pri and r_dual <= eps_dual:
-                converged = True
-                break
-            if (r_pri > 10.0 * r_dual and rho < rho_hi) or (r_dual > 10.0 * r_pri and rho > rho_lo):
-                # residual balancing keeps both residuals decreasing together:
-                # rho scales by sqrt(r_pri / r_dual) clipped to [0.1, 10], by
-                # 10 when r_dual is zero; a new rho changes the map T, so the
-                # history and the extrapolation are dropped
-                factor = BALANCE_MAX if r_dual == 0.0 else math.sqrt(r_pri / r_dual)
-                factor = min(max(factor, 1.0 / BALANCE_MAX), BALANCE_MAX)
-                rho_new = min(max(rho * factor, rho_lo), rho_hi)
-                U_dual *= rho / rho_new
-                rho = rho_new
-                denom = fit_curv + rho * w
+        converged = False
+        priced = None  # (lower, upper, sv) of the state the stop test last priced
+        # Anderson history over z = X + U_dual: ring buffers of the differences
+        # between consecutive steps of T(z) = H(g) + U_dual (dT = dZ + dF) and of
+        # the residual f = T(z) - z, and the Gram matrix of the dF rows
+        dT = np.empty((AA_MEM, n * n))
+        dF = np.empty((AA_MEM, n * n))
+        gram = np.empty((AA_MEM, AA_MEM))
+        filled = slot = 0
+        prev = None  # flat (T(z), f) of the previous step
+        f_ref = np.inf  # ||f|| where the last extrapolation was taken
+        z = X + U_dual
+        # max_iters >= 1 and iteration 1 steps plainly: the loop sets all it returns
+        for it in range(1, opts.max_iters + 1):
+            g_tilde = (fit_rhs + rho * adjoint_fast(X - U_dual)) / denom
+            Hg = g_tilde[idx]
+            Tz = Hg + U_dual
+            f = Tz - z
+            fnorm = _norm(f)
+            if not math.isfinite(fnorm):
+                # a finite ||T(z) - z|| vouches for a finite T(z); otherwise the
+                # entrywise test decides, before the Anderson update can warn
+                _require_finite(Tz)
+            Tz_flat = Tz.ravel()
+            f_flat = f.ravel()
+            if fnorm > f_ref:
+                # the last extrapolation did not reduce the residual: restart
                 filled = slot = 0
-                prev = z_aa = None
                 f_ref = np.inf
-                z = X + U_dual
-            elif z_aa is None:
-                z = Tz
-        if z_aa is not None:
-            z = z_aa
-            z_flat = z.ravel()
-            if not math.isfinite(z_flat.dot(z_flat)):
-                _require_finite(z)
-            X = project_nuclear_ball(z.view(_Iterate), 1.0)
-            U_dual = z - X
-            f_ref = fnorm
-        if stop_inside is not None:
-            # one check per iteration, on the state it leaves: the cheaper
-            # dual lower bound first, since it alone rules out most exits,
-            # with ||U_dual||_2 read off that state instead of an eigvalsh;
-            # U_dual is bit-symmetric, so it is its own symmetric part, and
-            # nu = 0 only for U_dual = 0, whose bound is 0
-            nu = _dual_norm(X, U_dual)
-            lower = _half_space_bound(gvec, t, adjoint_fast(U_dual) / nu) if nu > 0.0 else 0.0
-            if stop_inside[0] <= lower:
-                sv = symmetric_singular_values(Hg)
-                nuc = float(sv.sum())
-                upper = feasible_upper_bound(gvec, t, g_tilde, nuc)
-                if upper <= stop_inside[1]:
-                    bounds = (lower, upper)
+            elif prev is not None:
+                np.subtract(Tz_flat, prev[0], out=dT[slot])
+                np.subtract(f_flat, prev[1], out=dF[slot])
+                filled = min(filled + 1, AA_MEM)
+                row = dF[:filled] @ dF[slot]
+                gram[slot, :filled] = row
+                gram[:filled, slot] = row
+                slot = (slot + 1) % AA_MEM
+            prev = (Tz_flat, f_flat)
+            # f = H(g) - X, so ||f|| <= r_pri + r_dual / rho by the triangle
+            # inequality through Pi(T(z)): while ||f|| > eps_pri + eps_dual / rho
+            # the residual test cannot pass (rounding can at most defer it to the
+            # next tested iteration)
+            near = fnorm <= eps_pri + eps_dual / rho
+            z_aa = None
+            # a cadence iteration with the test out of reach takes the plain step
+            # it projects for balancing anyway, and extrapolates from the next one
+            if filled and (near or it % TEST_EVERY):
+                # LU solve of the regularized normal equations; with tr(G) > 0
+                # they are positive definite, so it cannot fail, and with all
+                # differences zero (a zero trace) the plain step is taken
+                G = gram[:filled, :filled]
+                tr = G.trace()
+                if tr > 0:
+                    G = G + AA_REG * tr * _AA_EYE[:filled, :filled]
+                    gamma = solve1(G, dF[:filled] @ f_flat)
+                    z_aa = Tz - (gamma @ dT[:filled]).reshape(n, n)
+                    z_aa = 0.5 * (z_aa + z_aa.T)
+            # the plain step runs when it is the step, and when the test could
+            # pass, ahead of the extrapolated point
+            if z_aa is None or near:
+                X_new = project_nuclear_ball(Tz.view(_Iterate), 1.0)
+                step = Hg - X_new
+                r_pri = _norm(step)
+                r_dual = rho * _norm(X_new - X)
+                # the plain ADMM state after this step: (Pi(T(z)), T(z) - Pi(T(z)))
+                X = X_new
+                U_dual += step
+                if r_pri <= eps_pri and r_dual <= eps_dual:
+                    converged = True
+                    priced = None
+                    break
+                if (r_pri > 10.0 * r_dual and rho < rho_hi) or (
+                    r_dual > 10.0 * r_pri and rho > rho_lo
+                ):
+                    # residual balancing keeps both residuals decreasing together:
+                    # rho scales by sqrt(r_pri / r_dual) clipped to [0.1, 10], by
+                    # 10 when r_dual is zero; a new rho changes the map T, so the
+                    # history and the extrapolation are dropped
+                    factor = BALANCE_MAX if r_dual == 0.0 else math.sqrt(r_pri / r_dual)
+                    factor = min(max(factor, 1.0 / BALANCE_MAX), BALANCE_MAX)
+                    rho_new = min(max(rho * factor, rho_lo), rho_hi)
+                    U_dual *= rho / rho_new
+                    rho = rho_new
+                    denom = fit_curv + rho * w
+                    filled = slot = 0
+                    prev = z_aa = None
+                    f_ref = np.inf
+                    z = X + U_dual
+                elif z_aa is None:
+                    z = Tz
+            if z_aa is not None:
+                z = z_aa
+                z_flat = z.ravel()
+                if not math.isfinite(z_flat.dot(z_flat)):
+                    _require_finite(z)
+                X = project_nuclear_ball(z.view(_Iterate), 1.0)
+                U_dual = z - X
+                f_ref = fnorm
+            if stop_inside is not None:
+                # one check per iteration, on the state it leaves
+                priced = _price(gvec, t, X, U_dual, g_tilde, Hg, stop_inside[0])
+                if priced is not None and priced[1] <= stop_inside[1]:
                     converged = True
                     break
 
-    if bounds is None:
-        # the residual test and the budget leave the state right after a
-        # projection too, so the stop test's rule prices it: nu off the
-        # state, and the nuclear norm of Hg = H(g_tilde)
-        nu = _dual_norm(X, U_dual)
-        lower = _half_space_bound(gvec, t, adjoint_fast(U_dual) / nu) if nu > 0.0 else 0.0
-        sv = symmetric_singular_values(Hg)
+        # the residual test, and a budget exit whose last state the stop test
+        # did not price in full, leave a state still to be priced
+        if priced is None:
+            priced = _price(gvec, t, X, U_dual, g_tilde, Hg)
+        lower, upper, sv = priced
         nuc = float(sv.sum())
-        bounds = (lower, feasible_upper_bound(gvec, t, g_tilde, nuc))
-    result_g = ImpulseResponse(g_tilde)
-    obj = float(_objective(g_tilde, gvec, t))
-    X.setflags(write=False)
-    U_dual.setflags(write=False)
-    sv.setflags(write=False)
+        g_tilde = ImpulseResponse(g_tilde)
+        r_dual *= s2
+        state = (X, U_dual, rho * s2)
+
+    obj = float(_objective(g_tilde.values, gvec, t))
+    for a in (sv,) if closed else (sv, X, U_dual):
+        a.setflags(write=False)
     return SolveResult(
-        g_tilde=result_g,
+        g_tilde=g_tilde,
         t=float(t),
         objective=obj,
         nuclear_norm_value=nuc,
         iterations=it,
         primal_residual=r_pri,
-        dual_residual=r_dual * s2,
+        dual_residual=r_dual,
         converged=converged,
-        bounds=bounds,
+        bounds=(lower, obj if closed else upper),
         singular_values=sv,
-        admm_state=(X, U_dual, rho * s2),
+        admm_state=state,
     )

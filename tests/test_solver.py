@@ -482,6 +482,15 @@ def _stop_test_lower_bound(g_o, t, res):
     return hp.certificates._half_space_bound(g_o.values, t, hp.hankel.adjoint_fast(U_dual) / nu)
 
 
+def _assert_loop_exit_arrays(res):
+    """A loop exit returns its spectrum as one read-only contiguous array
+    whose sum is nuclear_norm_value, and its splitting state read-only."""
+    sv = res.singular_values
+    assert not sv.flags.writeable and sv.flags.c_contiguous
+    assert res.nuclear_norm_value == float(sv.sum())
+    assert not any(a.flags.writeable for a in res.admm_state[:2])
+
+
 class TestStopInside:
     def test_certified_exit_encloses_and_stops_early(self, sixth_order_impulse):
         g_o = sixth_order_impulse
@@ -529,6 +538,7 @@ class TestStopInside:
             assert res.bounds == (_stop_test_lower_bound(g_o, t, res), upper)
             assert lower - 1e-12 * (1 + g_o.norm() ** 2) <= res.bounds[0] <= lower
             assert res.nuclear_norm_value == float(hp.hankel_singular_values(res.g_tilde).sum())
+            _assert_loop_exit_arrays(res)
 
     def test_budget_exit_and_closed_form_price_by_the_same_rule(self, sixth_order_impulse):
         # a solve that runs out of budget, with or without an interval it
@@ -544,11 +554,46 @@ class TestStopInside:
                 assert not res.converged and res.iterations == iters
                 upper = hp.dual_bounds(g_o.values, t, res.g_tilde.values)[1]
                 assert res.bounds == (_stop_test_lower_bound(g_o, t, res), upper)
+                _assert_loop_exit_arrays(res)
         t = 2.0 * hp.compute_t_max(g_o)
         closed = hp.solve_constrained(g_o, t)
         assert closed.iterations == 0
         assert closed.bounds == (0.0, closed.objective)
         assert closed.bounds == hp.dual_bounds(g_o.values, t, closed.g_tilde.values)
+        sv = closed.singular_values
+        assert not sv.flags.writeable and sv.flags.c_contiguous
+        assert closed.admm_state is None
+
+    def test_each_state_is_priced_once(self, sixth_order_impulse, monkeypatch):
+        # the stop test and the exit share one pricing: a state the stop test
+        # took through to its spectrum is not decomposed again at the exit
+        g_o = sixth_order_impulse
+        t_max = hp.compute_t_max(g_o)
+        real = hp.solver.symmetric_singular_values
+        calls = []
+
+        def counting(A):
+            calls.append(1)
+            return real(A)
+
+        monkeypatch.setattr(hp.solver, "symmetric_singular_values", counting)
+
+        def count(t, max_iters=5000, stop_inside=None):
+            calls.clear()
+            res = hp.solve_constrained(g_o, t, hp.SolverOptions(max_iters=max_iters),
+                                       stop_inside=stop_inside)
+            return res, len(calls)
+
+        # every lower bound clears 0 and no upper bound reaches -1: each of
+        # the three states is priced in full, the last by the stop test alone
+        res, n = count(0.5 * t_max, 3, (0.0, -1.0))
+        assert not res.converged and res.iterations == 3 and n == 3
+        res, n = count(0.5 * t_max)
+        assert res.converged and res.iterations > 3 and n == 1
+        res, n = count(0.5 * t_max, 3)
+        assert not res.converged and n == 1
+        res, n = count(2.0 * t_max)
+        assert res.iterations == 0 and n == 0
 
     def test_exit_on_a_skipped_plain_step(self, sixth_order_impulse):
         # the exit iteration projects only z_aa: its state is an extrapolated
@@ -663,8 +708,9 @@ class TestFreeDualNorm:
         states = []
 
         def recording(X, U_dual):
-            # the solve's iteration and rho at this check, to tell rescales apart
-            loop = sys._getframe(1).f_locals
+            # the solve's iteration and rho at this check, to tell rescales
+            # apart, read in the solve's frame, which calls _price
+            loop = sys._getframe(2).f_locals
             states.append((loop["it"], loop["rho"], X.copy(), U_dual.copy()))
             return real(X, U_dual)
 
