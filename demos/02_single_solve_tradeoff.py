@@ -32,7 +32,7 @@ for frac in (0.02, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0):
 # bounds the true path
 t = 0.4 * t_max
 res = hp.solve_constrained(g_o, t)
-cert = hp.subgradient_vector(res.g_tilde, t, g_o=g_o, dual=res.admm_state[1])
+cert = hp.subgradient_vector(res.g_tilde, t, g_o=g_o, h=res.dual_direction)
 r = t * res.g_tilde.values - g_o.values
 cosine = abs(r @ cert.h) / (np.linalg.norm(r) * np.linalg.norm(cert.h))
 print("\nat t = 0.4 t_max: residual-vs-h alignment 1 - cos = %.2e" % (1 - cosine))

@@ -17,25 +17,26 @@ Z is read off the splitting solver's dual.  Each step leaves
 U_dual = T(z) - Pi(T(z)) with Pi the projection onto the nuclear ball; for
 the eigen-projection that is Q diag(mu - x) Q^T, equal to theta * sign(mu) on
 the support of X = Pi(T(z)) and of magnitude at most theta off it, theta the
-simplex threshold.  So with S the symmetric part of U_dual, Z = S / ||S||_2
-is a nuclear-norm subgradient at X, at every iterate however rough the solve,
-after an Anderson step or a rho rescale too: U_dual lies in the normal cone
-of the ball at X (the ADMM optimality conditions, Boyd et al. 2011, section
-3.3).  Without a dual (closed-form solves, callers holding only g*) Z is the
-W = 0 form U_r V_r^T of H(g*): H(g*) is symmetric, so with its cached
-eigendecomposition Q diag(lam) Q^T (ImpulseResponse.hankel_eigh) that is
-Q_r sign(lam_r) Q_r^T over the eigenvalues above the noise floor.  Given the
-data vector, an h that already points along -(t* g* - g_o) to within
-SNAP_TOL is snapped onto it exactly.
+simplex threshold.  So U_dual / ||U_dual||_2 is a nuclear-norm subgradient at
+X, at every iterate however rough the solve, after an Anderson step or a rho
+rescale too: U_dual lies in the normal cone of the ball at X (the ADMM
+optimality conditions, Boyd et al. 2011, section 3.3).  The solver prices
+bounds[0] with h = adjoint(U_dual) / nu, nu = solver._dual_norm(X, U_dual)
+>= ||U_dual||_2, and returns it as SolveResult.dual_direction, the h the
+certificate takes: any divisor at or above ||U_dual||_2 keeps the half-space
+valid, and no gap depends on the scale of h.  Without a dual (closed-form
+solves, callers holding only g*) Z is the W = 0 form U_r V_r^T of H(g*):
+H(g*) is symmetric, so with its cached eigendecomposition Q diag(lam) Q^T
+(ImpulseResponse.hankel_eigh) that is Q_r sign(lam_r) Q_r^T over the
+eigenvalues above the noise floor.  Given the data vector, an h that
+already points along -(t* g* - g_o) to within SNAP_TOL is snapped onto it
+exactly.
 
-dual_bounds prices any solver state with the same h: the objective at the
+dual_bounds prices any g and any dual matrix U: the objective at the
 rescaled, exactly feasible point bounds the optimum from above, and the
-half-space h^T g <= 1 gives a lower bound, however inexact the solve.  The
-certificate and dual_bounds take ||S||_2 from an eigvalsh, so the scale of h
-is that of Z = S / ||S||_2.  The solver prices every state it stops at with
-an upper bound on ||S||_2 read off that state instead (solver._dual_norm):
-any divisor at or above ||S||_2 keeps the half-space valid, at a bound looser
-by the excess.
+half-space h^T g <= 1 of h = adjoint(S) / ||S||_2, S the symmetric part of
+U, a lower bound.  Nothing vouches for the norm of an arbitrary U, so
+dual_bounds alone takes ||S||_2 from an eigvalsh.
 
 Every gap is that one formula (_orth_norm2, for a vector or for each row of
 a table): compute_path's segment grids are one table (_segment_samples),
@@ -116,22 +117,7 @@ def _objective(g: np.ndarray, g_o: np.ndarray, t):
     return np.sum((t * g - g_o) ** 2, axis=-1)
 
 
-def _dual_direction(U) -> np.ndarray | None:
-    """h = adjoint(S) / ||S||_2 with S the symmetric part of U; None when
-    adjoint(S) = 0 (S = 0 among them).  A non-finite U raises
-    np.linalg.LinAlgError before any arithmetic: +inf and -inf at mirrored
-    entries would sum to NaN, with a RuntimeWarning."""
-    U = np.asarray(U, dtype=float)
-    if not np.isfinite(U).all():
-        raise np.linalg.LinAlgError("dual has non-finite entries")
-    S = 0.5 * (U + U.T)
-    a = adjoint_fast(S)
-    if not np.any(a):
-        return None
-    return a / float(symmetric_singular_values(S)[0])
-
-
-def subgradient_vector(g_tilde_star, t_star: float, g_o=None, dual=None) -> GapCertificate:
+def subgradient_vector(g_tilde_star, t_star: float, g_o=None, h=None) -> GapCertificate:
     """Build the gap certificate at a solution of the constrained fit.
 
     Parameters
@@ -143,13 +129,13 @@ def subgradient_vector(g_tilde_star, t_star: float, g_o=None, dual=None) -> GapC
     g_o : ImpulseResponse or array-like, optional
         Data vector.  When given, an h that already points along the negated
         fit residual t_star * g* - g_o to within SNAP_TOL is snapped onto it.
-    dual : n-by-n array, optional
-        The solver's dual U_dual (admm_state[1] of the solve that produced
-        g_tilde_star); h = adjoint(S) / ||S||_2 with S its symmetric part.
-        Without it, or when adjoint(S) = 0, h is the W = 0 form
-        adjoint(U_r V_r^T) of H(g*), cut at the noise floor n * sigma_1 times
-        machine epsilon, and taken as adjoint(Q_r sign(lam_r) Q_r^T) from
-        g*.hankel_eigh.
+    h : vector of length k_max, optional
+        The SolveResult.dual_direction of the solve that produced
+        g_tilde_star, taken as the certificate's h (for another dual matrix
+        U: adjoint(S) / ||S||_2, S its symmetric part).  Without it, or when
+        it is 0, h is the W = 0 form adjoint(U_r V_r^T) of H(g*), cut at the
+        noise floor n * sigma_1 times machine epsilon, and taken as
+        adjoint(Q_r sign(lam_r) Q_r^T) from g*.hankel_eigh.
 
     Returns
     -------
@@ -158,17 +144,21 @@ def subgradient_vector(g_tilde_star, t_star: float, g_o=None, dual=None) -> GapC
 
     Raises
     ------
+    ValueError
+        When h is not a finite vector of length k_max.
     np.linalg.LinAlgError
-        When the dual has a non-finite entry, or the spectrum of H(g*) or of
-        S overflows (symmetric_eigh, symmetric_singular_values).
+        When the spectrum of H(g*) overflows (symmetric_eigh).
     """
     g_star = as_impulse(g_tilde_star)
     k_max = g_star.k_max
+    if h is not None:
+        h = np.array(h, dtype=float)
+        if h.shape != (k_max,) or not np.isfinite(h).all():
+            raise ValueError(f"h must be a finite vector of length {k_max}")
     if not np.any(g_star.values):
         return GapCertificate(np.zeros(k_max), float(t_star), g_star, 0.0)
 
-    h = None if dual is None else _dual_direction(dual)
-    if h is None:
+    if h is None or not np.any(h):
         # U_r V_r^T = Q_r sign(lam_r) Q_r^T over the singular values |lam|
         # above the noise floor n * sigma_1 * machine epsilon
         lam, Q = g_star.hankel_eigh
@@ -209,7 +199,8 @@ def dual_bounds(g_o, t: float, g, U=None) -> tuple[float, float]:
     optimum, with U the solver's scaled dual, the bound is tight.  An S with
     adjoint(S) = 0 (S = 0 among them) gives 0; any other U that is not
     n-by-n for a g_o of length 2n - 1 raises ValueError, and a U with a
-    non-finite entry np.linalg.LinAlgError.  Each bound takes one eigvalsh.
+    non-finite entry np.linalg.LinAlgError, before inf - inf can warn.  Each
+    bound takes one eigvalsh.
 
     solve_constrained prices its own states without these eigvalsh: it
     divides by an upper bound on ||S||_2 read off the state, and takes the
@@ -218,20 +209,24 @@ def dual_bounds(g_o, t: float, g, U=None) -> tuple[float, float]:
     """
     go = np.asarray(g_o, dtype=float)
     gv = np.asarray(g, dtype=float)
-    h = None if U is None else _dual_direction(U)
-    lower = 0.0 if h is None else _half_space_bound(go, t, h)
+    lower = 0.0
+    if U is not None:
+        U = np.asarray(U, dtype=float)
+        if not np.isfinite(U).all():
+            raise np.linalg.LinAlgError("dual has non-finite entries")
+        S = 0.5 * (U + U.T)
+        a = adjoint_fast(S)
+        if np.any(a):
+            lower = _half_space_bound(go, t, a / float(symmetric_singular_values(S)[0]))
     return lower, feasible_upper_bound(go, t, gv, float(hankel_singular_values(gv).sum()))
 
 
 def _half_space_bound(g_o: np.ndarray, t: float, h: np.ndarray) -> float:
     """max(0, h^T g_o - t)^2 / ||h||^2, the lower bound on f*(t) of
-    h = adjoint(S) / nu for S symmetric and nu >= ||S||_2 (dual_bounds' lower
-    bound with nu = ||S||_2); h = 0 gives 0.  Any nu >= ||S||_2 keeps the
-    bound valid, since then ||S / nu||_2 <= 1, and loosens it by the excess;
-    one below ||S||_2 makes it unsound, so only a caller that can vouch for
-    its nu passes one: the solver, pricing the states it stops at with
-    solver._dual_norm and the adjoint of its bit-symmetric U_dual, its own
-    symmetric part.
+    h = adjoint(S) / nu for S symmetric and nu >= ||S||_2; h = 0 gives 0.
+    Any nu >= ||S||_2 keeps the bound valid, since then ||S / nu||_2 <= 1;
+    one below makes it unsound, so only callers that vouch for their nu
+    pass one: dual_bounds (nu = ||S||_2) and solver._price (_dual_norm).
     """
     excess = float(h.dot(g_o)) - t
     return excess * excess / float(h.dot(h)) if excess > 0.0 else 0.0

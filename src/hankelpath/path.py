@@ -51,10 +51,13 @@ class SampleTable(Sequence):
     """The samples of a path as one read-only float64 (N, 3) table of
     (t, f_approx, gap) rows.  Indexing, iteration and len() see a sequence
     of PathSample; a slice is a list of them.  Built from a sequence of such
-    rows or an (N, 3) array, which is copied."""
+    rows or an (N, 3) array, which is copied; another nonempty shape raises."""
 
     def __init__(self, rows=()):
-        self._rows = np.array(rows, dtype=float).reshape(-1, 3)
+        rows = np.array(rows, dtype=float)
+        if rows.size and (rows.ndim != 2 or rows.shape[1] != 3):
+            raise ValueError(f"samples must be (N, 3) rows, got shape {rows.shape}")
+        self._rows = rows.reshape(-1, 3)
         self._rows.flags.writeable = False
 
     @property
@@ -87,7 +90,7 @@ class PathResult:
     """One exact solve per breakpoint, its certificate, and the gap samples.
 
     breakpoints, objectives and singular_values (t times the spectrum) are
-    read off the solves, which hold no splitting state (admm_state is None).
+    read off the solves, which hold neither admm_state nor dual_direction.
     samples is a SampleTable; a sequence of (t, f_approx, gap) rows passed
     in, as by dataclasses.replace(path, samples=[...]), becomes one.
     """
@@ -154,7 +157,7 @@ class PathResult:
 
     def write_singular_values_csv(self, path) -> None:
         n = max((len(r.singular_values) for r in self.exact_solutions), default=0)
-        write_text(path, "t," + ",".join(f"sigma_{j + 1}" for j in range(n)) + "\n" + "".join(
+        write_text(path, ",".join(["t"] + [f"sigma_{j + 1}" for j in range(n)]) + "\n" + "".join(
             ("%.17g," + ",".join(["%.17g"] * len(sig))) % (t, *sig) + "\n"
             for t, sig in zip(self.breakpoints, self.singular_values)
         ))
@@ -256,9 +259,8 @@ def compute_path(
             )
         # the splitting state stays here, for the next warm start only
         warm = res.admm_state
-        solutions.append(dataclasses.replace(res, admm_state=None))
-        dual = None if warm is None else warm[1]
-        cert = subgradient_vector(res.g_tilde, t_i, g_o=g_o, dual=dual)
+        solutions.append(dataclasses.replace(res, admm_state=None, dual_direction=None))
+        cert = subgradient_vector(res.g_tilde, t_i, g_o=g_o, h=res.dual_direction)
         certificates.append(cert)
 
         if t_i >= t_max * (1.0 - 1e-12):

@@ -140,11 +140,11 @@ class SolveResult:
     stop_inside exit or when the iteration budget runs out.
 
     admm_state is the splitting state (X, U_dual, rho) the iteration stopped
-    at, read-only, for warm-starting a solve at a nearby t and, through
-    U_dual, for certificates.subgradient_vector; None when the closed-form
-    branch ran, and None in every solve a PathResult keeps.  rho and
-    dual_residual are in the units of the original problem; X and U_dual do
-    not depend on the scale of the data.
+    at, for warm-starting a solve at a nearby t, and dual_direction the cut
+    that prices bounds[0] (below), the h of certificates.subgradient_vector;
+    both read-only, and None when the closed-form branch ran and in every
+    solve a PathResult keeps.  rho and dual_residual are in the units of the
+    original problem; X and U_dual do not depend on the scale of the data.
 
     singular_values is sigma(H(g_tilde)), descending, read-only and one
     contiguous array: the spectrum whose sum is nuclear_norm_value and which
@@ -155,9 +155,9 @@ class SolveResult:
     bounds = (lower, upper) encloses the optimal cost at t however far the
     solve got, converged or not.  One routine, _price, prices the state
     every loop exit returns, the residual test, the iteration budget and a
-    stop_inside check alike: lower is certificates.dual_bounds' half-space
-    bound with ||U_dual||_2 replaced by the free bound _dual_norm, at most a
-    rounding allowance looser, and upper is dual_bounds' own,
+    stop_inside check alike: lower is the half-space bound of dual_direction
+    = adjoint(U_dual) / nu, dual_bounds' with the free bound _dual_norm for
+    ||U_dual||_2, at most a rounding allowance looser, and upper is dual_bounds' own,
     certificates.feasible_upper_bound at the nuclear norm sum(singular_values).
     The closed-form branch, whose g_tilde is the optimum, reports
     (0.0, objective).  The enclosure is not yet certified to the last ulp:
@@ -178,6 +178,7 @@ class SolveResult:
     bounds: tuple[float, float]
     singular_values: np.ndarray = field(repr=False, compare=False)
     admm_state: tuple | None = field(default=None, repr=False, compare=False)
+    dual_direction: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def project_simplex_l1(s, radius: float) -> np.ndarray:
@@ -302,18 +303,19 @@ def _dual_norm(X: np.ndarray, U_dual: np.ndarray) -> float:
 
 
 def _price(g_o, t, X, U_dual, g_tilde, Hg, lo=None):
-    """(lower, upper, sv) of SolveResult.bounds for a state the loop leaves,
-    one a projection just left, with sv = sigma(Hg) for Hg = H(g_tilde).
-    lower, the half-space bound with nu = _dual_norm(X, U_dual) for
-    ||U_dual||_2 (the bit-symmetric U_dual is its own symmetric part, and
-    nu = 0 only for U_dual = 0, whose bound is 0), comes first: unless
-    lo <= lower, None is returned before anything decomposes Hg."""
-    nu = _dual_norm(X, U_dual)
-    lower = _half_space_bound(g_o, t, adjoint_fast(U_dual) / nu) if nu > 0.0 else 0.0
+    """(lower, upper, sv, h) of SolveResult.bounds and dual_direction for a
+    state the loop leaves, one a projection just left, with sv = sigma(Hg)
+    for Hg = H(g_tilde).  lower, the half-space bound of h = adjoint(U_dual)
+    / nu with nu = _dual_norm(X, U_dual) for ||U_dual||_2 (the bit-symmetric
+    U_dual is its own symmetric part; any larger divisor is as valid, and
+    _TINY keeps U_dual = 0, nu = 0, at h = 0, whose bound is 0), comes first:
+    unless lo <= lower, None is returned before anything decomposes Hg."""
+    h = adjoint_fast(U_dual) / max(_dual_norm(X, U_dual), _TINY)
+    lower = _half_space_bound(g_o, t, h)
     if lo is not None and not lo <= lower:
         return None
     sv = symmetric_singular_values(Hg)
-    return lower, feasible_upper_bound(g_o, t, g_tilde, float(sv.sum())), sv
+    return lower, feasible_upper_bound(g_o, t, g_tilde, float(sv.sum())), sv, h
 
 
 def _cold_start(g_o: ImpulseResponse, t: float, idx: np.ndarray, w: np.ndarray):
@@ -469,7 +471,7 @@ def solve_constrained(
         g_tilde = g_o._divided(t)
         sv = -np.sort(-np.abs(g_tilde.hankel_eigh[0]))
         nuc = g_o.hankel_nuclear_norm / t
-        it, r_pri, r_dual, converged, lower, state = 0, 0.0, 0.0, True, 0.0, None
+        it, r_pri, r_dual, converged, lower, state, h = 0, 0.0, 0.0, True, 0.0, None, None
     else:
         # the loop solves the fit divided by s^2 = ||g_o||^2; X and U_dual are
         # the same in both problems, and rho is rho / s^2 inside the loop
@@ -509,7 +511,7 @@ def solve_constrained(
             X, U_dual, _ = _cold_start(g_o, t, idx, w)
 
         converged = False
-        priced = None  # (lower, upper, sv) of the state the stop test last priced
+        priced = None  # (lower, upper, sv, h) of the state the stop test last priced
         # Anderson history over z = X + U_dual: ring buffers of the differences
         # between consecutive steps of T(z) = H(g) + U_dual (dT = dZ + dF) and of
         # the residual f = T(z) - z, and the Gram matrix of the dF rows
@@ -617,14 +619,14 @@ def solve_constrained(
         # did not price in full, leave a state still to be priced
         if priced is None:
             priced = _price(gvec, t, X, U_dual, g_tilde, Hg)
-        lower, upper, sv = priced
+        lower, upper, sv, h = priced
         nuc = float(sv.sum())
         g_tilde = ImpulseResponse(g_tilde)
         r_dual *= s2
         state = (X, U_dual, rho * s2)
 
     obj = float(_objective(g_tilde.values, gvec, t))
-    for a in (sv,) if closed else (sv, X, U_dual):
+    for a in (sv,) if closed else (sv, X, U_dual, h):
         a.setflags(write=False)
     return SolveResult(
         g_tilde=g_tilde,
@@ -638,4 +640,5 @@ def solve_constrained(
         bounds=(lower, obj if closed else upper),
         singular_values=sv,
         admm_state=state,
+        dual_direction=h,
     )

@@ -11,7 +11,8 @@ projection, which reuses the library's simplex projection and so checks only
 the direct LAPACK eigendecomposition around it.  The *_frozen functions
 keep the arithmetic of earlier library kernels and of the earlier solver
 loop, so that the current ones are pinned to them bit for bit; the frozen
-loop calls the library's cold start, projection, adjoint and bounds.
+loop calls the library's cold start, projection, adjoint and bounds, and
+fills dual_direction by the library's formula.
 """
 
 import math
@@ -409,8 +410,9 @@ def solve_constrained_cadence_frozen(g_o, t, opts=None, *, warm_start=None, test
 
     sv = symmetric_singular_values(Hg)
     nuc = float(sv.sum())
-    X.setflags(write=False)
-    U_dual.setflags(write=False)
+    h = adjoint_fast(U_dual) / max(hp.solver._dual_norm(X, U_dual), np.finfo(float).tiny)
+    for a in (X, U_dual, h):
+        a.setflags(write=False)
     return hp.SolveResult(
         g_tilde=hp.ImpulseResponse(g_tilde),
         t=float(t),
@@ -423,4 +425,5 @@ def solve_constrained_cadence_frozen(g_o, t, opts=None, *, warm_start=None, test
         bounds=hp.dual_bounds(gvec, t, g_tilde, U_dual),
         singular_values=sv,
         admm_state=(X, U_dual, rho * s2),
+        dual_direction=h,
     )

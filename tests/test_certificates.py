@@ -85,7 +85,7 @@ class TestSubgradientVector:
         g_o = sixth_order_impulse
         t = 0.3 * hp.compute_t_max(g_o)
         res = hp.solve_constrained(g_o, t)
-        cert = hp.subgradient_vector(res.g_tilde, t, g_o=g_o, dual=res.admm_state[1])
+        cert = hp.subgradient_vector(res.g_tilde, t, g_o=g_o, h=res.dual_direction)
         assert cert.t_star == t
         assert not cert.degenerate
         assert cert.residual_dir_norm >= 0.0
@@ -97,19 +97,27 @@ class TestSubgradientVector:
 
 
 class TestDualCertificate:
-    """Z = S / ||S||_2, S the symmetric part of the solver's U_dual, is a
-    nuclear-norm subgradient at X = admm_state[0], and h = adjoint(Z)."""
+    """Z = U_dual / nu, with U_dual the solver's bit-symmetric dual and
+    nu = solver._dual_norm(X, U_dual) >= ||U_dual||_2, is a nuclear-norm
+    subgradient at X = admm_state[0] scaled into the unit spectral ball, and
+    the certificate's h is dual_direction = adjoint(Z)."""
 
     @staticmethod
     def _assert_subgradient(res):
+        # exactly, <U, X> = ||U||_2 ||X||_* and ||U||_2 = <U, X> (||X||_* = 1
+        # outside the ball, U = 0 inside it); the computed state misses both
+        # by at most _dual_norm's allowance delta
         X, U, _ = res.admm_state
-        S = 0.5 * (U + U.T)
-        Z = S / np.abs(np.linalg.eigvalsh(S)).max()
+        assert np.array_equal(U, U.T)
+        nu = solver._dual_norm(X, U)
+        x_fro, u_fro = np.linalg.norm(X), np.linalg.norm(U)
+        delta = solver.NORM_ROUNDING * X.shape[0] * (1.0 + x_fro) * (x_fro + u_fro)
+        norm = np.linalg.norm(U, 2)
         nuc = np.abs(np.linalg.eigvalsh(X)).sum()
-        assert abs(np.linalg.norm(Z, 2) - 1.0) <= 1e-13
-        assert abs(np.sum(Z * X) - nuc) <= 1e-12 * max(1.0, nuc)
-        cert = hp.subgradient_vector(res.g_tilde, res.t, dual=U)
-        h = hp.hankel_adjoint(Z)
+        assert norm <= nu <= norm + 2.0 * delta
+        assert abs(np.sum(U * X) - norm * nuc) <= delta
+        cert = hp.subgradient_vector(res.g_tilde, res.t, h=res.dual_direction)
+        h = hp.hankel_adjoint(U / nu)
         assert np.linalg.norm(cert.h - h) <= 1e-13 * np.linalg.norm(h)
 
     @staticmethod
@@ -210,13 +218,28 @@ class TestDualCertificate:
             assert not res.converged
             self._assert_subgradient(res)
 
+    def test_one_cut_per_solve(self, sixth_order_impulse, order100_path, monkeypatch):
+        # every loop solve of a path prices bounds[0] and hands its certificate
+        # the same h, whose divisor is at or above ||U_dual||_2
+        for g_o, eps in ((sixth_order_impulse, 0.01), (order100_path[0], 12.0)):
+            pr, solves = path_solves(monkeypatch, g_o, eps)
+            loop = [r for r in solves if r.iterations > 0]
+            assert len(loop) == pr.m - 1
+            for res in loop:
+                h = res.dual_direction
+                assert not h.flags.writeable
+                assert res.bounds[0] == hp.certificates._half_space_bound(g_o.values, res.t, h)
+                cert = hp.subgradient_vector(res.g_tilde, res.t, h=h)
+                assert np.array_equal(cert.h, h)
+                X, U, _ = res.admm_state
+                assert np.linalg.norm(U, 2) <= solver._dual_norm(X, U)
+
     def test_zero_dual_falls_back_to_plain_form(self, sixth_order_impulse):
         g_o = sixth_order_impulse
         t = 0.4 * hp.compute_t_max(g_o)
         res = hp.solve_constrained(g_o, t)
-        zero = np.zeros_like(res.admm_state[1])
         for data in (None, g_o):
-            fallback = hp.subgradient_vector(res.g_tilde, t, g_o=data, dual=zero)
+            fallback = hp.subgradient_vector(res.g_tilde, t, g_o=data, h=np.zeros(g_o.k_max))
             plain = hp.subgradient_vector(res.g_tilde, t, g_o=data)
             np.testing.assert_array_equal(fallback.h, plain.h)
             assert fallback.residual_dir_norm == plain.residual_dir_norm
@@ -229,7 +252,7 @@ class TestDualityGap:
         t_max = hp.compute_t_max(g_o)
         for t in (0.1 * t_max, 0.4 * t_max, 0.7 * t_max):
             res = hp.solve_constrained(g_o, t)
-            cert = hp.subgradient_vector(res.g_tilde, t, g_o=g_o, dual=res.admm_state[1])
+            cert = hp.subgradient_vector(res.g_tilde, t, g_o=g_o, h=res.dual_direction)
             assert hp.duality_gap(cert, g_o, t) <= budget
 
     def test_scalar_gap_identically_zero(self):
@@ -249,7 +272,7 @@ class TestDualityGap:
         g_o = sixth_order_impulse
         t = 0.35 * hp.compute_t_max(g_o)
         res = hp.solve_constrained(g_o, t)
-        cert = hp.subgradient_vector(res.g_tilde, t, g_o=g_o, dual=res.admm_state[1])
+        cert = hp.subgradient_vector(res.g_tilde, t, g_o=g_o, h=res.dual_direction)
         a = cert.residual_dir_norm
         for delta in (0.01, 0.05, 0.1):
             gap = hp.duality_gap(cert, g_o, t + delta)
@@ -259,7 +282,7 @@ class TestDualityGap:
         g_o = sixth_order_impulse
         t = 0.5 * hp.compute_t_max(g_o)
         res = hp.solve_constrained(g_o, t)
-        cert = hp.subgradient_vector(res.g_tilde, t, g_o=g_o, dual=res.admm_state[1])
+        cert = hp.subgradient_vector(res.g_tilde, t, g_o=g_o, h=res.dual_direction)
         for tt in np.linspace(t, hp.compute_t_max(g_o), 17):
             gap = hp.duality_gap(cert, g_o, float(tt))
             assert gap >= 0.0
@@ -351,7 +374,7 @@ class TestNextBreakpoint:
         t_max = hp.compute_t_max(g_o)
         t = 0.3 * t_max
         res = hp.solve_constrained(g_o, t)
-        cert = hp.subgradient_vector(res.g_tilde, t, g_o=g_o, dual=res.admm_state[1])
+        cert = hp.subgradient_vector(res.g_tilde, t, g_o=g_o, h=res.dual_direction)
         eps = 0.01
         t_next = hp.next_breakpoint(cert, g_o, eps, t_max)
         ref = bisect_gap_crossing(_gap_fn(cert, g_o), eps, t, t_max)
@@ -382,7 +405,7 @@ class TestSandwich:
         t_max = hp.compute_t_max(g_o)
         t_star = 0.3 * t_max
         res = hp.solve_constrained(g_o, t_star)
-        cert = hp.subgradient_vector(res.g_tilde, t_star, g_o=g_o, dual=res.admm_state[1])
+        cert = hp.subgradient_vector(res.g_tilde, t_star, g_o=g_o, h=res.dual_direction)
         t_next = hp.next_breakpoint(cert, g_o, 0.01, t_max)
         for t in np.linspace(t_star, t_next, 9):
             f_ap = hp.approx_objective(res.g_tilde, g_o, float(t))
@@ -507,8 +530,13 @@ class TestDualBounds:
                 warnings.simplefilter("error")
                 with pytest.raises(np.linalg.LinAlgError):
                     hp.dual_bounds(g_o, 0.3, g_o.values, U)
-                with pytest.raises(np.linalg.LinAlgError):
-                    hp.subgradient_vector(g_o.values, 0.3, dual=U)
+        # the certificate's h is checked as outside input: finite, length k_max
+        k_max = g_o.k_max
+        for h in (np.full(k_max, np.nan), np.r_[np.inf, np.zeros(k_max - 1)],
+                  np.ones(k_max - 1), np.ones(k_max + 1), np.ones((1, k_max))):
+            for g in (g_o.values, np.zeros(k_max)):
+                with pytest.raises(ValueError, match="finite vector of length"):
+                    hp.subgradient_vector(g, 0.3, h=h)
 
     def test_dual_of_the_wrong_side_is_rejected(self, sixth_order_impulse):
         # the side of U sets the length of h, so a U that is not n-by-n for

@@ -273,6 +273,9 @@ class TestPath:
         assert proc.returncode == 3
         doc = json.loads((out / "path.json").read_text())
         assert doc["partial"] is True
+        # no solve finished, so the table is its first column's header alone
+        assert doc["m"] == 0
+        assert (out / "singular_values.csv").read_bytes() == b"t\n"
 
     def test_config_file_and_flag_precedence(self, tmp_path, impulse_file):
         config = tmp_path / "config.json"

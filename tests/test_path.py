@@ -251,8 +251,8 @@ class TestComputePath:
         # its orthogonal part is roundoff
         real = hp.path.subgradient_vector
 
-        def untight(g_tilde, t_star, g_o, dual=None):
-            cert = real(g_tilde, t_star, g_o=g_o, dual=dual)
+        def untight(g_tilde, t_star, g_o, h=None):
+            cert = real(g_tilde, t_star, g_o=g_o, h=h)
             g_star = cert.g_tilde_star.values
             res = t_star * g_star - hp.as_impulse(g_o).values
             h = g_star - res * np.dot(g_star, res) / np.dot(res, res)
@@ -432,7 +432,7 @@ class TestLeanPathResult:
         # reversed view would hold a second array object), and the path
         # reports t times it
         assert pr.exact_solutions
-        assert all(r.admm_state is None for r in pr.exact_solutions)
+        assert all(r.admm_state is None and r.dual_direction is None for r in pr.exact_solutions)
         assert pr.breakpoints == [r.t for r in pr.exact_solutions]
         for r, sig in zip(pr.exact_solutions, pr.singular_values):
             sv = r.singular_values
@@ -489,6 +489,17 @@ class TestLeanPathResult:
         assert [pr.samples[i] for i in range(len(rows))] == rows
         assert pr.samples[-1] == rows[-1]
         assert pr.samples[3:45:2] == rows[3:45:2]
+
+    def test_table_takes_only_rows_of_three(self):
+        # a reshape to (-1, 3) split a six-wide row into two samples
+        for bad in ([[1, 2, 3, 4, 5, 6]], np.zeros((2, 6)), [1.0, 2.0, 3.0], [[1, 2]],
+                    np.zeros((2, 3, 1))):
+            with pytest.raises(ValueError, match=r"\(N, 3\) rows"):
+                hp.SampleTable(bad)
+        for empty in ((), [], np.zeros((0, 3))):
+            assert hp.SampleTable(empty).array.shape == (0, 3)
+        assert hp.SampleTable().array.shape == (0, 3)
+        assert list(hp.SampleTable([(0.5, 1.0, 2.0)])) == [(0.5, 1.0, 2.0)]
 
     def test_order100_path_is_small(self, order100_path):
         # 156 KB with every solve's splitting state and a list of samples

@@ -427,7 +427,7 @@ class TestSolveConstrained:
             res = hp.solve_constrained(g_o, t)
             if res.nuclear_norm_value < 1.0 - 1e-6:
                 continue
-            cert = hp.subgradient_vector(res.g_tilde, t, g_o=g_o, dual=res.admm_state[1])
+            cert = hp.subgradient_vector(res.g_tilde, t, g_o=g_o, h=res.dual_direction)
             r = t * res.g_tilde.values - g_o.values
             if np.linalg.norm(r) <= 1e-8 * g_o.norm():
                 continue
@@ -738,12 +738,12 @@ class TestFreeDualNorm:
 
 class TestDecompositionsAfterTheLoop:
     """Outside its projections a loop solve decomposes one matrix, H(g_tilde),
-    whose spectrum prices bounds and singular_values, and the path's
-    certificate one more, the symmetric part of U_dual: two eigvalsh per loop
-    solve.  A closed form reads the cached eigendecomposition of H(g_o) and
-    decomposes nothing."""
+    whose spectrum prices bounds and singular_values; the path's certificate
+    takes the solve's dual_direction and decomposes nothing: one eigvalsh per
+    loop solve.  A closed form reads the cached eigendecomposition of H(g_o)
+    and decomposes nothing."""
 
-    def test_two_eigvalsh_per_loop_solve(self, monkeypatch, sixth_order_spec, order100_spec):
+    def test_one_eigvalsh_per_loop_solve(self, monkeypatch, sixth_order_spec, order100_spec):
         counts = {"eigvalsh_lo": 0, "eigh_lo": 0}
 
         def counting(name, fn):
@@ -755,7 +755,7 @@ class TestDecompositionsAfterTheLoop:
         for name in counts:
             monkeypatch.setattr(hp.hankel, name, counting(name, getattr(hp.hankel, name)))
         # 4 and 9 loop solves, each path ending in a closed form at t_max;
-        # with the eigh of H(g_o), the order-100 path takes 19
+        # with the eigh of H(g_o), the order-100 path takes 10
         # decompositions besides its projections
         for spec, k_max, eps in [(sixth_order_spec, FIXTURE_K_MAX, 0.01),
                                  (order100_spec, 51, 12.0)]:
@@ -764,7 +764,7 @@ class TestDecompositionsAfterTheLoop:
             _, solves = path_solves(monkeypatch, g_o, eps)
             loop = sum(res.iterations > 0 for res in solves)
             assert solves[-1].iterations == 0 and loop == len(solves) - 1
-            assert counts == {"eigvalsh_lo": 2 * loop, "eigh_lo": 1}
+            assert counts == {"eigvalsh_lo": loop, "eigh_lo": 1}
             counts.update(eigvalsh_lo=0)
             closed = hp.solve_constrained(g_o, 2.0 * hp.compute_t_max(g_o))
             hp.subgradient_vector(closed.g_tilde, closed.t, g_o=g_o)
