@@ -11,7 +11,8 @@ the squared norm of the part of the fit residual orthogonal to h, is a
 certified upper bound on how far the frozen solution's objective sits above
 the true optimum at t.  At an exact optimum the fit residual is parallel
 to h, so the gap vanishes at t* and grows as (t - t*)^2 * a^2 with a the
-component of g* orthogonal to h.
+component of g* orthogonal to h.  So (g*, t*, h) fix a certificate: a
+GapCertificate takes those three alone and derives a from them.
 
 Z is read off the splitting solver's dual.  Each step leaves
 U_dual = T(z) - Pi(T(z)) with Pi the projection onto the nuclear ball; for
@@ -30,7 +31,8 @@ H(g*) is symmetric, so with its cached eigendecomposition Q diag(lam) Q^T
 (ImpulseResponse.hankel_eigh) that is Q_r sign(lam_r) Q_r^T over the
 eigenvalues above the noise floor.  Given the data vector, an h that
 already points along -(t* g* - g_o) to within SNAP_TOL is snapped onto it
-exactly.
+exactly.  subgradient_vector makes that choice of h, and the certificate
+checks it.
 
 dual_bounds prices any g and any dual matrix U: the objective at the
 rescaled, exactly feasible point bounds the optimum from above, and the
@@ -49,7 +51,7 @@ feasible_upper_bound, the tables and the solver read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,27 +74,41 @@ class DegenerateCertificateError(ValueError):
 
 @dataclass(frozen=True, eq=False, slots=True)
 class GapCertificate:
-    """Subgradient direction h at a breakpoint plus derived gap quantities.
+    """Gap certificate at a breakpoint, fixed by (h, t_star, g_tilde_star).
 
-    residual_dir_norm is a = ||(I - h h^T / ||h||^2) g*||, the growth rate of
-    the square-root gap in t.  A certificate with h = 0 (only possible for
-    g* = 0, whose Hankel matrix has no nonzero singular value) is flagged
-    degenerate and cannot evaluate gaps.
+    h is a read-only copy of a finite vector of length k_max (else
+    ValueError), and g_tilde_star passes through as_impulse.
+    residual_dir_norm is derived: a = ||(I - h h^T / ||h||^2) g*||, the
+    growth rate of the square-root gap in t, and 0 for h = 0.  A certificate
+    with h = 0 is flagged degenerate and cannot evaluate gaps;
+    subgradient_vector gives one only for g* = 0.
     """
 
     h: np.ndarray
     t_star: float
     g_tilde_star: ImpulseResponse
-    residual_dir_norm: float
+    residual_dir_norm: float = field(init=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.h, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "h", arr)
+        g_star = as_impulse(self.g_tilde_star)
+        h = _direction(self.h, g_star.k_max)
+        h.setflags(write=False)
+        a = float(np.linalg.norm(_orth_component(g_star.values, h))) if np.any(h) else 0.0
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "g_tilde_star", g_star)
+        object.__setattr__(self, "residual_dir_norm", a)
 
     @property
     def degenerate(self) -> bool:
         return not np.any(self.h)
+
+
+def _direction(h, k_max: int) -> np.ndarray:
+    """A float copy of h, which must be a finite vector of length k_max."""
+    h = np.array(h, dtype=float)
+    if h.shape != (k_max,) or not np.isfinite(h).all():
+        raise ValueError(f"h must be a finite vector of length {k_max}")
+    return h
 
 
 def _orth_component(x: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -120,6 +136,9 @@ def _objective(g: np.ndarray, g_o: np.ndarray, t):
 def subgradient_vector(g_tilde_star, t_star: float, g_o=None, h=None) -> GapCertificate:
     """Build the gap certificate at a solution of the constrained fit.
 
+    It chooses h alone: the given dual direction, the W = 0 form, or the
+    snap onto the residual; GapCertificate derives the rest.
+
     Parameters
     ----------
     g_tilde_star : ImpulseResponse or array-like
@@ -145,18 +164,16 @@ def subgradient_vector(g_tilde_star, t_star: float, g_o=None, h=None) -> GapCert
     Raises
     ------
     ValueError
-        When h is not a finite vector of length k_max.
+        When h is not a finite vector of length k_max (GapCertificate's check).
     np.linalg.LinAlgError
         When the spectrum of H(g*) overflows (symmetric_eigh).
     """
     g_star = as_impulse(g_tilde_star)
     k_max = g_star.k_max
     if h is not None:
-        h = np.array(h, dtype=float)
-        if h.shape != (k_max,) or not np.isfinite(h).all():
-            raise ValueError(f"h must be a finite vector of length {k_max}")
+        h = _direction(h, k_max)
     if not np.any(g_star.values):
-        return GapCertificate(np.zeros(k_max), float(t_star), g_star, 0.0)
+        return GapCertificate(np.zeros(k_max), float(t_star), g_star)
 
     if h is None or not np.any(h):
         # U_r V_r^T = Q_r sign(lam_r) Q_r^T over the singular values |lam|
@@ -174,11 +191,7 @@ def subgradient_vector(g_tilde_star, t_star: float, g_o=None, h=None) -> GapCert
         rr = float(res.dot(res))
         if rr > 0 and h.dot(res) < 0 and _orth_norm2(res, h) <= SNAP_TOL**2 * rr:
             h = -(np.linalg.norm(h) / math.sqrt(rr)) * res
-
-    a = float(np.linalg.norm(_orth_component(g_star.values, h)))
-    return GapCertificate(
-        h=h, t_star=float(t_star), g_tilde_star=g_star, residual_dir_norm=a
-    )
+    return GapCertificate(h, float(t_star), g_star)
 
 
 def approx_objective(g_tilde_star, g_o, t: float) -> float:

@@ -87,7 +87,8 @@ def _build_parser() -> _Parser:
     def add_solver_flags(p):
         p.add_argument("--max-iters", dest="max_iters", type=_count(1),
                        default=SolverOptions.max_iters)
-        p.add_argument("--tol", type=_positive_float, help="primal and dual tolerance")
+        p.add_argument("--tol", type=_positive_float, default=SolverOptions.primal_tol,
+                       help="primal and dual tolerance")
 
     solve = sub.add_parser("solve", help="solve the constrained fit at one t")
     solve.add_argument("--input", required=True, help="impulse response (.csv or .json)")

@@ -119,19 +119,24 @@ def as_impulse(g) -> ImpulseResponse:
 
 @dataclass(frozen=True, eq=False)
 class HankelMatrix:
-    """Square matrix with constant anti-diagonals.
+    """Square matrix with constant anti-diagonals; n, its side length, is
+    read off the entries.
 
-    The entries are a read-only copy: the caller's array stays writable, and
-    later writes to it do not change the matrix.
+    The entries are a read-only copy of a square matrix (else ValueError):
+    the caller's array stays writable, and later writes to it do not change
+    the matrix.
     """
 
     entries: np.ndarray
-    n: int
 
     def __post_init__(self):
-        ent = np.array(self.entries, dtype=float)
+        ent = np.array(_as_square(self.entries))
         ent.setflags(write=False)
         object.__setattr__(self, "entries", ent)
+
+    @property
+    def n(self) -> int:
+        return self.entries.shape[0]
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.entries, dtype=dtype)
@@ -170,8 +175,7 @@ def hankel_embed(g) -> HankelMatrix:
                 "even-length vector cannot be Hankel-embedded; wrap it in "
                 "ImpulseResponse to pad a trailing zero explicitly"
             )
-    n = (vec.size + 1) // 2
-    return HankelMatrix(entries=vec[embed_indices(n)], n=n)
+    return HankelMatrix(vec[embed_indices((vec.size + 1) // 2)])
 
 
 def _as_square(M) -> np.ndarray:

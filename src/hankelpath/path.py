@@ -164,7 +164,10 @@ class PathResult:
 
 
 def bootstrap_gap(g_o, t: float) -> float:
-    """Certified excess of the zero model at level t: ||g_o||^2 - max(0, ||g_o|| - t)^2."""
+    """Certified excess of the zero model at level t: ||g_o||^2 - max(0, ||g_o|| - t)^2.
+    A negative or NaN t raises ValueError."""
+    if not t >= 0:
+        raise ValueError("t must be nonnegative")
     return float(_zero_model_gap(as_impulse(g_o).norm(), t))
 
 

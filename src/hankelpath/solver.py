@@ -105,7 +105,8 @@ class SolverOptions:
 
     primal_tol / dual_tol are relative to unit-norm data: the solver works
     on the fit divided by ||g_o||^2, the problem of g_o / ||g_o|| at level
-    t / ||g_o||, and both default to 2e-9 (1e-9 * (1 + 1)) when left None.
+    t / ||g_o||, and both default to 2e-9 (1e-9 * (1 + 1)); each must be a
+    positive finite float (None too raises ValueError).
     The stopping thresholds additionally scale with problem size and with
     min(1, 2 (t / ||g_o||)^2): the normalized fit term's curvature is
     2 (t / ||g_o||)^2, so without that factor the solution error at small t
@@ -119,14 +120,14 @@ class SolverOptions:
     """
 
     max_iters: int = 5000
-    primal_tol: float | None = None
-    dual_tol: float | None = None
+    primal_tol: float = 2e-9
+    dual_tol: float = 2e-9
 
     def __post_init__(self):
         _require_count("max_iters", self.max_iters, 1)
         for name in ("primal_tol", "dual_tol"):
             tol = getattr(self, name)
-            if tol is not None and not (np.isfinite(tol) and tol > 0):
+            if tol is None or not (np.isfinite(tol) and tol > 0):
                 raise ValueError(f"{name} must be positive and finite")
 
 
@@ -147,10 +148,11 @@ class SolveResult:
     original problem; X and U_dual do not depend on the scale of the data.
 
     singular_values is sigma(H(g_tilde)), descending, read-only and one
-    contiguous array: the spectrum whose sum is nuclear_norm_value and which
-    bounds prices; PathResult.singular_values reports t times it, the Hankel
-    singular values of the fit t g_tilde.  The closed-form branch reads it
-    as sigma(H(g_o)) / t off the cached g_o.hankel_eigh.
+    contiguous array: the spectrum which bounds prices, and whose sum the
+    read-only nuclear_norm_value is; PathResult.singular_values reports t
+    times it, the Hankel singular values of the fit t g_tilde.  The
+    closed-form branch reads it as sigma(H(g_o)) / t off the cached
+    g_o.hankel_eigh.
 
     bounds = (lower, upper) encloses the optimal cost at t however far the
     solve got, converged or not.  One routine, _price, prices the state
@@ -170,7 +172,6 @@ class SolveResult:
     g_tilde: ImpulseResponse
     t: float
     objective: float
-    nuclear_norm_value: float
     iterations: int
     primal_residual: float
     dual_residual: float
@@ -179,6 +180,11 @@ class SolveResult:
     singular_values: np.ndarray = field(repr=False, compare=False)
     admm_state: tuple | None = field(default=None, repr=False, compare=False)
     dual_direction: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def nuclear_norm_value(self) -> float:
+        """||H(g_tilde)||_*, the sum of singular_values."""
+        return float(self.singular_values.sum())
 
 
 def project_simplex_l1(s, radius: float) -> np.ndarray:
@@ -470,7 +476,6 @@ def solve_constrained(
         # its spectrum and W = 0 certificate read H(g_o)'s cached eigh / t
         g_tilde = g_o._divided(t)
         sv = -np.sort(-np.abs(g_tilde.hankel_eigh[0]))
-        nuc = g_o.hankel_nuclear_norm / t
         it, r_pri, r_dual, converged, lower, state, h = 0, 0.0, 0.0, True, 0.0, None, None
     else:
         # the loop solves the fit divided by s^2 = ||g_o||^2; X and U_dual are
@@ -495,14 +500,12 @@ def solve_constrained(
             raise ValueError(
                 "t is too small for ||g_o||: 2e-8 t^2 / ||g_o||^2 must be a normal float"
             )
-        primal_tol = opts.primal_tol if opts.primal_tol is not None else 2e-9
-        dual_tol = opts.dual_tol if opts.dual_tol is not None else 2e-9
         # sqrt of the X entry count times the curvature factor (see SolverOptions),
         # floored at the resolution float iterates of unit-norm data can reach
         scale = n * min(1.0, fit_curv)
         floor = 8e-15 * n
-        eps_pri = max(primal_tol * scale, floor)
-        eps_dual = max(dual_tol * scale, floor)
+        eps_pri = max(opts.primal_tol * scale, floor)
+        eps_dual = max(opts.dual_tol * scale, floor)
 
         idx = embed_indices(n)
         w = multiplicities(n)
@@ -620,7 +623,6 @@ def solve_constrained(
         if priced is None:
             priced = _price(gvec, t, X, U_dual, g_tilde, Hg)
         lower, upper, sv, h = priced
-        nuc = float(sv.sum())
         g_tilde = ImpulseResponse(g_tilde)
         r_dual *= s2
         state = (X, U_dual, rho * s2)
@@ -632,7 +634,6 @@ def solve_constrained(
         g_tilde=g_tilde,
         t=float(t),
         objective=obj,
-        nuclear_norm_value=nuc,
         iterations=it,
         primal_residual=r_pri,
         dual_residual=r_dual,

@@ -234,12 +234,10 @@ def plain_admm(g_o, t, opts=None):
     fit_rhs = (2.0 * t / s2) * gvec
     fit_curv = 2.0 * t * t / s2
     rho = fit_curv
-    primal_tol = opts.primal_tol if opts.primal_tol is not None else 2e-9
-    dual_tol = opts.dual_tol if opts.dual_tol is not None else 2e-9
     scale = n * min(1.0, fit_curv)
     floor = 8e-15 * n
-    eps_pri = max(primal_tol * scale, floor)
-    eps_dual = max(dual_tol * scale, floor)
+    eps_pri = max(opts.primal_tol * scale, floor)
+    eps_dual = max(opts.dual_tol * scale, floor)
 
     idx = embed_indices(n)
     w = hp.multiplicities(n)
@@ -300,15 +298,13 @@ def solve_constrained_cadence_frozen(g_o, t, opts=None, *, warm_start=None, test
         )
         rho = float(rho)
 
-    nuc0 = g_o.hankel_nuclear_norm
-    if nuc0 <= t:
+    if g_o.hankel_nuclear_norm <= t:
         g_tilde = hp.ImpulseResponse(gvec / t)
         lam = g_o.hankel_eigh[0] / t
         return hp.SolveResult(
             g_tilde=g_tilde,
             t=float(t),
             objective=float(np.sum((t * g_tilde.values - gvec) ** 2)),
-            nuclear_norm_value=nuc0 / t,
             iterations=0,
             primal_residual=0.0,
             dual_residual=0.0,
@@ -326,12 +322,10 @@ def solve_constrained_cadence_frozen(g_o, t, opts=None, *, warm_start=None, test
     fit_curv = 2.0 * t * t / s2
     rho = fit_curv if rho is None else rho / s2
     rho_lo, rho_hi = 1e-8 * fit_curv, 1e8 * fit_curv
-    primal_tol = opts.primal_tol if opts.primal_tol is not None else 2e-9
-    dual_tol = opts.dual_tol if opts.dual_tol is not None else 2e-9
     scale = n * min(1.0, fit_curv)
     floor = 8e-15 * n
-    eps_pri = max(primal_tol * scale, floor)
-    eps_dual = max(dual_tol * scale, floor)
+    eps_pri = max(opts.primal_tol * scale, floor)
+    eps_dual = max(opts.dual_tol * scale, floor)
 
     idx = embed_indices(n)
     w = hp.multiplicities(n)
@@ -409,7 +403,6 @@ def solve_constrained_cadence_frozen(g_o, t, opts=None, *, warm_start=None, test
             f_ref = fnorm
 
     sv = symmetric_singular_values(Hg)
-    nuc = float(sv.sum())
     h = adjoint_fast(U_dual) / max(hp.solver._dual_norm(X, U_dual), np.finfo(float).tiny)
     for a in (X, U_dual, h):
         a.setflags(write=False)
@@ -417,7 +410,6 @@ def solve_constrained_cadence_frozen(g_o, t, opts=None, *, warm_start=None, test
         g_tilde=hp.ImpulseResponse(g_tilde),
         t=float(t),
         objective=float(np.sum((t * g_tilde - gvec) ** 2)),
-        nuclear_norm_value=nuc,
         iterations=it,
         primal_residual=r_pri,
         dual_residual=r_dual * s2,

@@ -96,6 +96,44 @@ class TestSubgradientVector:
         assert abs(cert.residual_dir_norm - a_ref) < 1e-12
 
 
+class TestGapCertificate:
+    """A certificate is fixed by (h, t_star, g*): the growth rate a is
+    derived from them, and h is a checked copy of the caller's array."""
+
+    def test_growth_rate_is_not_a_parameter(self):
+        with pytest.raises(TypeError):
+            hp.GapCertificate(h=np.array([1.0, 0.0, 0.0]), t_star=1.0,
+                              g_tilde_star=hp.ImpulseResponse([0.5, 2.0, 0.0]),
+                              residual_dir_norm=1.0)
+
+    def test_rebuilt_path_certificates_match(self, order100_path):
+        # every certificate of the fixture 0-19 and order-100 seed-4 paths,
+        # rebuilt from its three arrays, has the growth rate and the next
+        # breakpoint of the original, bit for bit
+        paths = [(g_o, hp.compute_path(g_o, 0.01), 0.01) for g_o in _fixture_family()]
+        paths.append((*order100_path, 12.0))
+        for g_o, pr, eps in paths:
+            t_max = hp.compute_t_max(g_o)
+            for c in pr.certificates:
+                rebuilt = hp.GapCertificate(c.h, c.t_star, c.g_tilde_star)
+                assert rebuilt.residual_dir_norm == c.residual_dir_norm
+                if c.t_star < t_max:
+                    assert (hp.next_breakpoint(rebuilt, g_o, eps, t_max)
+                            == hp.next_breakpoint(c, g_o, eps, t_max))
+
+    def test_caller_array_stays_writable_and_detached(self):
+        a = np.array([1.0, 0.0, 0.0])
+        cert = hp.GapCertificate(h=a, t_star=1.0, g_tilde_star=[0.5, 2.0, 0.0])
+        assert a.flags.writeable and not cert.h.flags.writeable
+        a[0] = 2.0
+        assert cert.h[0] == 1.0
+        # a list g* is coerced, and prices gaps: ||(0, 2 s, 0)||^2 at t = 1 + s
+        assert isinstance(cert.g_tilde_star, hp.ImpulseResponse)
+        assert cert.residual_dir_norm == 2.0
+        g_o = np.array([0.5, 2.0, 0.0])
+        assert hp.duality_gap(cert, g_o, 1.5) == 1.0
+
+
 class TestDualCertificate:
     """Z = U_dual / nu, with U_dual the solver's bit-symmetric dual and
     nu = solver._dual_norm(X, U_dual) >= ||U_dual||_2, is a nuclear-norm
@@ -311,7 +349,7 @@ class TestNextBreakpoint:
         g_star = np.array([0.5, 2.0, 0.0])
         h = np.array([1.0, 0.0, 0.0])
         return hp.GapCertificate(
-            h=h, t_star=1.0, g_tilde_star=hp.ImpulseResponse(g_star), residual_dir_norm=2.0
+            h=h, t_star=1.0, g_tilde_star=hp.ImpulseResponse(g_star)
         )
 
     def test_closed_form_step(self):
@@ -329,7 +367,6 @@ class TestNextBreakpoint:
             h=np.array([1.0, 0.0, 0.0]),
             t_star=1.0,
             g_tilde_star=hp.ImpulseResponse(g_star),
-            residual_dir_norm=0.0,
         )
         assert hp.next_breakpoint(cert, np.ones(3), eps=0.01, t_max=5.0) == 5.0
 
@@ -530,13 +567,16 @@ class TestDualBounds:
                 warnings.simplefilter("error")
                 with pytest.raises(np.linalg.LinAlgError):
                     hp.dual_bounds(g_o, 0.3, g_o.values, U)
-        # the certificate's h is checked as outside input: finite, length k_max
+        # the certificate's h is checked as outside input: finite, length k_max,
+        # by the constructor and by subgradient_vector alike
         k_max = g_o.k_max
         for h in (np.full(k_max, np.nan), np.r_[np.inf, np.zeros(k_max - 1)],
                   np.ones(k_max - 1), np.ones(k_max + 1), np.ones((1, k_max))):
             for g in (g_o.values, np.zeros(k_max)):
                 with pytest.raises(ValueError, match="finite vector of length"):
                     hp.subgradient_vector(g, 0.3, h=h)
+                with pytest.raises(ValueError, match="finite vector of length"):
+                    hp.GapCertificate(h, 0.3, g)
 
     def test_dual_of_the_wrong_side_is_rejected(self, sixth_order_impulse):
         # the side of U sets the length of h, so a U that is not n-by-n for

@@ -120,11 +120,19 @@ class TestEmbed:
         g /= 2
         np.testing.assert_array_equal(H.entries, np.ones((3, 3)))
         M = np.ones((3, 3))
-        H = hp.HankelMatrix(entries=M, n=3)
+        H = hp.HankelMatrix(entries=M)
         M[0, 0] = 7.0
         assert H.entries[0, 0] == 1.0
         with pytest.raises(ValueError):
             H.entries[0, 0] = 2.0
+
+    def test_side_length_is_read_off_the_entries(self):
+        assert hp.HankelMatrix(np.eye(2)).n == 2
+        assert hp.hankel_embed(np.ones(7)).n == 4
+        with pytest.raises(TypeError):
+            hp.HankelMatrix(entries=np.eye(2), n=5)
+        with pytest.raises(ValueError, match="square"):
+            hp.HankelMatrix(np.ones((2, 3)))
 
     def test_symmetry_and_linearity(self):
         rng = np.random.RandomState(0)

@@ -326,6 +326,12 @@ class TestZeroModel:
         for t in (norm, 2 * norm, math.inf):
             assert hp.bootstrap_gap(sixth_order_impulse, t) == norm * norm
 
+    @pytest.mark.parametrize("t", [-1.0, -math.inf, math.nan])
+    def test_rejects_a_negative_or_nan_level(self, t):
+        # at t = -1 the zero model's excess read -5.0 on g_o = [2]
+        with pytest.raises(ValueError):
+            hp.bootstrap_gap([2.0], t)
+
 
 class TestHeldOutTightness:
     """Criterion 3, each certificate's gap vanishing at its own breakpoint,

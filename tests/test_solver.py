@@ -310,6 +310,20 @@ class TestSymmetricProjection:
 
 
 class TestSolveConstrained:
+    def test_nuclear_norm_is_the_sum_of_the_spectrum(self):
+        # closed-form solves of fixture systems 0-119 at and above t_max; the
+        # stored value, sigma(H(g_o)) summed and divided by t, missed the sum
+        # of the solve's own spectrum in the last digits in 149 of them
+        for seed in range(120):
+            g_o = hp.impulse_response(hp.random_system(6, seed, bands=FIXTURE_BANDS), FIXTURE_K_MAX)
+            t_max = hp.compute_t_max(g_o)
+            for t in (t_max, 1.5 * t_max, 3.0 * t_max):
+                res = hp.solve_constrained(g_o, t)
+                assert res.iterations == 0
+                assert res.nuclear_norm_value == float(res.singular_values.sum())
+        with pytest.raises(TypeError):
+            dataclasses.replace(res, nuclear_norm_value=1.0)
+
     def test_rejects_nonpositive_t(self):
         with pytest.raises(ValueError):
             hp.solve_constrained([1.0, 0.5, 0.25], 0.0)
@@ -458,9 +472,12 @@ class TestSolverOptions:
             dict(primal_tol=-1.0),
             dict(primal_tol=np.nan),
             dict(dual_tol=np.inf),
+            dict(primal_tol=None),
+            dict(dual_tol=None),
         ):
             with pytest.raises(ValueError):
                 hp.SolverOptions(**bad)
+        assert hp.SolverOptions().primal_tol == hp.SolverOptions().dual_tol == 2e-9
         # the starting penalty is no option: a cold start begins at the fit
         # curvature, and warm_start carries the penalty of an earlier solve
         with pytest.raises(TypeError):
