@@ -25,14 +25,15 @@ optimality conditions, Boyd et al. 2011, section 3.3).  The solver prices
 bounds[0] with h = adjoint(U_dual) / nu, nu = solver._dual_norm(X, U_dual)
 >= ||U_dual||_2, and returns it as SolveResult.dual_direction, the h the
 certificate takes: any divisor at or above ||U_dual||_2 keeps the half-space
-valid, and no gap depends on the scale of h.  Without a dual (closed-form
-solves, callers holding only g*) Z is the W = 0 form U_r V_r^T of H(g*):
-H(g*) is symmetric, so with its cached eigendecomposition Q diag(lam) Q^T
-(ImpulseResponse.hankel_eigh) that is Q_r sign(lam_r) Q_r^T over the
-eigenvalues above the noise floor.  Given the data vector, an h that
-already points along -(t* g* - g_o) to within SNAP_TOL is snapped onto it
-exactly.  subgradient_vector makes that choice of h, and the certificate
-checks it.
+valid, and no gap depends on the scale of h.  A closed-form solve has no
+dual; its Z is the W = 0 form U_r V_r^T of H(g*), for the symmetric
+H(g*) = Q diag(lam) Q^T the Q_r sign(lam_r) Q_r^T over the eigenvalues above
+the noise floor (_w0_cut).  The solve reads it off the cached decomposition
+of H(g_o) (ImpulseResponse.hankel_eigh) and returns it as dual_direction
+too; subgradient_vector without an h reads it off g*.hankel_eigh.
+Given the data vector, an h that already points along -(t* g* - g_o) to
+within SNAP_TOL is snapped onto it exactly.  subgradient_vector makes that
+choice of h, and the certificate checks it.
 
 dual_bounds prices any g and any dual matrix U: the objective at the
 rescaled, exactly feasible point bounds the optimum from above, and the
@@ -67,6 +68,8 @@ from .hankel import (
 #: already agrees with it to this angular tolerance (sin of the angle).
 SNAP_TOL = 1e-6
 
+_TINY = np.finfo(float).tiny  # the smallest normal float
+
 
 class DegenerateCertificateError(ValueError):
     """Raised when a certificate with h = 0 is asked for gap values."""
@@ -77,7 +80,7 @@ class GapCertificate:
     """Gap certificate at a breakpoint, fixed by (h, t_star, g_tilde_star).
 
     h is a read-only copy of a finite vector of length k_max (else
-    ValueError), and g_tilde_star passes through as_impulse.
+    ValueError; _direction), and g_tilde_star passes through as_impulse.
     residual_dir_norm is derived: a = ||(I - h h^T / ||h||^2) g*||, the
     growth rate of the square-root gap in t, and 0 for h = 0.  A certificate
     with h = 0 is flagged degenerate and cannot evaluate gaps;
@@ -104,11 +107,27 @@ class GapCertificate:
 
 
 def _direction(h, k_max: int) -> np.ndarray:
-    """A float copy of h, which must be a finite vector of length k_max."""
+    """A float copy of h, which must be a finite vector of length k_max; an
+    h != 0 whose ||h||^2 is not a normal float is scaled by the exact power
+    of two that puts max |h| in [0.5, 1).  No gap depends on that scale."""
     h = np.array(h, dtype=float)
     if h.shape != (k_max,) or not np.isfinite(h).all():
         raise ValueError(f"h must be a finite vector of length {k_max}")
+    with np.errstate(over="ignore", under="ignore"):
+        hh = float(h.dot(h))
+    if not _TINY <= hh < math.inf and np.any(h):
+        h = np.ldexp(h, -math.frexp(float(np.abs(h).max()))[1])
     return h
+
+
+def _w0_cut(lam: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The W = 0 cut adjoint(U_r V_r^T) of the symmetric H = Q diag(lam) Q^T:
+    U_r V_r^T = Q_r sign(lam_r) Q_r^T over the singular values |lam| above
+    the noise floor n * sigma_1 * machine epsilon."""
+    mag = np.abs(lam)
+    keep = mag > np.finfo(float).eps * mag.size * mag.max()
+    Q_r = Q[:, keep]
+    return adjoint_fast((Q_r * np.sign(lam[keep])) @ Q_r.T)
 
 
 def _orth_component(x: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -153,8 +172,8 @@ def subgradient_vector(g_tilde_star, t_star: float, g_o=None, h=None) -> GapCert
         g_tilde_star, taken as the certificate's h (for another dual matrix
         U: adjoint(S) / ||S||_2, S its symmetric part).  Without it, or when
         it is 0, h is the W = 0 form adjoint(U_r V_r^T) of H(g*), cut at the
-        noise floor n * sigma_1 times machine epsilon, and taken as
-        adjoint(Q_r sign(lam_r) Q_r^T) from g*.hankel_eigh.
+        noise floor n * sigma_1 times machine epsilon: _w0_cut of
+        g*.hankel_eigh, one decomposition of H(g*).
 
     Returns
     -------
@@ -176,13 +195,7 @@ def subgradient_vector(g_tilde_star, t_star: float, g_o=None, h=None) -> GapCert
         return GapCertificate(np.zeros(k_max), float(t_star), g_star)
 
     if h is None or not np.any(h):
-        # U_r V_r^T = Q_r sign(lam_r) Q_r^T over the singular values |lam|
-        # above the noise floor n * sigma_1 * machine epsilon
-        lam, Q = g_star.hankel_eigh
-        mag = np.abs(lam)
-        keep = mag > np.finfo(float).eps * mag.size * mag.max()
-        Q_r = Q[:, keep]
-        h = adjoint_fast((Q_r * np.sign(lam[keep])) @ Q_r.T)
+        h = _w0_cut(*g_star.hankel_eigh)
     if g_o is not None:
         # snap onto -res, keeping the norm, when the gap of res is inside
         # numerical slop; a residual whose squared norm underflows to 0 has

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg._umath_linalg import eigh_lo, eigvalsh_lo
 
+from ._textio import fmt17, write_text
+
 
 def _as_vector(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
@@ -69,36 +71,13 @@ class ImpulseResponse:
     def hankel_eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """(lam, Q), read-only: the eigendecomposition H(g) = Q diag(lam) Q^T
         (symmetric_eigh), computed once per instance.  Every reader of the
-        spectrum of H(g_o) shares it: hankel_nuclear_norm (so compute_t_max),
-        and the closed-form test, closed-form result and cold start of
-        every solve_constrained, so a path and its --verify re-solves
-        decompose H(g_o) once.  The W = 0 certificate of subgradient_vector
-        reads that of H(g*)."""
+        spectrum of H(g_o) shares it: compute_t_max, and the closed-form
+        test, closed-form result and cold start of every solve_constrained,
+        so a path and its --verify re-solves decompose H(g_o) once."""
         lam, Q = symmetric_eigh(self.values[embed_indices(self.n)])
         lam.setflags(write=False)
         Q.setflags(write=False)
         return lam, Q
-
-    def _divided(self, t: float) -> "ImpulseResponse":
-        """ImpulseResponse(values / t) for t > 0.  H(g / t) = H(g) / t, so a
-        cached hankel_eigh (lam, Q) carries over as (lam / t, Q), and the
-        result's readers of the spectrum decompose nothing."""
-        out = ImpulseResponse(self.values / t)
-        if "hankel_eigh" in self.__dict__:
-            lam, Q = self.hankel_eigh
-            lam = lam / t
-            lam.setflags(write=False)
-            # where cached_property keeps its value
-            out.__dict__["hankel_eigh"] = (lam, Q)
-        return out
-
-    @functools.cached_property
-    def hankel_nuclear_norm(self) -> float:
-        """||H(g)||_* = sum |lam| of hankel_eigh, computed once per instance.
-        It agrees with hankel_singular_values(g).sum() to rounding, not bit
-        for bit: an eigendecomposition with vectors and one without round
-        the eigenvalues differently."""
-        return float(np.abs(self.hankel_eigh[0]).sum())
 
     def __len__(self) -> int:
         return self.values.size
@@ -251,18 +230,19 @@ def hankel_singular_values(g) -> np.ndarray:
 
     H(g) is symmetric, so they are the magnitudes of its eigenvalues, taken
     without eigenvectors (symmetric_singular_values).  Their sum agrees with
-    compute_t_max(g) to rounding, not bit for bit (see
-    ImpulseResponse.hankel_nuclear_norm).  A path reads its breakpoints'
-    singular values off its solves instead (SolveResult.singular_values).
+    compute_t_max(g) to rounding, not bit for bit.  A path reads its
+    breakpoints' singular values off its solves (SolveResult.singular_values).
     """
     g = as_impulse(g)
     return symmetric_singular_values(g.values[embed_indices(g.n)])
 
 
 def compute_t_max(g_o) -> float:
-    """Smallest t with a perfect fit: the nuclear norm of H(g_o), read off
-    its cached eigendecomposition (ImpulseResponse.hankel_nuclear_norm)."""
-    return as_impulse(g_o).hankel_nuclear_norm
+    """Smallest t with a perfect fit: ||H(g_o)||_*, sum |lam| over the cached
+    ImpulseResponse.hankel_eigh.  An eigendecomposition with vectors and one
+    without round lam differently, so hankel_singular_values(g_o).sum() can
+    differ in the last bits."""
+    return float(np.abs(as_impulse(g_o).hankel_eigh[0]).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +250,6 @@ def compute_t_max(g_o) -> float:
 # ---------------------------------------------------------------------------
 
 def write_impulse_csv(g: ImpulseResponse, path) -> None:
-    from ._textio import fmt17, write_text
-
     write_text(path, "".join(fmt17(v) + "\n" for v in as_impulse(g).values))
 
 
@@ -282,8 +260,6 @@ def read_impulse_csv(path) -> ImpulseResponse:
 
 
 def write_impulse_json(g: ImpulseResponse, path) -> None:
-    from ._textio import fmt17, write_text
-
     g = as_impulse(g)
     body = ", ".join(fmt17(v) for v in g.values)
     write_text(path, '{"k_max": %d, "values": [%s]}\n' % (g.k_max, body))

@@ -46,17 +46,19 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.linalg._umath_linalg import eigh_lo, solve1
 
-from .certificates import _half_space_bound, _objective, feasible_upper_bound
+from .certificates import _TINY, _half_space_bound, _objective, _w0_cut, feasible_upper_bound
 from .hankel import (
     ImpulseResponse,
     _require_finite,
     adjoint_fast,
     as_impulse,
+    compute_t_max,
     embed_indices,
     multiplicities,
     symmetric_singular_values,
@@ -76,10 +78,8 @@ TEST_EVERY = 4
 #: 64 machine epsilons.
 NORM_ROUNDING = 64 * np.finfo(float).eps
 
-# per-solve constants: the identity of the Anderson normal equations' Tikhonov
-# term, and the smallest normal float, below which rho_lo must not fall
+# per-solve constant: the identity of the Anderson normal equations' Tikhonov term
 _AA_EYE = np.eye(AA_MEM)
-_TINY = np.finfo(float).tiny
 
 
 class _Iterate(np.ndarray):
@@ -106,7 +106,7 @@ class SolverOptions:
     primal_tol / dual_tol are relative to unit-norm data: the solver works
     on the fit divided by ||g_o||^2, the problem of g_o / ||g_o|| at level
     t / ||g_o||, and both default to 2e-9 (1e-9 * (1 + 1)); each must be a
-    positive finite float (None too raises ValueError).
+    positive finite real number, not a bool, else ValueError.
     The stopping thresholds additionally scale with problem size and with
     min(1, 2 (t / ||g_o||)^2): the normalized fit term's curvature is
     2 (t / ||g_o||)^2, so without that factor the solution error at small t
@@ -127,7 +127,9 @@ class SolverOptions:
         _require_count("max_iters", self.max_iters, 1)
         for name in ("primal_tol", "dual_tol"):
             tol = getattr(self, name)
-            if tol is None or not (np.isfinite(tol) and tol > 0):
+            real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+            # an int compares exactly, where math.isfinite(10**400) overflows
+            if not (real and 0 < tol <= sys.float_info.max):
                 raise ValueError(f"{name} must be positive and finite")
 
 
@@ -141,18 +143,19 @@ class SolveResult:
     stop_inside exit or when the iteration budget runs out.
 
     admm_state is the splitting state (X, U_dual, rho) the iteration stopped
-    at, for warm-starting a solve at a nearby t, and dual_direction the cut
-    that prices bounds[0] (below), the h of certificates.subgradient_vector;
-    both read-only, and None when the closed-form branch ran and in every
-    solve a PathResult keeps.  rho and dual_residual are in the units of the
-    original problem; X and U_dual do not depend on the scale of the data.
+    at, for warm-starting a solve at a nearby t, None for the closed form.
+    dual_direction, the h of certificates.subgradient_vector, is the cut
+    that prices bounds[0] (below), and the closed form's W = 0 cut of
+    H(g_tilde) (certificates._w0_cut).  Both are read-only, and None in
+    every solve a PathResult keeps.  rho and dual_residual are in the units
+    of the original problem; X and U_dual do not depend on the data's scale.
 
     singular_values is sigma(H(g_tilde)), descending, read-only and one
     contiguous array: the spectrum which bounds prices, and whose sum the
     read-only nuclear_norm_value is; PathResult.singular_values reports t
     times it, the Hankel singular values of the fit t g_tilde.  The
-    closed-form branch reads it as sigma(H(g_o)) / t off the cached
-    g_o.hankel_eigh.
+    closed-form branch reads it, and its cut, off the cached g_o.hankel_eigh
+    with the eigenvalues divided by t.
 
     bounds = (lower, upper) encloses the optimal cost at t however far the
     solve got, converged or not.  One routine, _price, prices the state
@@ -470,13 +473,16 @@ def solve_constrained(
         if not np.isfinite(rho) or rho <= 0:
             raise ValueError("warm-start rho must be positive")
 
-    closed = g_o.hankel_nuclear_norm <= t
+    closed = compute_t_max(g_o) <= t
     if closed:
         # the optimum g_o / t is feasible, so its objective closes the bounds;
-        # its spectrum and W = 0 certificate read H(g_o)'s cached eigh / t
-        g_tilde = g_o._divided(t)
-        sv = -np.sort(-np.abs(g_tilde.hankel_eigh[0]))
-        it, r_pri, r_dual, converged, lower, state, h = 0, 0.0, 0.0, True, 0.0, None, None
+        # H(g_o / t) = Q diag(lam / t) Q^T gives its spectrum and W = 0 cut
+        lam, Q = g_o.hankel_eigh
+        lam = lam / t
+        g_tilde = ImpulseResponse(gvec / t)
+        sv = -np.sort(-np.abs(lam))
+        h = _w0_cut(lam, Q)
+        it, r_pri, r_dual, converged, lower, state = 0, 0.0, 0.0, True, 0.0, None
     else:
         # the loop solves the fit divided by s^2 = ||g_o||^2; X and U_dual are
         # the same in both problems, and rho is rho / s^2 inside the loop
@@ -628,7 +634,7 @@ def solve_constrained(
         state = (X, U_dual, rho * s2)
 
     obj = float(_objective(g_tilde.values, gvec, t))
-    for a in (sv,) if closed else (sv, X, U_dual, h):
+    for a in (sv, h) if closed else (sv, h, X, U_dual):
         a.setflags(write=False)
     return SolveResult(
         g_tilde=g_tilde,

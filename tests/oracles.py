@@ -298,9 +298,10 @@ def solve_constrained_cadence_frozen(g_o, t, opts=None, *, warm_start=None, test
         )
         rho = float(rho)
 
-    if g_o.hankel_nuclear_norm <= t:
+    if hp.compute_t_max(g_o) <= t:
         g_tilde = hp.ImpulseResponse(gvec / t)
-        lam = g_o.hankel_eigh[0] / t
+        lam, Q = g_o.hankel_eigh
+        lam = lam / t
         return hp.SolveResult(
             g_tilde=g_tilde,
             t=float(t),
@@ -311,6 +312,7 @@ def solve_constrained_cadence_frozen(g_o, t, opts=None, *, warm_start=None, test
             converged=True,
             bounds=hp.dual_bounds(gvec, t, g_tilde.values),
             singular_values=np.sort(np.abs(lam))[::-1],
+            dual_direction=hp.certificates._w0_cut(lam, Q),
         )
 
     def norm(a):

@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 import warnings
@@ -132,6 +133,25 @@ class TestGapCertificate:
         assert cert.residual_dir_norm == 2.0
         g_o = np.array([0.5, 2.0, 0.0])
         assert hp.duality_gap(cert, g_o, 1.5) == 1.0
+
+    @pytest.mark.parametrize("h", [[1e-200, 0.0, 0.0], [1e200, 0.0, 0.0], [1e-160, 3e-161, 0.0]])
+    def test_tiny_and_huge_directions(self, h):
+        # ||h||^2 underflows to 0, overflows, or is subnormal; the certificate
+        # prices exactly as a power-of-two multiple of h at unit scale does
+        h = np.array(h)
+        unit = np.ldexp(h, 2 - math.frexp(np.abs(h).max())[1])
+        g_star, g_o = np.array([0.5, 2.0, 0.0]), np.array([0.4, 1.0, 0.3])
+        builds = (lambda d: hp.GapCertificate(d, 1.0, g_star),
+                  lambda d: hp.subgradient_vector(g_star, 1.0, g_o=g_o, h=d))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for build in builds:
+                cert, ref = build(h), build(unit)
+                assert not cert.degenerate
+                assert cert.residual_dir_norm == ref.residual_dir_norm
+                assert hp.duality_gap(cert, g_o, 1.5) == hp.duality_gap(ref, g_o, 1.5)
+                assert hp.next_breakpoint(cert, g_o, 2.0, 10.0) == hp.next_breakpoint(
+                    ref, g_o, 2.0, 10.0)
 
 
 class TestDualCertificate:
@@ -271,6 +291,31 @@ class TestDualCertificate:
                 assert np.array_equal(cert.h, h)
                 X, U, _ = res.admm_state
                 assert np.linalg.norm(U, 2) <= solver._dual_norm(X, U)
+
+    def test_every_solve_returns_its_cut(self, sixth_order_impulse, order100_path, monkeypatch):
+        # a closed-form, cold, warm and stop_inside solve each return a
+        # read-only cut of length k_max, and a path's last certificate, at
+        # t_max, takes the closed form's
+        for g_o, eps in ((sixth_order_impulse, 0.01), (order100_path[0], 12.0)):
+            t_max = hp.compute_t_max(g_o)
+            cold = hp.solve_constrained(g_o, 0.5 * t_max)
+            solves = [
+                hp.solve_constrained(g_o, t_max),
+                cold,
+                hp.solve_constrained(g_o, 0.6 * t_max, warm_start=cold.admm_state),
+                hp.solve_constrained(g_o, 0.5 * t_max, stop_inside=(0.0, math.inf)),
+            ]
+            assert [res.iterations > 0 for res in solves] == [False, True, True, True]
+            for res in solves:
+                h = res.dual_direction
+                assert h.shape == (g_o.k_max,) and not h.flags.writeable
+            pr, recorded = path_solves(monkeypatch, g_o, eps)
+            closed = recorded[-1]
+            assert closed.iterations == 0 and closed.t == pr.t_max
+            ref = hp.subgradient_vector(closed.g_tilde, pr.t_max, g_o=g_o, h=closed.dual_direction)
+            last = pr.certificates[-1]
+            assert np.array_equal(last.h, ref.h) and last.t_star == ref.t_star
+            assert last.residual_dir_norm == ref.residual_dir_norm
 
     def test_zero_dual_falls_back_to_plain_form(self, sixth_order_impulse):
         g_o = sixth_order_impulse

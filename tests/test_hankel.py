@@ -79,18 +79,7 @@ class TestSymmetricSpectrum:
         assert not (lam.flags.writeable or Q.flags.writeable)
         H = hp.hankel_embed(g).entries
         assert np.abs((Q * lam) @ Q.T - H).max() <= 1e-14 * np.abs(lam).max()
-        assert g.hankel_nuclear_norm == float(np.abs(lam).sum())
-
-    def test_division_carries_the_decomposition(self, sixth_order_impulse):
-        g = hp.ImpulseResponse(sixth_order_impulse.values)
-        t = 0.7
-        assert "hankel_eigh" not in vars(g._divided(t))
-        lam, Q = g.hankel_eigh
-        scaled = g._divided(t)
-        assert np.array_equal(scaled.values, g.values / t)
-        assert scaled.hankel_eigh[1] is Q
-        assert np.array_equal(scaled.hankel_eigh[0], lam / t)
-        assert not scaled.hankel_eigh[0].flags.writeable
+        assert hp.compute_t_max(g) == float(np.abs(lam).sum())
 
 
 class TestEmbed:

@@ -474,6 +474,10 @@ class TestSolverOptions:
             dict(dual_tol=np.inf),
             dict(primal_tol=None),
             dict(dual_tol=None),
+            dict(primal_tol="1e-3"),
+            dict(dual_tol=[1e-9]),
+            dict(primal_tol=True),
+            dict(dual_tol=10**400),
         ):
             with pytest.raises(ValueError):
                 hp.SolverOptions(**bad)
@@ -784,7 +788,7 @@ class TestDecompositionsAfterTheLoop:
             assert counts == {"eigvalsh_lo": loop, "eigh_lo": 1}
             counts.update(eigvalsh_lo=0)
             closed = hp.solve_constrained(g_o, 2.0 * hp.compute_t_max(g_o))
-            hp.subgradient_vector(closed.g_tilde, closed.t, g_o=g_o)
+            hp.subgradient_vector(closed.g_tilde, closed.t, g_o=g_o, h=closed.dual_direction)
             assert closed.iterations == 0 and counts == {"eigvalsh_lo": 0, "eigh_lo": 1}
 
 

@@ -1,0 +1,70 @@
+#!/usr/bin/env python3
+"""One SHA-256 over the outputs of a fixed set of certified paths, so that a
+change which must keep every output byte can be checked with one number.
+
+Run from anywhere; it imports the package from ./src of its own checkout:
+
+    python3 tools/output_digest.py
+
+The digest covers, in this order:
+
+1. fixture systems 0-119 (the acceptance family of tests/conftest.py: order
+   6, k_max 31), each through `hankelpath path --verify` with every other
+   option at its default: the bytes of path.json, samples.csv and
+   singular_values.csv;
+2. the order-100 system of demos/04 at seeds 4-8 (k_max 51, eps 12): the
+   bytes of compute_path's to_json(), then each certificate's h.tobytes().
+
+So it pins the outputs, the breakpoints and their count m, and every
+certificate bit of the order-100 paths.  It prints the digest and the
+fixture seeds whose --verify failed.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+
+import hankelpath as hp  # noqa: E402
+from hankelpath import cli  # noqa: E402
+
+FIXTURE_BANDS = [(2, (0.88, 0.92), 0.1), (4, (0.15, 0.3), 0.002)]
+ORDER100_BANDS = [(10, (0.9, 0.96), 3.0), (90, (0.1, 0.6), 0.02)]
+
+
+def main() -> int:
+    digest = hashlib.sha256()
+    failures = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in range(120):
+            out = Path(tmp) / f"system-{seed}"
+            out.mkdir()
+            g_o = hp.impulse_response(hp.random_system(6, seed, bands=FIXTURE_BANDS), 31)
+            hp.write_impulse_csv(g_o, out / "impulse.csv")
+            argv = ["path", "--input", str(out / "impulse.csv"), "--out", str(out), "--verify"]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                if cli.main(argv) != cli.EXIT_OK:
+                    failures.append(seed)
+            for name in ("path.json", "samples.csv", "singular_values.csv"):
+                digest.update((out / name).read_bytes())
+    for seed in range(4, 9):
+        g_o = hp.impulse_response(hp.random_system(100, seed, bands=ORDER100_BANDS), 51)
+        path = hp.compute_path(g_o, 12.0)
+        digest.update(path.to_json().encode())
+        for cert in path.certificates:
+            digest.update(cert.h.tobytes())
+    print(digest.hexdigest())
+    print("verify failures:", failures)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
