@@ -211,6 +211,70 @@ class TestPath:
             fresh = float(line.split("fresh objective ")[1].split()[0])
             assert fresh == f_star
 
+    @staticmethod
+    def _recording(monkeypatch):
+        """Record (stop_inside, result) of every --verify re-solve."""
+        calls = []
+
+        def recorded(*args, stop_inside=None, **kwargs):
+            res = hp.solve_constrained(*args, stop_inside=stop_inside, **kwargs)
+            calls.append((stop_inside, res))
+            return res
+
+        monkeypatch.setattr(cli, "solve_constrained", recorded)
+        return calls
+
+    def test_verify_certifies_on_the_lower_bound_alone(self, sixth_order_impulse, monkeypatch):
+        # the path's own solutions, made feasible, price every sample's upper
+        # end, so each re-solve needs only its lower bound to clear the
+        # sample's lower end
+        g_o = sixth_order_impulse
+        path = hp.compute_path(g_o, eps=0.01)
+        slack = 1e-6 * (1 + g_o.norm() ** 2)
+        calls = self._recording(monkeypatch)
+        assert cli._verify_path(path, g_o, hp.SolverOptions()) == []
+        assert len(calls) == 5
+        for (lo, hi), res in calls:
+            # a breakpoint's t ends one segment and starts the next
+            (sample,) = (s for s in path.samples
+                         if s.t == res.t and lo == s.f_approx - s.gap - slack)
+            assert hi == np.inf
+            assert res.converged and res.bounds[0] >= lo
+            assert cli._path_upper_bound(path, g_o, res.t) <= sample.f_approx + slack
+
+    def test_verify_falls_back_to_both_ends_when_the_path_over_claims(
+            self, sixth_order_impulse, monkeypatch):
+        # a sample that claims less than the optimum: the path's own solution
+        # cannot fit under its upper end, so the re-solve must certify both
+        # ends, cannot, converges and reports the violation
+        g_o = sixth_order_impulse
+        path = hp.compute_path(g_o, eps=0.01)
+        slack = 1e-6 * (1 + g_o.norm() ** 2)
+        t_lo, t_hi = path.breakpoints[1], path.breakpoints[2]
+        sample = next(s for s in path.samples if t_lo < s.t < t_hi)
+        f_star = hp.solve_constrained(g_o, sample.t).objective
+        bad = sample._replace(f_approx=f_star - 100 * slack, gap=0.0)
+        corrupted = dataclasses.replace(path, samples=[bad])
+        assert cli._path_upper_bound(corrupted, g_o, bad.t) > bad.f_approx + slack
+        calls = self._recording(monkeypatch)
+        failures = cli._verify_path(corrupted, g_o, hp.SolverOptions())
+        assert len(failures) == 5
+        for (stop, res), line in zip(calls, failures):
+            assert stop == (bad.f_approx - slack, bad.f_approx + slack)
+            assert res.objective == f_star
+            assert line.startswith("verify failed at t=") and "fresh objective" in line
+
+    def test_zero_model_sample_prices_its_own_objective(self, sixth_order_impulse):
+        # the zero model is feasible as it is: its upper bound is ||g_o||^2,
+        # the f_approx of every sample of the bootstrap segment
+        g_o = sixth_order_impulse
+        path = hp.compute_path(g_o, eps=0.01)
+        zero = [s for s in path.samples if 0 < s.t < path.bootstrap_t]
+        assert zero
+        for s in zero:
+            assert hp.segment_owner(path, s.t) == -1
+            assert cli._path_upper_bound(path, g_o, s.t) == g_o.norm() ** 2 == s.f_approx
+
     def test_byte_identical_reruns(self, tmp_path, impulse_file):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):

@@ -16,8 +16,12 @@ The digest covers, in this order:
    bytes of compute_path's to_json(), then each certificate's h.tobytes().
 
 So it pins the outputs, the breakpoints and their count m, and every
-certificate bit of the order-100 paths.  It prints the digest and the
-fixture seeds whose --verify failed.
+certificate bit of the order-100 paths.  It prints the digest, the fixture
+seeds whose --verify failed, and iteration totals that can move where the
+digest does not: the path and the --verify iterations of fixture systems
+0-19, the --verify iterations of systems 0-119, and the path iterations of
+the order-100 seeds, in total and seed by seed.  Counting wraps the solve
+calls and leaves their results alone, so it does not change the digest.
 """
 
 from __future__ import annotations
@@ -39,11 +43,32 @@ FIXTURE_BANDS = [(2, (0.88, 0.92), 0.1), (4, (0.15, 0.3), 0.002)]
 ORDER100_BANDS = [(10, (0.9, 0.96), 3.0), (90, (0.1, 0.6), 0.02)]
 
 
+def _count_iterations(module) -> list[int]:
+    """Wrap module.solve_constrained so that every solve adds its iterations
+    to the one-element total returned."""
+    real = module.solve_constrained
+    total = [0]
+
+    def counted(*args, **kwargs):
+        res = real(*args, **kwargs)
+        total[0] += res.iterations
+        return res
+
+    module.solve_constrained = counted
+    return total
+
+
 def main() -> int:
     digest = hashlib.sha256()
     failures = []
+    counts = {}
+    path_iters = _count_iterations(hp.path)
+    verify_iters = _count_iterations(cli)
     with tempfile.TemporaryDirectory() as tmp:
         for seed in range(120):
+            if seed == 20:
+                counts["path iterations, fixture systems 0-19"] = path_iters[0]
+                counts["--verify iterations, fixture systems 0-19"] = verify_iters[0]
             out = Path(tmp) / f"system-{seed}"
             out.mkdir()
             g_o = hp.impulse_response(hp.random_system(6, seed, bands=FIXTURE_BANDS), 31)
@@ -55,14 +80,22 @@ def main() -> int:
                     failures.append(seed)
             for name in ("path.json", "samples.csv", "singular_values.csv"):
                 digest.update((out / name).read_bytes())
+    counts["--verify iterations, fixture systems 0-119"] = verify_iters[0]
+    per_seed = []
     for seed in range(4, 9):
+        before = path_iters[0]
         g_o = hp.impulse_response(hp.random_system(100, seed, bands=ORDER100_BANDS), 51)
         path = hp.compute_path(g_o, 12.0)
         digest.update(path.to_json().encode())
         for cert in path.certificates:
             digest.update(cert.h.tobytes())
+        per_seed.append(path_iters[0] - before)
+    counts["path iterations, order-100 seeds 4-8"] = "%d (%s)" % (
+        sum(per_seed), " ".join(map(str, per_seed)))
     print(digest.hexdigest())
     print("verify failures:", failures)
+    for name, total in counts.items():
+        print(f"{name}: {total}")
     return 0
 
 
