@@ -42,11 +42,13 @@ U, a lower bound.  Nothing vouches for the norm of an arbitrary U, so
 dual_bounds alone takes ||S||_2 from an eigvalsh.
 
 Every gap is that one formula (_orth_norm2, for a vector or for each row of
-a table): compute_path's segment grids are one table (_segment_samples),
-duality_gap is a table of one row, and the snap test and next_breakpoint
+a table): duality_gap prices one residual, compute_path's segment grids a
+table of them (_segment_samples), and the snap test and next_breakpoint
 take the same orthogonal part (_orth_component).  The objective
 ||t g - g_o||^2 is one routine too (_objective), which approx_objective,
-feasible_upper_bound, the tables and the solver read.
+feasible_upper_bound, the tables and the solver read.  A table prices
+f_approx at the exactly feasible point, as feasible_upper_bound does, and
+adds what that costs over f(g*) to the gap.
 """
 
 from __future__ import annotations
@@ -269,11 +271,12 @@ def duality_gap(cert: GapCertificate, g_o, t: float) -> float:
     """Certified bound on the frozen solution's excess objective at t.
 
     The squared norm of the part of the residual t g* - g_o orthogonal to h,
-    priced as a one-row segment table (_segment_samples), so a path's
-    samples carry these bits.  The bound certifies the interval only for t
-    at or above the certificate's own t_star.
+    with the bits of its row in a path's segment table, whose gap adds the
+    pricing of f_approx to it (_segment_samples).  The bound certifies the
+    interval only for t at or above the certificate's own t_star.
     """
-    return float(_segment_samples(cert, as_impulse(g_o).values, np.array([t], dtype=float))[0, 2])
+    _require_direction(cert)
+    return float(_orth_norm2(t * cert.g_tilde_star.values - as_impulse(g_o).values, cert.h))
 
 
 def _require_direction(cert: GapCertificate) -> None:
@@ -283,15 +286,22 @@ def _require_direction(cert: GapCertificate) -> None:
         )
 
 
-def _segment_samples(cert: GapCertificate, g_o: np.ndarray, ts: np.ndarray) -> np.ndarray:
+def _segment_samples(
+    cert: GapCertificate, g_o: np.ndarray, ts: np.ndarray, nuclear_norm: float
+) -> np.ndarray:
     """The (t, f_approx, gap) rows of the frozen solution on the grid ts, as
-    one (k, 3) table: f_approx is _objective and the gap _orth_norm2 of the
-    residual ts[j] g* - g_o, row by row, each row with the bits it would get
-    alone.  Raises DegenerateCertificateError for h = 0."""
+    one (k, 3) table, each row with the bits it would get alone.  f_approx
+    is feasible_upper_bound at ts[j]: the objective of the exactly feasible
+    point g_hat = g* / max(1, nuclear_norm), nuclear_norm the Hankel nuclear
+    norm of g*.  The gap is duality_gap at ts[j] plus f(g_hat) - f(g*), so
+    the lower end f_approx - gap is f(g*) - duality_gap to rounding.
+    Raises DegenerateCertificateError for h = 0."""
     _require_direction(cert)
     g_star = cert.g_tilde_star.values
-    gap = _orth_norm2(ts[:, None] * g_star - g_o, cert.h)
-    return np.column_stack((ts, _objective(g_star, g_o, ts[:, None]), gap))
+    t = ts[:, None]
+    f_hat = _objective(g_star / max(1.0, nuclear_norm), g_o, t)
+    gap = _orth_norm2(t * g_star - g_o, cert.h) + (f_hat - _objective(g_star, g_o, t))
+    return np.column_stack((ts, f_hat, gap))
 
 
 def next_breakpoint(cert: GapCertificate, g_o, eps: float, t_max: float) -> float:

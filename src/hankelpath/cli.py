@@ -25,14 +25,7 @@ from .hankel import (
     read_impulse_json,
     write_impulse_csv,
 )
-from .certificates import feasible_upper_bound
-from .path import (
-    PathAborted,
-    compute_path,
-    compute_t_max,
-    hankel_singular_values,
-    segment_owner,
-)
+from .path import PathAborted, compute_path, compute_t_max, hankel_singular_values
 from .solver import SolverOptions, solve_constrained
 from .systems import SplitMix64, impulse_response, random_system, write_system_json
 
@@ -110,11 +103,11 @@ def _build_parser() -> _Parser:
     add_solver_flags(path)
     path.add_argument("--format", choices=["json", "csv", "both"], default="both")
     path.add_argument("--verify", action="store_true",
-                      help="re-solve at 5 sampled t values; each cold re-solve stops once a "
-                           "certified bracket of the optimum lies inside the sample's "
-                           "interval, otherwise it must converge with its objective inside; "
-                           "the bracket's upper end is the path's own solution made "
-                           "feasible when that fits, the re-solve's otherwise")
+                      help="re-solve at 5 sampled t values; a sample's upper end is the "
+                           "objective of the path's own solution made feasible, so each cold "
+                           "re-solve stops once its certified lower bound clears the sample's "
+                           "lower end, otherwise it must converge with its objective inside "
+                           "the sample's interval")
     # the --verify re-solves run in this process; kept for argvs that pass --jobs 1
     path.add_argument("--jobs", type=int, choices=[1], default=1, help=argparse.SUPPRESS)
     add_common(path)
@@ -241,35 +234,19 @@ def _write_path_outputs(result, out: str, fmt: str) -> list[str]:
     return written
 
 
-def _path_upper_bound(result, g_o, t: float) -> float:
-    """An upper bound on f*(t) that decomposes nothing: the objective at t of
-    the path solution that owns t, made exactly feasible.  A breakpoint
-    solution is scaled by its stored nuclear norm
-    (certificates.feasible_upper_bound); the zero model of the bootstrap
-    segment is feasible as it is, at ||g_o||^2."""
-    i = segment_owner(result, t)
-    if i < 0:
-        return g_o.norm() ** 2
-    sol = result.exact_solutions[i]
-    return feasible_upper_bound(g_o.values, t, sol.g_tilde.values, sol.nuclear_norm_value)
-
-
 def _verify_path(result, g_o, opts) -> list[str]:
     """Re-solve at 5 deterministically sampled t values; report violations.
 
     Each sample claims the optimum lies in [f_approx - gap - slack,
-    f_approx + slack].  Its upper end is first priced by the path itself
-    (_path_upper_bound): when that frozen bound is at most f_approx + slack,
-    the cold re-solve needs to certify only the lower end, stops as soon as
-    its dual lower bound clears f_approx - gap - slack, and the certified
-    bracket is [fresh lower, min(fresh upper, frozen upper)].  Otherwise the
-    re-solve stops once its own enclosure of the optimum
-    (SolveResult.bounds) lies inside the interval.  A re-solve that never
-    gets there runs to the residual test, and its fresh objective must then
-    lie in the interval; one that neither certifies nor converges fails.
+    f_approx + slack].  Its upper end f_approx is the objective of a
+    feasible point, the owning solution scaled into the nuclear ball, so
+    the cold re-solve needs to certify only the lower end: it stops as soon
+    as its dual lower bound clears f_approx - gap - slack.  A re-solve that
+    never gets there runs to the residual test, and its fresh objective
+    must then lie in the interval; one that neither certifies nor converges
+    fails.
     """
-    norm_go = g_o.norm()
-    slack = 1e-6 * (1 + norm_go**2)
+    slack = 1e-6 * (1 + g_o.norm() ** 2)
     stream = SplitMix64(0xC0FFEE)
     table = result.samples.array
     candidates = table[table[:, 0] > 0]
@@ -278,10 +255,8 @@ def _verify_path(result, g_o, opts) -> list[str]:
     failures = []
     for t, f_approx, gap in picks:
         lower, upper = f_approx - gap - slack, f_approx + slack
-        frozen = _path_upper_bound(result, g_o, t)
-        stop_hi = math.inf if frozen <= upper else upper
-        fresh = solve_constrained(g_o, t, opts, stop_inside=(lower, stop_hi))
-        if lower <= fresh.bounds[0] and min(fresh.bounds[1], frozen) <= upper:
+        fresh = solve_constrained(g_o, t, opts, stop_above=lower)
+        if lower <= fresh.bounds[0]:
             continue
         if not fresh.converged:
             failures.append(

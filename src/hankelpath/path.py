@@ -198,7 +198,8 @@ def compute_path(
         Nonzero target impulse response.
     eps : float
         Positive finite gap tolerance; every sample's certified gap stays
-        <= eps (up to breakpoint rounding).
+        <= eps, up to breakpoint rounding and what pricing f_approx at an
+        exactly feasible point adds.
     grid_points_per_segment : int
         Reporting grid per segment (endpoints included, at least 2); does not
         influence the breakpoints.
@@ -212,6 +213,9 @@ def compute_path(
 
     Raises
     ------
+    ValueError
+        For a zero g_o or one whose ||g_o||^2 overflows, an eps that is not
+        positive and finite, or fewer than 2 grid points.
     PathAborted
         If any breakpoint solve fails to converge, or stops at g~ = 0 (whose
         certificate prices no gap); the partial path rides on the exception.
@@ -224,6 +228,10 @@ def compute_path(
     g_o = as_impulse(g_o)
     if not np.any(g_o.values):
         raise ValueError("g_o must be nonzero (zero target has a degenerate path)")
+    # solve_constrained's rule, before anything squares ||g_o||
+    with np.errstate(over="ignore"):
+        if not g_o.values @ g_o.values < math.inf:
+            raise ValueError("||g_o||^2 must be a finite float")
 
     t_max = compute_t_max(g_o)
     norm_go = g_o.norm()
@@ -276,7 +284,8 @@ def compute_path(
         try:
             t_next = next_breakpoint(cert, g_o, eps, t_max)
             segments.append(_segment_samples(
-                cert, g_o.values, np.linspace(t_i, t_next, grid_points_per_segment)
+                cert, g_o.values, np.linspace(t_i, t_next, grid_points_per_segment),
+                res.nuclear_norm_value,
             ))
         except (RuntimeError, DegenerateCertificateError) as exc:
             raise PathAborted(str(exc), finish(partial=True)) from exc

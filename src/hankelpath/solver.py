@@ -140,7 +140,7 @@ class SolveResult:
     iterations counts coefficient updates.  primal_residual and
     dual_residual are those of the last plain splitting step: the step that
     passed the residual test when the solve converged on it, stale after a
-    stop_inside exit or when the iteration budget runs out.
+    stop_above exit or when the iteration budget runs out.
 
     admm_state is the splitting state (X, U_dual, rho) the iteration stopped
     at, for warm-starting a solve at a nearby t, None for the closed form.
@@ -152,15 +152,17 @@ class SolveResult:
 
     singular_values is sigma(H(g_tilde)), descending, read-only and one
     contiguous array: the spectrum which bounds prices, and whose sum the
-    read-only nuclear_norm_value is; PathResult.singular_values reports t
-    times it, the Hankel singular values of the fit t g_tilde.  The
+    read-only nuclear_norm_value is.  A path prices its samples' f_approx at
+    g_tilde / max(1, nuclear_norm_value), the exactly feasible point of
+    bounds[1], from the solve it keeps; PathResult.singular_values reports t
+    times the spectrum, the Hankel singular values of the fit t g_tilde.  The
     closed-form branch reads it, and its cut, off the cached g_o.hankel_eigh
     with the eigenvalues divided by t.
 
     bounds = (lower, upper) encloses the optimal cost at t however far the
     solve got, converged or not.  One routine, _price, prices the state
     every loop exit returns, the residual test, the iteration budget and a
-    stop_inside check alike: lower is the half-space bound of dual_direction
+    stop_above exit alike: lower is the half-space bound of dual_direction
     = adjoint(U_dual) / nu, dual_bounds' with the free bound _dual_norm for
     ||U_dual||_2, at most a rounding allowance looser, and upper is dual_bounds' own,
     certificates.feasible_upper_bound at the nuclear norm sum(singular_values).
@@ -361,7 +363,7 @@ def _cold_start(g_o: ImpulseResponse, t: float, idx: np.ndarray, w: np.ndarray):
 
 
 def solve_constrained(
-    g_o, t: float, opts: SolverOptions | None = None, *, warm_start=None, stop_inside=None
+    g_o, t: float, opts: SolverOptions | None = None, *, warm_start=None, stop_above=None
 ) -> SolveResult:
     """Solve the constrained fit problem at constraint level t.
 
@@ -381,11 +383,11 @@ def solve_constrained(
         original problem: (0, 0, 2 t^2) starts from zeros at the fit
         curvature, the cold start of earlier versions.  The stopping rule is
         the same as for a cold start.
-    stop_inside : pair (lo, hi), optional
-        Stop at the first iteration whose state has its certified enclosure
-        (see SolveResult.bounds) inside [lo, hi], and report it as
-        converged.  The iterate of such an early exit is only as accurate
-        as its bounds: it certifies lo <= f*(t) <= hi, not the residual
+    stop_above : float, optional
+        Stop at the first iteration whose state has its certified lower
+        bound (SolveResult.bounds[0]) at or above stop_above, and report it
+        as converged.  The iterate of such an early exit is only as accurate
+        as its bounds: it certifies stop_above <= f*(t), not the residual
         tolerances.  Without it the solve runs to the residual test alone.
 
     Returns
@@ -520,7 +522,7 @@ def solve_constrained(
             X, U_dual, _ = _cold_start(g_o, t, idx, w)
 
         converged = False
-        priced = None  # (lower, upper, sv, h) of the state the stop test last priced
+        priced = None  # (lower, upper, sv, h) of the state a stop_above exit priced
         # Anderson history over z = X + U_dual: ring buffers of the differences
         # between consecutive steps of T(z) = H(g) + U_dual (dT = dZ + dF) and of
         # the residual f = T(z) - z, and the Gram matrix of the dF rows
@@ -588,7 +590,6 @@ def solve_constrained(
                 U_dual += step
                 if r_pri <= eps_pri and r_dual <= eps_dual:
                     converged = True
-                    priced = None
                     break
                 if (r_pri > 10.0 * r_dual and rho < rho_hi) or (
                     r_dual > 10.0 * r_pri and rho > rho_lo
@@ -617,15 +618,14 @@ def solve_constrained(
                 X = project_nuclear_ball(z.view(_Iterate), 1.0)
                 U_dual = z - X
                 f_ref = fnorm
-            if stop_inside is not None:
+            if stop_above is not None:
                 # one check per iteration, on the state it leaves
-                priced = _price(gvec, t, X, U_dual, g_tilde, Hg, stop_inside[0])
-                if priced is not None and priced[1] <= stop_inside[1]:
+                priced = _price(gvec, t, X, U_dual, g_tilde, Hg, stop_above)
+                if priced is not None:
                     converged = True
                     break
 
-        # the residual test, and a budget exit whose last state the stop test
-        # did not price in full, leave a state still to be priced
+        # the residual test and the iteration budget leave a state still to be priced
         if priced is None:
             priced = _price(gvec, t, X, U_dual, g_tilde, Hg)
         lower, upper, sv, h = priced

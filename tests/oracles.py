@@ -272,7 +272,7 @@ def plain_admm(g_o, t, opts=None):
 
 
 def solve_constrained_cadence_frozen(g_o, t, opts=None, *, warm_start=None, test_every=4):
-    """solve_constrained, without stop_inside, as the library ran it before a
+    """solve_constrained, without stop_above, as the library ran it before a
     cadence iteration kept its plain step: every test_every-th iteration
     projects T(z) for the residual test and residual balancing and then,
     with an extrapolation at hand, discards that state and projects the

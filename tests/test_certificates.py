@@ -293,7 +293,7 @@ class TestDualCertificate:
                 assert np.linalg.norm(U, 2) <= solver._dual_norm(X, U)
 
     def test_every_solve_returns_its_cut(self, sixth_order_impulse, order100_path, monkeypatch):
-        # a closed-form, cold, warm and stop_inside solve each return a
+        # a closed-form, cold, warm and stop_above solve each return a
         # read-only cut of length k_max, and a path's last certificate, at
         # t_max, takes the closed form's
         for g_o, eps in ((sixth_order_impulse, 0.01), (order100_path[0], 12.0)):
@@ -303,7 +303,7 @@ class TestDualCertificate:
                 hp.solve_constrained(g_o, t_max),
                 cold,
                 hp.solve_constrained(g_o, 0.6 * t_max, warm_start=cold.admm_state),
-                hp.solve_constrained(g_o, 0.5 * t_max, stop_inside=(0.0, math.inf)),
+                hp.solve_constrained(g_o, 0.5 * t_max, stop_above=0.0),
             ]
             assert [res.iterations > 0 for res in solves] == [False, True, True, True]
             for res in solves:

@@ -211,69 +211,43 @@ class TestPath:
             fresh = float(line.split("fresh objective ")[1].split()[0])
             assert fresh == f_star
 
-    @staticmethod
-    def _recording(monkeypatch):
-        """Record (stop_inside, result) of every --verify re-solve."""
-        calls = []
-
-        def recorded(*args, stop_inside=None, **kwargs):
-            res = hp.solve_constrained(*args, stop_inside=stop_inside, **kwargs)
-            calls.append((stop_inside, res))
-            return res
-
-        monkeypatch.setattr(cli, "solve_constrained", recorded)
-        return calls
-
     def test_verify_certifies_on_the_lower_bound_alone(self, sixth_order_impulse, monkeypatch):
         # the path's own solutions, made feasible, price every sample's upper
-        # end, so each re-solve needs only its lower bound to clear the
+        # end, so each re-solve stops once its lower bound clears the
         # sample's lower end
         g_o = sixth_order_impulse
         path = hp.compute_path(g_o, eps=0.01)
         slack = 1e-6 * (1 + g_o.norm() ** 2)
-        calls = self._recording(monkeypatch)
+        calls = []
+
+        def recorded(*args, stop_above=None, **kwargs):
+            res = hp.solve_constrained(*args, stop_above=stop_above, **kwargs)
+            calls.append((stop_above, res))
+            return res
+
+        monkeypatch.setattr(cli, "solve_constrained", recorded)
         assert cli._verify_path(path, g_o, hp.SolverOptions()) == []
         assert len(calls) == 5
-        for (lo, hi), res in calls:
+        for lo, res in calls:
             # a breakpoint's t ends one segment and starts the next
             (sample,) = (s for s in path.samples
                          if s.t == res.t and lo == s.f_approx - s.gap - slack)
-            assert hi == np.inf
-            assert res.converged and res.bounds[0] >= lo
-            assert cli._path_upper_bound(path, g_o, res.t) <= sample.f_approx + slack
+            assert res.converged and lo <= res.bounds[0] <= sample.f_approx
 
-    def test_verify_falls_back_to_both_ends_when_the_path_over_claims(
-            self, sixth_order_impulse, monkeypatch):
-        # a sample that claims less than the optimum: the path's own solution
-        # cannot fit under its upper end, so the re-solve must certify both
-        # ends, cannot, converges and reports the violation
-        g_o = sixth_order_impulse
-        path = hp.compute_path(g_o, eps=0.01)
-        slack = 1e-6 * (1 + g_o.norm() ** 2)
-        t_lo, t_hi = path.breakpoints[1], path.breakpoints[2]
-        sample = next(s for s in path.samples if t_lo < s.t < t_hi)
-        f_star = hp.solve_constrained(g_o, sample.t).objective
-        bad = sample._replace(f_approx=f_star - 100 * slack, gap=0.0)
-        corrupted = dataclasses.replace(path, samples=[bad])
-        assert cli._path_upper_bound(corrupted, g_o, bad.t) > bad.f_approx + slack
-        calls = self._recording(monkeypatch)
-        failures = cli._verify_path(corrupted, g_o, hp.SolverOptions())
-        assert len(failures) == 5
-        for (stop, res), line in zip(calls, failures):
-            assert stop == (bad.f_approx - slack, bad.f_approx + slack)
-            assert res.objective == f_star
-            assert line.startswith("verify failed at t=") and "fresh objective" in line
-
-    def test_zero_model_sample_prices_its_own_objective(self, sixth_order_impulse):
-        # the zero model is feasible as it is: its upper bound is ||g_o||^2,
-        # the f_approx of every sample of the bootstrap segment
-        g_o = sixth_order_impulse
-        path = hp.compute_path(g_o, eps=0.01)
-        zero = [s for s in path.samples if 0 < s.t < path.bootstrap_t]
-        assert zero
-        for s in zero:
-            assert hp.segment_owner(path, s.t) == -1
-            assert cli._path_upper_bound(path, g_o, s.t) == g_o.norm() ** 2 == s.f_approx
+    @pytest.mark.parametrize("eps", ["1e-300", "0.01"])
+    def test_overflowing_data_is_a_numerical_error(self, tmp_path, eps):
+        # ||g_o||^2 overflows: one line and exit 3, before any RuntimeWarning
+        src = tmp_path / "impulse.csv"
+        hp.write_impulse_csv(hp.ImpulseResponse([1e300, 0.0, 0.0]), src)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "hankelpath", "path",
+             "--input", str(src), "--epsilon", eps, "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("numerical error: ||g_o||^2")
+        assert proc.stderr.count("\n") == 1
 
     def test_byte_identical_reruns(self, tmp_path, impulse_file):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -495,7 +495,7 @@ class TestSolverOptions:
 
 def _stop_test_lower_bound(g_o, t, res):
     """The lower bound every loop exit prices the returned state with, as a
-    stop_inside check does: dual_bounds' lower bound with the free dual norm
+    stop_above check does: dual_bounds' lower bound with the free dual norm
     in place of ||U_dual||_2; the bit-symmetric U_dual is its own symmetric
     part, so its adjoint prices h."""
     X, U_dual, _ = res.admm_state
@@ -513,26 +513,30 @@ def _assert_loop_exit_arrays(res):
 
 
 class TestStopInside:
+    """stop_above: a solve stops inside [stop_above, inf), at its first
+    state whose certified lower bound clears stop_above."""
+
     def test_certified_exit_encloses_and_stops_early(self, sixth_order_impulse):
         g_o = sixth_order_impulse
         t = 0.5 * hp.compute_t_max(g_o)
         full = hp.solve_constrained(g_o, t)
         slack = 1e-6 * (1 + g_o.norm() ** 2)
-        lo, hi = full.objective - 100 * slack, full.objective + 100 * slack
-        early = hp.solve_constrained(g_o, t, stop_inside=(lo, hi))
+        lo = full.objective - 100 * slack
+        early = hp.solve_constrained(g_o, t, stop_above=lo)
         assert early.converged
         assert early.iterations < full.iterations
-        assert lo <= early.bounds[0] <= early.bounds[1] <= hi
+        assert lo <= early.bounds[0] <= early.bounds[1]
         # the residual test did not pass, so only the bounds vouch for the iterate
         assert early.primal_residual > 0 or early.dual_residual > 0
 
     def test_interval_without_the_optimum_runs_to_the_residual_test(self, sixth_order_impulse):
-        # a bracket that can never fit leaves the solve exactly as without one
+        # a lower target above the optimum is never reached: the solve runs
+        # exactly as without one
         g_o = sixth_order_impulse
         t = 0.5 * hp.compute_t_max(g_o)
         plain = hp.solve_constrained(g_o, t)
         f = plain.objective
-        checked = hp.solve_constrained(g_o, t, stop_inside=(f + 1.0, f + 2.0))
+        checked = hp.solve_constrained(g_o, t, stop_above=f + 1.0)
         assert checked.converged
         assert checked.iterations == plain.iterations
         assert np.array_equal(checked.g_tilde.values, plain.g_tilde.values)
@@ -551,8 +555,7 @@ class TestStopInside:
             res = full
             if early:
                 slack = 1e-6 * (1 + g_o.norm() ** 2)
-                interval = (full.objective - 100 * slack, full.objective + 100 * slack)
-                res = hp.solve_constrained(g_o, t, stop_inside=interval)
+                res = hp.solve_constrained(g_o, t, stop_above=full.objective - 100 * slack)
                 assert res.converged and res.iterations < full.iterations
             U_dual = res.admm_state[1]
             lower, upper = hp.dual_bounds(g_o.values, t, res.g_tilde.values, U_dual)
@@ -562,16 +565,16 @@ class TestStopInside:
             _assert_loop_exit_arrays(res)
 
     def test_budget_exit_and_closed_form_price_by_the_same_rule(self, sixth_order_impulse):
-        # a solve that runs out of budget, with or without an interval it
+        # a solve that runs out of budget, with or without a lower target it
         # never reaches, prices its state as every other loop exit; the
         # closed form reports (0, objective), which is dual_bounds' value
         g_o = sixth_order_impulse
         t = 0.5 * hp.compute_t_max(g_o)
         f = hp.solve_constrained(g_o, t).objective
         for iters in (1, 2, 3, 7):
-            for interval in (None, (f, f)):
+            for lo in (None, f):
                 res = hp.solve_constrained(g_o, t, hp.SolverOptions(max_iters=iters),
-                                           stop_inside=interval)
+                                           stop_above=lo)
                 assert not res.converged and res.iterations == iters
                 upper = hp.dual_bounds(g_o.values, t, res.g_tilde.values)[1]
                 assert res.bounds == (_stop_test_lower_bound(g_o, t, res), upper)
@@ -599,16 +602,16 @@ class TestStopInside:
 
         monkeypatch.setattr(hp.solver, "symmetric_singular_values", counting)
 
-        def count(t, max_iters=5000, stop_inside=None):
+        def count(t, max_iters=5000, stop_above=None):
             calls.clear()
             res = hp.solve_constrained(g_o, t, hp.SolverOptions(max_iters=max_iters),
-                                       stop_inside=stop_inside)
+                                       stop_above=stop_above)
             return res, len(calls)
 
-        # every lower bound clears 0 and no upper bound reaches -1: each of
-        # the three states is priced in full, the last by the stop test alone
-        res, n = count(0.5 * t_max, 3, (0.0, -1.0))
-        assert not res.converged and res.iterations == 3 and n == 3
+        # every lower bound clears 0: the first state is priced in full, by
+        # the stop test alone, and returned
+        res, n = count(0.5 * t_max, 3, 0.0)
+        assert res.converged and res.iterations == 1 and n == 1
         res, n = count(0.5 * t_max)
         assert res.converged and res.iterations > 3 and n == 1
         res, n = count(0.5 * t_max, 3)
@@ -623,7 +626,7 @@ class TestStopInside:
         t = 0.5 * hp.compute_t_max(g_o)
         f = hp.solve_constrained(g_o, t).objective
         slack = 1e-6 * (1 + g_o.norm() ** 2)
-        res = hp.solve_constrained(g_o, t, stop_inside=(f - 100 * slack, f + 100 * slack))
+        res = hp.solve_constrained(g_o, t, stop_above=f - 100 * slack)
         assert res.converged and res.iterations % hp.solver.TEST_EVERY != 0
         upper = hp.dual_bounds(g_o.values, t, res.g_tilde.values, res.admm_state[1])[1]
         assert res.bounds == (_stop_test_lower_bound(g_o, t, res), upper)
@@ -649,7 +652,7 @@ class TestStopInside:
             return X
 
         monkeypatch.setattr(hp.solver, "project_nuclear_ball", recording)
-        res = hp.solve_constrained(g_o, t, stop_inside=(f - 10 * slack, f + 10 * slack))
+        res = hp.solve_constrained(g_o, t, stop_above=f - 1000 * slack)
         assert res.converged and res.iterations % hp.solver.TEST_EVERY == 0
         last = [c for c in calls if c[0] == res.iterations]
         assert len(last) == 1
@@ -664,9 +667,7 @@ class TestStopInside:
         g_o = sixth_order_impulse
         t = 0.5 * hp.compute_t_max(g_o)
         f = hp.solve_constrained(g_o, t).objective
-        res = hp.solve_constrained(
-            g_o, t, hp.SolverOptions(max_iters=3), stop_inside=(f, f)
-        )
+        res = hp.solve_constrained(g_o, t, hp.SolverOptions(max_iters=3), stop_above=f)
         assert not res.converged
         assert res.iterations == 3
 

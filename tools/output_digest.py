@@ -22,6 +22,13 @@ digest does not: the path and the --verify iterations of fixture systems
 0-19, the --verify iterations of systems 0-119, and the path iterations of
 the order-100 seeds, in total and seed by seed.  Counting wraps the solve
 calls and leaves their results alone, so it does not change the digest.
+
+Last it prints one soundness line, which the digest does not cover: every
+sample of fixture systems 0-19 (t > 0) against a tight solve at its t
+(primal and dual tolerance 1e-12).  It counts the upper ends f_approx below
+the tight solve's lower bound, and the lower ends f_approx - gap above its
+upper bound by more than --verify's slack 1e-6 (1 + ||g_o||^2), with the
+worst such excess in slacks and its system.  A sound path reads 0 and 0.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -56,6 +64,33 @@ def _count_iterations(module) -> list[int]:
 
     module.solve_constrained = counted
     return total
+
+
+def _soundness(seeds) -> str:
+    """The soundness line over every sample of the fixture paths of seeds."""
+    tight = hp.SolverOptions(primal_tol=1e-12, dual_tol=1e-12)
+    samples = upper_low = lower_high = 0
+    worst, worst_seed = -math.inf, None
+    for seed in seeds:
+        g_o = hp.impulse_response(hp.random_system(6, seed, bands=FIXTURE_BANDS), 31)
+        slack = 1e-6 * (1 + g_o.norm() ** 2)
+        solves = {}
+        for t, f_approx, gap in hp.compute_path(g_o, 0.01).samples.array.tolist():
+            if t <= 0:
+                continue
+            if t not in solves:
+                solves[t] = hp.solve_constrained(g_o, t, tight).bounds
+            lower, upper = solves[t]
+            samples += 1
+            upper_low += f_approx < lower
+            excess = (f_approx - gap - upper) / slack
+            lower_high += excess > 1
+            if excess > worst:
+                worst, worst_seed = excess, seed
+    return (f"soundness, {samples} samples of fixture systems {seeds[0]}-{seeds[-1]}: "
+            f"{upper_low} upper ends below a tight lower bound, {lower_high} lower ends "
+            f"above a tight upper bound by more than the slack (worst {worst:.4g} slacks, "
+            f"system {worst_seed})")
 
 
 def main() -> int:
@@ -96,6 +131,7 @@ def main() -> int:
     print("verify failures:", failures)
     for name, total in counts.items():
         print(f"{name}: {total}")
+    print(_soundness(range(20)))
     return 0
 
 
