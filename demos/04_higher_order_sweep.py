@@ -36,4 +36,4 @@ for t, sv in zip(path.breakpoints, path.singular_values):
 worst = max(hp.duality_gap(c, g_o, t) for t, c in zip(path.breakpoints, path.certificates))
 print("\nworst certificate gap at its own breakpoint: %.1e" % worst)
 print("every sampled gap stays within eps = %g: %s"
-      % (eps, all(s.gap <= 1.05 * eps for s in path.samples)))
+      % (eps, path.samples.gap.max() <= 1.05 * eps))

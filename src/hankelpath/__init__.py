@@ -44,8 +44,6 @@ from .certificates import (
 from .path import (
     PathAborted,
     PathResult,
-    PathSample,
-    SampleTable,
     bootstrap_gap,
     compute_path,
     segment_owner,
@@ -70,8 +68,6 @@ __all__ = [
     "ImpulseResponse",
     "PathAborted",
     "PathResult",
-    "PathSample",
-    "SampleTable",
     "SolveResult",
     "SolverOptions",
     "SplitMix64",

@@ -248,8 +248,8 @@ def _verify_path(result, g_o, opts) -> list[str]:
     """
     slack = 1e-6 * (1 + g_o.norm() ** 2)
     stream = SplitMix64(0xC0FFEE)
-    table = result.samples.array
-    candidates = table[table[:, 0] > 0]
+    samples = result.samples
+    candidates = samples[samples.t > 0]
     picks = candidates[[int(stream.uniform() * len(candidates)) for _ in range(5)]].tolist()
 
     failures = []

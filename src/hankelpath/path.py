@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -41,40 +39,8 @@ from .hankel import as_impulse, compute_t_max, hankel_singular_values
 from .solver import SolveResult, SolverOptions, _require_count, solve_constrained
 
 
-class PathSample(NamedTuple):
-    t: float
-    f_approx: float
-    gap: float
-
-
-class SampleTable(Sequence):
-    """The samples of a path as one read-only float64 (N, 3) table of
-    (t, f_approx, gap) rows.  Indexing, iteration and len() see a sequence
-    of PathSample; a slice is a list of them.  Built from a sequence of such
-    rows or an (N, 3) array, which is copied; another nonempty shape raises."""
-
-    def __init__(self, rows=()):
-        rows = np.array(rows, dtype=float)
-        if rows.size and (rows.ndim != 2 or rows.shape[1] != 3):
-            raise ValueError(f"samples must be (N, 3) rows, got shape {rows.shape}")
-        self._rows = rows.reshape(-1, 3)
-        self._rows.flags.writeable = False
-
-    @property
-    def array(self) -> np.ndarray:
-        """The (N, 3) table itself, read-only."""
-        return self._rows
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [PathSample(*row) for row in self._rows[i].tolist()]
-        return PathSample(*self._rows[i].tolist())
-
-    def __iter__(self):
-        return (PathSample(*row) for row in self._rows.tolist())
+# the fields of a sample row, as PathResult.samples names them
+_SAMPLE_FIELDS = np.dtype([("t", float), ("f_approx", float), ("gap", float)])
 
 
 class PathAborted(RuntimeError):
@@ -91,12 +57,15 @@ class PathResult:
 
     breakpoints, objectives and singular_values (t times the spectrum) are
     read off the solves, which hold neither admm_state nor dual_direction.
-    samples is a SampleTable; a sequence of (t, f_approx, gap) rows passed
-    in, as by dataclasses.replace(path, samples=[...]), becomes one.
+    samples is a read-only record array with float fields t, f_approx and
+    gap: a row unpacks as (t, f_approx, gap), and samples.gap is a column.
+    Rows passed in, as by dataclasses.replace(path, samples=rows), may be a
+    record array of those fields or (N, 3) floats, which are viewed where
+    they are contiguous; another nonempty shape raises ValueError.
     """
 
     exact_solutions: list[SolveResult]
-    samples: SampleTable
+    samples: np.recarray
     epsilon: float
     t_max: float
     bootstrap_t: float
@@ -104,8 +73,14 @@ class PathResult:
     certificates: list[GapCertificate] = field(default_factory=list, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.samples, SampleTable):
-            self.samples = SampleTable(self.samples)
+        rows = self.samples
+        if not (isinstance(rows, np.ndarray) and rows.dtype == _SAMPLE_FIELDS):
+            rows = np.ascontiguousarray(rows, dtype=float)
+            if rows.size and (rows.ndim != 2 or rows.shape[1] != 3):
+                raise ValueError(f"samples must be (N, 3) rows, got shape {rows.shape}")
+            rows = rows.reshape(-1, 3).view(_SAMPLE_FIELDS)[:, 0]
+        self.samples = rows.view(np.recarray)
+        self.samples.flags.writeable = False
 
     @property
     def m(self) -> int:
@@ -140,7 +115,7 @@ class PathResult:
             '"samples": [%s]'
             % ", ".join(
                 '{"t": %.17g, "f_approx": %.17g, "gap": %.17g}' % (t, f, gap)
-                for t, f, gap in self.samples.array.tolist()
+                for t, f, gap in self.samples.tolist()
             ),
         ]
         return "{" + ", ".join(parts) + "}\n"
@@ -152,7 +127,7 @@ class PathResult:
 
     def write_samples_csv(self, path) -> None:
         write_text(path, "t,f_approx,gap\n" + "".join(
-            "%.17g,%.17g,%.17g\n" % (t, f, gap) for t, f, gap in self.samples.array.tolist()
+            "%.17g,%.17g,%.17g\n" % (t, f, gap) for t, f, gap in self.samples.tolist()
         ))
 
     def write_singular_values_csv(self, path) -> None:
@@ -215,7 +190,8 @@ def compute_path(
     ------
     ValueError
         For a zero g_o or one whose ||g_o||^2 overflows, an eps that is not
-        positive and finite, or fewer than 2 grid points.
+        positive and finite or so small next to ||g_o|| that the zero
+        model's level t1 underflows to 0, or fewer than 2 grid points.
     PathAborted
         If any breakpoint solve fails to converge, or stops at g~ = 0 (whose
         certificate prices no gap); the partial path rides on the exception.
@@ -236,6 +212,9 @@ def compute_path(
     t_max = compute_t_max(g_o)
     norm_go = g_o.norm()
     t_first = min(_bootstrap_t(norm_go, eps), t_max)
+    if not t_first > 0:
+        raise ValueError("eps is too small next to ||g_o||: the zero model's level "
+                         "t1 = eps / (||g_o|| + sqrt(||g_o||^2 - eps)) underflows to 0")
 
     solutions, certificates = [], []
     # zero-model segment [0, t_first], priced as bootstrap_gap prices it
@@ -245,7 +224,7 @@ def compute_path(
     def finish(partial: bool) -> PathResult:
         return PathResult(
             exact_solutions=solutions,
-            samples=SampleTable(np.concatenate(segments)),
+            samples=np.concatenate(segments),
             epsilon=float(eps),
             t_max=t_max,
             bootstrap_t=t_first,
@@ -254,8 +233,9 @@ def compute_path(
         )
 
     # each certified segment advances t by at least sqrt(eps) because the
-    # growth rate a is at most 1; this cap only guards against cycling
-    max_solves = int((t_max - t_first) / math.sqrt(eps) * 10) + 100
+    # growth rate a is at most 1; this cap only guards against cycling.  It
+    # stays a float: at a tiny eps it may be inf, which int() cannot take
+    max_solves = (t_max - t_first) / math.sqrt(eps) * 10 + 100
 
     t_i = t_first
     warm = None
@@ -278,7 +258,7 @@ def compute_path(
             return finish(partial=False)
         if len(solutions) > max_solves:
             raise PathAborted(
-                f"breakpoint count exceeded the safety cap {max_solves}", finish(partial=True)
+                f"breakpoint count exceeded the safety cap {max_solves:.0f}", finish(partial=True)
             )
 
         try:

@@ -202,7 +202,7 @@ class TestPath:
         t_lo, t_hi = path.breakpoints[1], path.breakpoints[2]
         sample = next(s for s in path.samples if t_lo < s.t < t_hi)
         f_star = hp.solve_constrained(g_o, sample.t).objective
-        bad = sample._replace(f_approx=f_star + 100 * slack, gap=0.0)
+        bad = (sample.t, f_star + 100 * slack, 0.0)
         corrupted = dataclasses.replace(path, samples=[bad])
         failures = cli._verify_path(corrupted, g_o, hp.SolverOptions())
         assert len(failures) == 5
@@ -247,6 +247,22 @@ class TestPath:
         )
         assert proc.returncode == 3
         assert proc.stderr.startswith("numerical error: ||g_o||^2")
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("eps", ["1e-300", "5e-324"])
+    def test_eps_too_small_for_the_data_is_a_numerical_error(self, tmp_path, eps):
+        # the zero model's level t1 underflows to 0: one line and exit 3, where
+        # 5e-324 ended in a traceback (exit 1) from the solve cap's int(inf)
+        src = tmp_path / "impulse.csv"
+        hp.write_impulse_csv(hp.ImpulseResponse([1e150, 0.0, 0.0]), src)
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "hankelpath", "path",
+             "--input", str(src), "--epsilon", eps, "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("numerical error: eps is too small")
         assert proc.stderr.count("\n") == 1
 
     def test_byte_identical_reruns(self, tmp_path, impulse_file):

@@ -123,6 +123,16 @@ class TestComputePath:
             with pytest.raises(ValueError, match=r"\|\|g_o\|\|\^2"):
                 hp.compute_path([big, 0.0, 0.0], eps)
 
+    @pytest.mark.parametrize("eps", [1e-300, 5e-324])
+    def test_eps_too_small_for_the_data_rejected(self, eps):
+        # t1 = eps / (||g_o|| + sqrt(||g_o||^2 - eps)) underflows to 0: the
+        # first solve got t = 0 ("t must be positive"), and at 5e-324 the
+        # solve cap's int(inf) raised OverflowError before it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="eps is too small"):
+                hp.compute_path([1e150, 0.0, 0.0], eps)
+
     @pytest.mark.parametrize("eps", [np.inf, np.nan])
     def test_non_finite_eps_rejected(self, eps):
         # an infinite eps used to run and write "epsilon": inf, which is not JSON
@@ -437,14 +447,14 @@ class TestFinePaths:
             # gap as ||res||^2 - <h, res>^2 / ||h||^2.  The reported gap
             # meets criterion 2's 1.05 eps (at most 1.0247 eps, at k = 6 on
             # the fixture)
-            table = pr.samples.array
-            f_star = np.concatenate([table[:grid, 1]] + [
-                np.sum((table[grid * (i + 1) : grid * (i + 2), :1] * sol.g_tilde.values
+            s = pr.samples
+            f_star = np.concatenate([s.f_approx[:grid]] + [
+                np.sum((s.t[grid * (i + 1) : grid * (i + 2), None] * sol.g_tilde.values
                         - g_o.values) ** 2, axis=-1)
                 for i, sol in enumerate(pr.exact_solutions[:-1])
             ])
-            assert np.max(table[:, 2] - (table[:, 1] - f_star)) <= (1 + 1e-11) * eps
-            assert np.max(table[:, 2]) <= 1.05 * eps
+            assert np.max(s.gap - (s.f_approx - f_star)) <= (1 + 1e-11) * eps
+            assert np.max(s.gap) <= 1.05 * eps
             assert _worst_breakpoint_ratio(g_o, pr) <= 1.0
 
     def test_solve_count_law(self, sixth_order_impulse):
@@ -483,7 +493,7 @@ class TestScaleCovariance:
 
 class TestLeanPathResult:
     """A PathResult holds what the path reports: one solve per breakpoint,
-    with no splitting state, and the samples as one table."""
+    with no splitting state, and the samples as one record array."""
 
     @staticmethod
     def _assert_stateless(pr):
@@ -520,19 +530,21 @@ class TestLeanPathResult:
         partial = err.value.partial
         assert partial.partial and partial.m == 6
         assert partial.breakpoints == full.breakpoints[:6]
-        table = partial.samples.array
-        assert table.shape == (140, 3)
-        assert np.array_equal(table, full.samples.array[:140])
-        assert not table.flags.writeable
+        samples = partial.samples
+        assert samples.shape == (140,)
+        assert np.array_equal(samples, full.samples[:140])
+        assert not samples.flags.writeable
         with pytest.raises(ValueError):
-            table[0, 0] = 1.0
+            samples[0] = (1.0, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            samples.t[0] = 1.0
 
     def test_table_serializes_as_the_sample_list(self, sixth_order_path, tmp_path):
         pr = sixth_order_path
-        rows = list(pr.samples)
-        assert all(type(s) is hp.PathSample and type(s.gap) is float for s in rows)
+        rows = pr.samples.tolist()
+        assert all(type(s) is tuple and type(s[2]) is float for s in rows)
         listed = dataclasses.replace(pr, samples=rows)
-        assert isinstance(listed.samples, hp.SampleTable)
+        assert type(listed.samples) is np.recarray
         assert listed.to_json() == pr.to_json()
         # the samples part of to_json and samples.csv, written from the list
         fields = ("t", "f_approx", "gap")
@@ -545,20 +557,34 @@ class TestLeanPathResult:
         assert (tmp_path / "samples.csv").read_text() == csv
         # rows by index, by negative index, by slice and by iteration
         assert len(pr.samples) == len(rows)
-        assert [pr.samples[i] for i in range(len(rows))] == rows
-        assert pr.samples[-1] == rows[-1]
-        assert pr.samples[3:45:2] == rows[3:45:2]
+        assert [pr.samples[i].tolist() for i in range(len(rows))] == rows
+        assert [tuple(s) for s in pr.samples] == rows
+        assert pr.samples[-1].tolist() == rows[-1]
+        assert pr.samples[3:45:2].tolist() == rows[3:45:2]
+        # each column is the field read off the rows, and is read-only too
+        for k, name in enumerate(fields):
+            column = getattr(pr.samples, name)
+            assert column.tolist() == [s[k] for s in rows]
+            assert column.tolist() == [getattr(s, name) for s in pr.samples]
+            with pytest.raises(ValueError):
+                column[0] = 1.0
 
-    def test_table_takes_only_rows_of_three(self):
+    def test_table_takes_only_rows_of_three(self, sixth_order_path):
         # a reshape to (-1, 3) split a six-wide row into two samples
+        pr = sixth_order_path
         for bad in ([[1, 2, 3, 4, 5, 6]], np.zeros((2, 6)), [1.0, 2.0, 3.0], [[1, 2]],
                     np.zeros((2, 3, 1))):
             with pytest.raises(ValueError, match=r"\(N, 3\) rows"):
-                hp.SampleTable(bad)
-        for empty in ((), [], np.zeros((0, 3))):
-            assert hp.SampleTable(empty).array.shape == (0, 3)
-        assert hp.SampleTable().array.shape == (0, 3)
-        assert list(hp.SampleTable([(0.5, 1.0, 2.0)])) == [(0.5, 1.0, 2.0)]
+                dataclasses.replace(pr, samples=bad)
+        for empty in ((), [], np.zeros((0, 3)), pr.samples[:0]):
+            assert dataclasses.replace(pr, samples=empty).samples.shape == (0,)
+        one = dataclasses.replace(pr, samples=[(0.5, 1.0, 2.0)]).samples
+        assert one.tolist() == [(0.5, 1.0, 2.0)]
+        t, f_approx, gap = one[0]
+        assert (t, f_approx, gap) == (one.t[0], one.f_approx[0], one.gap[0]) == (0.5, 1.0, 2.0)
+        # a record array passed in is kept, read-only
+        kept = dataclasses.replace(pr, samples=pr.samples[pr.samples.t > 0]).samples
+        assert np.array_equal(kept, pr.samples[1:]) and not kept.flags.writeable
 
     def test_order100_path_is_small(self, order100_path):
         # 156 KB with every solve's splitting state and a list of samples

@@ -23,12 +23,16 @@ digest does not: the path and the --verify iterations of fixture systems
 the order-100 seeds, in total and seed by seed.  Counting wraps the solve
 calls and leaves their results alone, so it does not change the digest.
 
-Last it prints one soundness line, which the digest does not cover: every
-sample of fixture systems 0-19 (t > 0) against a tight solve at its t
-(primal and dual tolerance 1e-12).  It counts the upper ends f_approx below
-the tight solve's lower bound, and the lower ends f_approx - gap above its
-upper bound by more than --verify's slack 1e-6 (1 + ||g_o||^2), with the
-worst such excess in slacks and its system.  A sound path reads 0 and 0.
+Last it prints two soundness lines, which the digest does not cover.  The
+first costs no solve: g_o / t_max is feasible, so f*(t_max) = 0, and it
+counts the fixture paths 0-119 whose last sample, at t_max, claims a lower
+end f_approx - gap above 0 by more than --verify's slack
+1e-6 (1 + ||g_o||^2), with the worst such claim in slacks and its system.
+The second takes every sample of fixture systems 0-19 (t > 0) against a
+tight solve at its t (primal and dual tolerance 1e-12).  It counts the upper
+ends f_approx below the tight solve's lower bound, and the lower ends
+f_approx - gap above its upper bound by more than the slack, with the worst
+such excess in slacks and its system.  A sound path reads 0 on both lines.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ def _soundness(seeds) -> str:
         g_o = hp.impulse_response(hp.random_system(6, seed, bands=FIXTURE_BANDS), 31)
         slack = 1e-6 * (1 + g_o.norm() ** 2)
         solves = {}
-        for t, f_approx, gap in hp.compute_path(g_o, 0.01).samples.array.tolist():
+        for t, f_approx, gap in hp.compute_path(g_o, 0.01).samples.tolist():
             if t <= 0:
                 continue
             if t not in solves:
@@ -97,6 +101,7 @@ def main() -> int:
     digest = hashlib.sha256()
     failures = []
     counts = {}
+    at_t_max = []  # (the last sample's lower end in slacks, seed)
     path_iters = _count_iterations(hp.path)
     verify_iters = _count_iterations(cli)
     with tempfile.TemporaryDirectory() as tmp:
@@ -115,6 +120,10 @@ def main() -> int:
                     failures.append(seed)
             for name in ("path.json", "samples.csv", "singular_values.csv"):
                 digest.update((out / name).read_bytes())
+            last = (out / "samples.csv").read_text().split()[-1]
+            t, f_approx, gap = map(float, last.split(","))
+            assert t == hp.compute_t_max(g_o)
+            at_t_max.append(((f_approx - gap) / (1e-6 * (1 + g_o.norm() ** 2)), seed))
     counts["--verify iterations, fixture systems 0-119"] = verify_iters[0]
     per_seed = []
     for seed in range(4, 9):
@@ -131,6 +140,10 @@ def main() -> int:
     print("verify failures:", failures)
     for name, total in counts.items():
         print(f"{name}: {total}")
+    worst, worst_seed = max(at_t_max)
+    print(f"soundness at t_max, where the optimum is 0: {sum(r > 1 for r, _ in at_t_max)} of "
+          f"{len(at_t_max)} fixture paths claim a lower end above the slack (worst "
+          f"{worst:.4g} slacks, system {worst_seed})")
     print(_soundness(range(20)))
     return 0
 
