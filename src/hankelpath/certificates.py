@@ -187,7 +187,7 @@ def subgradient_vector(g_tilde_star, t_star: float, g_o=None, h=None) -> GapCert
     ValueError
         When h is not a finite vector of length k_max (GapCertificate's check).
     np.linalg.LinAlgError
-        When the spectrum of H(g*) overflows (symmetric_eigh).
+        When the spectrum of H(g*) overflows (ImpulseResponse.hankel_eigh).
     """
     g_star = as_impulse(g_tilde_star)
     k_max = g_star.k_max

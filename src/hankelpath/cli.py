@@ -21,11 +21,13 @@ import numpy as np
 from ._textio import fmt17
 from .hankel import (
     ImpulseResponse,
+    compute_t_max,
+    hankel_singular_values,
     read_impulse_csv,
     read_impulse_json,
     write_impulse_csv,
 )
-from .path import PathAborted, compute_path, compute_t_max, hankel_singular_values
+from .path import PathAborted, compute_path
 from .solver import SolverOptions, solve_constrained
 from .systems import SplitMix64, impulse_response, random_system, write_system_json
 

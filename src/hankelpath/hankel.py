@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,11 +71,15 @@ class ImpulseResponse:
     @functools.cached_property
     def hankel_eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """(lam, Q), read-only: the eigendecomposition H(g) = Q diag(lam) Q^T
-        (symmetric_eigh), computed once per instance.  Every reader of the
+        with lam ascending, by LAPACK dsyevd through the eigh_lo gufunc of
+        np.linalg.eigh, computed once per instance.  Every reader of the
         spectrum of H(g_o) shares it: compute_t_max, and the closed-form
         test, closed-form result and cold start of every solve_constrained,
-        so a path and its --verify re-solves decompose H(g_o) once."""
-        lam, Q = symmetric_eigh(self.values[embed_indices(self.n)])
+        so a path and its --verify re-solves decompose H(g_o) once.  The
+        entries are finite, but an eigenvalue that overflows raises
+        np.linalg.LinAlgError."""
+        lam, Q = eigh_lo(self.values[embed_indices(self.n)])
+        _require_finite(lam)
         lam.setflags(write=False)
         Q.setflags(write=False)
         return lam, Q
@@ -195,23 +200,19 @@ def multiplicities(n: int) -> np.ndarray:
     return w
 
 
+def _require_count(name: str, value, low: int) -> None:
+    """ValueError unless value is an integer >= low; a bool is an Integral,
+    but a config file's true is no count."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}")
+
+
 def _require_finite(a: np.ndarray) -> None:
     # the gufuncs return NaNs for a non-finite entry, with a RuntimeWarning
     # from n = 3 on, where np.linalg's wrappers raised; and a finite matrix
     # can still have an eigenvalue that overflows
     if not np.isfinite(a).all():
         raise np.linalg.LinAlgError("non-finite matrix or eigenvalues")
-
-
-def symmetric_eigh(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lam, Q) with H = Q diag(lam) Q^T and lam ascending, for a symmetric
-    float matrix (only the lower triangle is read), by LAPACK dsyevd through
-    the eigh_lo gufunc of np.linalg.eigh.  A non-finite entry, or an
-    eigenvalue that overflows, raises np.linalg.LinAlgError."""
-    _require_finite(H)
-    lam, Q = eigh_lo(H)
-    _require_finite(lam)
-    return lam, Q
 
 
 def symmetric_singular_values(H: np.ndarray) -> np.ndarray:

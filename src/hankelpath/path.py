@@ -35,8 +35,8 @@ from .certificates import (
 )
 # hankel_singular_values is not called here; bench/run.py wraps
 # hankelpath.path.hankel_singular_values
-from .hankel import as_impulse, compute_t_max, hankel_singular_values
-from .solver import SolveResult, SolverOptions, _require_count, solve_constrained
+from .hankel import _require_count, as_impulse, compute_t_max, hankel_singular_values
+from .solver import SolveResult, SolverOptions, solve_constrained
 
 
 # the fields of a sample row, as PathResult.samples names them
@@ -199,8 +199,6 @@ def compute_path(
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError("eps must be positive and finite")
     _require_count("grid_points_per_segment", grid_points_per_segment, 2)
-    if solver_opts is None:
-        solver_opts = SolverOptions()
     g_o = as_impulse(g_o)
     if not np.any(g_o.values):
         raise ValueError("g_o must be nonzero (zero target has a degenerate path)")

@@ -55,6 +55,7 @@ from numpy.linalg._umath_linalg import eigh_lo, solve1
 from .certificates import _TINY, _half_space_bound, _objective, _w0_cut, feasible_upper_bound
 from .hankel import (
     ImpulseResponse,
+    _require_count,
     _require_finite,
     adjoint_fast,
     as_impulse,
@@ -92,13 +93,6 @@ class _Iterate(np.ndarray):
     check."""
 
 
-def _require_count(name: str, value, low: int) -> None:
-    """ValueError unless value is an integer >= low; a bool is an Integral,
-    but a config file's true is no count."""
-    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low):
-        raise ValueError(f"{name} must be an integer >= {low}")
-
-
 @dataclass(frozen=True)
 class SolverOptions:
     """Knobs for solve_constrained.
@@ -116,7 +110,7 @@ class SolverOptions:
     There is no option for the start: a cold solve starts at the projected
     unconstrained fit with rho at the normalized fit curvature (see
     solve_constrained), and solve_constrained's warm_start sets any other
-    start, (0, 0, 2 t^2) the zero one.
+    start.
     """
 
     max_iters: int = 5000
@@ -330,7 +324,7 @@ def _price(g_o, t, X, U_dual, g_tilde, Hg, lo=None):
 
 
 def _cold_start(g_o: ImpulseResponse, t: float, idx: np.ndarray, w: np.ndarray):
-    """(X0, U0, c): the splitting state a cold solve starts from, at the
+    """(X0, U0): the splitting state a cold solve starts from, at the
     projected unconstrained fit (Fazel, Pong, Sun & Tseng, SIAM J. Matrix
     Anal. Appl. 2013).
 
@@ -359,7 +353,7 @@ def _cold_start(g_o: ImpulseResponse, t: float, idx: np.ndarray, w: np.ndarray):
     aa = float(a.dot(a))
     # c = 0 (U0 = 0) where <a, a> is 0 or overflows
     c = float(a.dot(a / w)) / aa if 0.0 < aa < math.inf else 0.0
-    return X0, c * D, c
+    return X0, c * D
 
 
 def solve_constrained(
@@ -377,12 +371,10 @@ def solve_constrained(
     warm_start : tuple (X, U_dual, rho), optional
         Splitting state to start from instead of the cold start (see Notes),
         usually the admm_state of a solve at a nearby t.  X and U_dual are
-        exactly symmetric n-by-n matrices, or scalars standing for the
-        constant one, whose sums of squares and that of X + U_dual are
-        finite; they are copied, not modified.  rho is in the units of the
-        original problem: (0, 0, 2 t^2) starts from zeros at the fit
-        curvature, the cold start of earlier versions.  The stopping rule is
-        the same as for a cold start.
+        exactly symmetric n-by-n matrices whose sums of squares and that of
+        X + U_dual are finite; they are copied, not modified.  rho is in the
+        units of the original problem.  The stopping rule is the same as for
+        a cold start.
     stop_above : float, optional
         Stop at the first iteration whose state has its certified lower
         bound (SolveResult.bounds[0]) at or above stop_above, and report it
@@ -452,12 +444,7 @@ def solve_constrained(
     rho = None
     if warm_start is not None:
         X0, U0, rho = warm_start
-        # a scalar stands for the constant n-by-n matrix, so (0, 0, 2 t^2)
-        # is the zero start at the fit curvature
-        X, U_dual = (
-            np.full((n, n), float(a)) if np.ndim(a) == 0 else np.array(a, dtype=float)
-            for a in (X0, U0)
-        )
+        X, U_dual = np.array(X0, dtype=float), np.array(U0, dtype=float)
         rho = float(rho)
         if X.shape != (n, n) or U_dual.shape != (n, n):
             raise ValueError(
@@ -519,7 +506,7 @@ def solve_constrained(
         w = multiplicities(n)
         denom = fit_curv + rho * w
         if warm_start is None:
-            X, U_dual, _ = _cold_start(g_o, t, idx, w)
+            X, U_dual = _cold_start(g_o, t, idx, w)
 
         converged = False
         priced = None  # (lower, upper, sv, h) of the state a stop_above exit priced

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._textio import fmt17, write_text
-from .hankel import ImpulseResponse
+from .hankel import ImpulseResponse, _require_count
 
 _CONJ_TOL = 1e-9
 
@@ -196,7 +196,7 @@ def random_system(
     Parameters
     ----------
     order : int
-        Number of poles (>= 1).
+        Number of poles, an integer >= 1.
     seed : int
         Seed of the splitmix64 stream; equal seeds give equal specs.
     pole_radius_range : (float, float)
@@ -206,16 +206,17 @@ def random_system(
     bands : sequence of (count, (lo, hi), residue_scale), optional
         Overrides the single band, e.g. two bands with a couple of dominant
         poles near the unit circle and weak small-residue poles further in;
-        counts must add up to `order`.
+        counts, integers >= 0, must add up to `order`.
 
     Returns
     -------
     SystemSpec
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    _require_count("order", order, 1)
     if bands is None:
         bands = [(order, tuple(pole_radius_range), residue_scale)]
+    for b in bands:
+        _require_count("band count", b[0], 0)
     if sum(b[0] for b in bands) != order:
         raise ValueError("band counts must sum to the requested order")
     stream = SplitMix64(seed)

@@ -291,11 +291,7 @@ def solve_constrained_cadence_frozen(g_o, t, opts=None, *, warm_start=None, test
     rho = None
     if warm_start is not None:
         X0, U0, rho = warm_start
-        # a scalar stands for the constant n-by-n matrix, as in the library
-        X, U_dual = (
-            np.full((n, n), float(a)) if np.ndim(a) == 0 else np.array(a, dtype=float)
-            for a in (X0, U0)
-        )
+        X, U_dual = np.array(X0, dtype=float), np.array(U0, dtype=float)
         rho = float(rho)
 
     if hp.compute_t_max(g_o) <= t:
@@ -333,7 +329,7 @@ def solve_constrained_cadence_frozen(g_o, t, opts=None, *, warm_start=None, test
     w = hp.multiplicities(n)
     denom = fit_curv + rho * w
     if warm_start is None:
-        X, U_dual, _ = hp.solver._cold_start(g_o, t, idx, w)
+        X, U_dual = hp.solver._cold_start(g_o, t, idx, w)
 
     g_tilde = np.zeros(gvec.size)
     r_pri = r_dual = np.inf

@@ -586,6 +586,15 @@ def test_config_file_not_utf8_is_usage_error(tmp_path, impulse_file, capsys):
     assert capsys.readouterr().err.startswith("error: config file is not valid JSON")
 
 
+def test_config_file_not_an_object_is_usage_error(tmp_path, impulse_file, capsys):
+    config = tmp_path / "config.json"
+    config.write_text("[1, 2]")
+    argv = ["path", "--input", str(impulse_file), "--config", str(config),
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    assert "config file must hold a JSON object" in capsys.readouterr().err
+
+
 def test_unknown_command_is_usage_error():
     proc = run_cli("frobnicate")
     assert proc.returncode == 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hankelpath as hp
-from hankelpath.hankel import symmetric_eigh, symmetric_singular_values
+from hankelpath.hankel import symmetric_singular_values
 
 from oracles import adjoint_double_sum, inner_product_pair
 
@@ -24,6 +24,16 @@ class TestImpulseResponse:
         with pytest.raises(ValueError):
             hp.ImpulseResponse(np.array([1.0, np.nan, 2.0]))
 
+    @pytest.mark.parametrize("values, defect", [(np.ones((2, 2)), "1-d"), ([], "at least one")],
+                             ids=["matrix", "empty"])
+    def test_rejects_other_shapes(self, values, defect):
+        with pytest.raises(ValueError, match=defect):
+            hp.ImpulseResponse(values)
+
+    def test_no_multiplicities_below_n_1(self):
+        with pytest.raises(ValueError):
+            hp.multiplicities(0)
+
     def test_values_read_only(self):
         g = hp.ImpulseResponse(np.array([1.0, 2.0, 3.0]))
         with pytest.raises(ValueError):
@@ -31,8 +41,8 @@ class TestImpulseResponse:
 
 
 class TestSymmetricSpectrum:
-    """symmetric_eigh and symmetric_singular_values call the LAPACK gufuncs
-    of np.linalg.eigh and np.linalg.eigvalsh directly."""
+    """ImpulseResponse.hankel_eigh and symmetric_singular_values call the
+    LAPACK gufuncs of np.linalg.eigh and np.linalg.eigvalsh directly."""
 
     @staticmethod
     def _symmetric(rng, n):
@@ -42,10 +52,11 @@ class TestSymmetricSpectrum:
     def test_same_bits_as_np_linalg(self):
         rng = np.random.RandomState(8)
         for n in (1, 2, 5, 16, 26):
-            H = self._symmetric(rng, n)
-            lam, Q = symmetric_eigh(H)
-            ref_lam, ref_Q = np.linalg.eigh(H)
+            g = rng.randn(2 * n - 1)
+            lam, Q = hp.ImpulseResponse(g).hankel_eigh
+            ref_lam, ref_Q = np.linalg.eigh(hp.hankel_embed(g).entries)
             assert np.array_equal(lam, ref_lam) and np.array_equal(Q, ref_Q)
+            H = self._symmetric(rng, n)
             ref = np.sort(np.abs(np.linalg.eigvalsh(H)))[::-1]
             assert np.array_equal(symmetric_singular_values(H), ref)
 
@@ -57,11 +68,10 @@ class TestSymmetricSpectrum:
             H = self._symmetric(rng, n)
             i, j = rng.randint(n, size=2)
             H[i, j] = H[j, i] = bad
-            for decompose in (symmetric_eigh, symmetric_singular_values):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    with pytest.raises(np.linalg.LinAlgError):
-                        decompose(H)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(np.linalg.LinAlgError):
+                    symmetric_singular_values(H)
 
     def test_overflowing_spectrum_raises_without_warning(self):
         # H(g) has finite entries 1e308 and the eigenvalue 2e308
@@ -242,4 +252,10 @@ class TestFileFormats:
         path = tmp_path / "bad.json"
         path.write_text('{"k_max": 5, "values": [1.0, 2.0, 3.0]}')
         with pytest.raises(ValueError):
+            hp.read_impulse_json(path)
+
+    def test_json_values_not_numbers_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"values": [{}]}')
+        with pytest.raises(ValueError, match='"values"'):
             hp.read_impulse_json(path)

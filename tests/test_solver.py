@@ -823,23 +823,27 @@ class TestColdStart:
             t_max = hp.compute_t_max(g)
             hypothesis.assume(t_max > 0)
             scale = 10.0**log_scale
-            X0, U0, c = self._start(scale * g, scale * frac * t_max)
+            X0, U0 = self._start(scale * g, scale * frac * t_max)
+            # U0 = c D along D = H(g_o / t) - X0, with c >= 0
+            D = hp.hankel_embed(scale * g / (scale * frac * t_max)).entries - X0
+            dd = np.vdot(D, D)
+            c = np.vdot(U0, D) / dd if dd > 0 else 0.0
             assert c >= 0
             assert np.array_equal(X0, X0.T) and np.array_equal(U0, U0.T)
             moved = np.abs(hp.project_nuclear_ball(X0 + U0, 1.0) - X0).max()
             assert moved <= 1e-13 * (1.0 + np.abs(U0).max())
-            X1, U1, c1 = self._start(g, frac * t_max)
+            X1, U1 = self._start(g, frac * t_max)
             np.testing.assert_allclose(X0, X1, rtol=0, atol=1e-10)
             np.testing.assert_allclose(U0, U1, rtol=0, atol=1e-10 * (1.0 + np.abs(U1).max()))
 
         check()
 
     def test_cold_solve_is_the_solve_from_the_start(self, sixth_order_impulse):
-        # bit for bit, iteration by iteration; a scalar warm start is the
-        # constant matrix
+        # bit for bit, iteration by iteration; the zero start at the same
+        # penalty is another solve
         g_o = sixth_order_impulse
         t = 0.4 * hp.compute_t_max(g_o)
-        X0, U0, _ = self._start(g_o.values, t)
+        X0, U0 = self._start(g_o.values, t)
         zeros = np.zeros((g_o.n, g_o.n))
         for iters in (1, 3, 5000):
             opts = hp.SolverOptions(max_iters=iters)
@@ -847,9 +851,8 @@ class TestColdStart:
             started = hp.solve_constrained(g_o, t, opts, warm_start=(X0, U0, 2.0 * t * t))
             assert np.array_equal(cold.g_tilde.values, started.g_tilde.values)
             assert cold.iterations == started.iterations and cold.bounds == started.bounds
-            scalar = hp.solve_constrained(g_o, t, opts, warm_start=(0, 0, 2.0 * t * t))
-            matrix = hp.solve_constrained(g_o, t, opts, warm_start=(zeros, zeros, 2.0 * t * t))
-            assert np.array_equal(scalar.g_tilde.values, matrix.g_tilde.values)
+            zero = hp.solve_constrained(g_o, t, opts, warm_start=(zeros, zeros, 2.0 * t * t))
+            assert not np.array_equal(cold.g_tilde.values, zero.g_tilde.values)
 
     def test_fixture_verify_iterations_and_outcomes(self):
         # the --verify re-solves of fixture systems 0-119 take 1,527
@@ -925,6 +928,8 @@ class TestWarmStart:
             (np.zeros((3, 3)), good, 1.0),
             (good, np.zeros((n, n + 1)), 1.0),
             (good.ravel(), good, 1.0),
+            # a scalar does not stand for the constant matrix
+            (0.0, 0.0, 1.0),
         ):
             with pytest.raises(ValueError):
                 hp.solve_constrained(sixth_order_impulse, 0.1, warm_start=start)
@@ -1083,12 +1088,13 @@ class TestAndersonAcceleration:
 
 def _zero_start(solve):
     """solve, with every cold solve started from zeros at the fit curvature,
-    warm_start=(0, 0, 2 t^2): the start of solves before the projected
-    unconstrained fit."""
+    warm_start=(0, 0, 2 t^2) with n-by-n zero matrices: the start of solves
+    before the projected unconstrained fit."""
 
     def solve_from_zeros(g_o, t, opts=None, *, warm_start=None, **kwargs):
         if warm_start is None:
-            warm_start = (0.0, 0.0, 2.0 * t * t)
+            zeros = np.zeros((hp.as_impulse(g_o).n,) * 2)
+            warm_start = (zeros, zeros, 2.0 * t * t)
         return solve(g_o, t, opts, warm_start=warm_start, **kwargs)
 
     return solve_from_zeros
@@ -1114,7 +1120,8 @@ class TestPlainStepOnlyWhenTested:
         for g_o, frac, iters in cases:
             t = frac * hp.compute_t_max(g_o)
             opts = hp.SolverOptions(max_iters=iters)
-            res = hp.solve_constrained(g_o, t, opts, warm_start=(0, 0, 2.0 * t * t))
+            zeros = np.zeros((g_o.n, g_o.n))
+            res = hp.solve_constrained(g_o, t, opts, warm_start=(zeros, zeros, 2.0 * t * t))
             g_ref, _, ref_iters, ref_converged = plain_admm(g_o, t, opts)
             assert not (res.converged or ref_converged)
             assert res.iterations == ref_iters == iters
@@ -1263,7 +1270,8 @@ class TestResidualBalancing:
         # so balancing fires with r_dual == 0 and multiplies rho by 10, four
         # times from the zero start at the fit curvature 2 t^2 = 2 (the cold
         # start at the projected fit is already optimal here)
-        res = hp.solve_constrained([2.0], 1.0, warm_start=(0.0, 0.0, 2.0))
+        zeros = np.zeros((1, 1))
+        res = hp.solve_constrained([2.0], 1.0, warm_start=(zeros, zeros, 2.0))
         assert res.converged and res.dual_residual == 0.0
         assert res.admm_state[2] == 2.0 * 1e4
         np.testing.assert_allclose(res.g_tilde.values, [1.0], atol=1e-8)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,19 @@ class TestSystemSpec:
         with pytest.raises(ValueError):
             hp.SystemSpec(poles=(0.5,), residues=(1.0, 2.0))
 
+    @pytest.mark.parametrize(
+        "poles, residues, defect",
+        [((), (), "at least one pole"),
+         ((np.nan,), (1.0,), "non-finite"),
+         ((0.5,), (1 + 1j,), "complex residue")],
+        ids=["no-poles", "nan-pole", "real-pole-complex-residue"],
+    )
+    def test_rejects_malformed_spec_without_warning(self, poles, residues, defect):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=defect):
+                hp.SystemSpec(poles=poles, residues=residues)
+
 
 class TestImpulseResponseOp:
     def test_single_pole_geometric(self):
@@ -49,6 +63,17 @@ class TestImpulseResponseOp:
         ]
         assert max(abs(e.imag) for e in expected) < 1e-15
         np.testing.assert_allclose(g.values, [e.real for e in expected], atol=1e-12)
+
+    def test_imaginary_part_beyond_the_conjugate_tolerance_rejected(self):
+        # the residues are conjugate to within the closure check's 1e-9, but
+        # the response they sum to keeps an imaginary part of about 1e-10
+        pole = 0.5 + 0.5j
+        spec = hp.SystemSpec(poles=(pole, pole.conjugate()),
+                             residues=(1 + 1j, 1 - 1j + 1e-10j))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-negligible imaginary part"):
+                hp.impulse_response(spec, 5)
 
     def test_even_k_max_rejected(self):
         spec = hp.SystemSpec(poles=(0.5,), residues=(1.0,))
@@ -125,6 +150,34 @@ class TestRandomSystem:
     def test_band_counts_must_sum(self):
         with pytest.raises(ValueError):
             hp.random_system(6, 0, bands=[(2, (0.1, 0.2), 1.0)])
+
+    @pytest.mark.parametrize(
+        "order, bands",
+        [(2.5, None), (True, None), (0, None),
+         (3, [(1.5, (0.1, 0.2), 1.0), (1.5, (0.3, 0.4), 1.0)]),
+         (2, [(-1, (0.1, 0.2), 1.0), (3, (0.3, 0.4), 1.0)])],
+        ids=["fractional-order", "bool-order", "zero-order", "fractional-bands",
+             "negative-band"],
+    )
+    def test_counts_must_be_integers(self, order, bands):
+        # the draw rounds a fractional count up and a negative band draws
+        # nothing, so each nonzero one would build a system of another order
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be an integer"):
+                hp.random_system(order, 0, bands=bands)
+
+    def test_numpy_integer_counts_accepted(self):
+        spec = hp.random_system(np.int64(3), 0)
+        assert spec.order == 3 and spec == hp.random_system(3, 0)
+        bands = [(np.int64(1), (0.1, 0.2), 1.0), (np.int64(2), (0.3, 0.4), 1.0)]
+        assert hp.random_system(3, 0, bands=bands) == hp.random_system(
+            3, 0, bands=[(1, (0.1, 0.2), 1.0), (2, (0.3, 0.4), 1.0)]
+        )
+
+    def test_unstable_radius_range_rejected(self):
+        with pytest.raises(ValueError, match="pole radius range"):
+            hp.random_system(2, 0, pole_radius_range=(0.5, 1.2))
 
 
 class TestRankConnection:
