@@ -33,7 +33,8 @@ of H(g_o) (ImpulseResponse.hankel_eigh) and returns it as dual_direction
 too; subgradient_vector without an h reads it off g*.hankel_eigh.
 Given the data vector, an h that already points along -(t* g* - g_o) to
 within SNAP_TOL is snapped onto it exactly.  subgradient_vector makes that
-choice of h, and the certificate checks it.
+choice of h, and the certificate checks it.  No certificate has h = 0,
+which prices no gap (DegenerateCertificateError).
 
 dual_bounds prices any g and any dual matrix U: the objective at the
 rescaled, exactly feasible point bounds the optimum from above, and the
@@ -60,6 +61,7 @@ import numpy as np
 
 from .hankel import (
     ImpulseResponse,
+    _require_positive,
     adjoint_fast,
     as_impulse,
     hankel_singular_values,
@@ -74,7 +76,7 @@ _TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 class DegenerateCertificateError(ValueError):
-    """Raised when a certificate with h = 0 is asked for gap values."""
+    """Raised for a certificate that would price no gap: h = 0, or g* = 0."""
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -83,10 +85,9 @@ class GapCertificate:
 
     h is a read-only copy of a finite vector of length k_max (else
     ValueError; _direction), and g_tilde_star passes through as_impulse.
+    h = 0, which prices no gap, raises DegenerateCertificateError.
     residual_dir_norm is derived: a = ||(I - h h^T / ||h||^2) g*||, the
-    growth rate of the square-root gap in t, and 0 for h = 0.  A certificate
-    with h = 0 is flagged degenerate and cannot evaluate gaps;
-    subgradient_vector gives one only for g* = 0.
+    growth rate of the square-root gap in t.
     """
 
     h: np.ndarray
@@ -97,15 +98,13 @@ class GapCertificate:
     def __post_init__(self):
         g_star = as_impulse(self.g_tilde_star)
         h = _direction(self.h, g_star.k_max)
+        if not np.any(h):
+            raise DegenerateCertificateError("certificate has h = 0, which prices no gap")
         h.setflags(write=False)
-        a = float(np.linalg.norm(_orth_component(g_star.values, h))) if np.any(h) else 0.0
+        a = float(np.linalg.norm(_orth_component(g_star.values, h)))
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "g_tilde_star", g_star)
         object.__setattr__(self, "residual_dir_norm", a)
-
-    @property
-    def degenerate(self) -> bool:
-        return not np.any(self.h)
 
 
 def _direction(h, k_max: int) -> np.ndarray:
@@ -180,21 +179,21 @@ def subgradient_vector(g_tilde_star, t_star: float, g_o=None, h=None) -> GapCert
     Returns
     -------
     GapCertificate
-        Degenerate (h = 0) iff g_tilde_star = 0.
 
     Raises
     ------
+    DegenerateCertificateError
+        For g_tilde_star = 0, which has no cut to take as h.
     ValueError
         When h is not a finite vector of length k_max (GapCertificate's check).
     np.linalg.LinAlgError
         When the spectrum of H(g*) overflows (ImpulseResponse.hankel_eigh).
     """
     g_star = as_impulse(g_tilde_star)
-    k_max = g_star.k_max
     if h is not None:
-        h = _direction(h, k_max)
+        h = _direction(h, g_star.k_max)
     if not np.any(g_star.values):
-        return GapCertificate(np.zeros(k_max), float(t_star), g_star)
+        raise DegenerateCertificateError("g* = 0 has no certificate: its h = 0 prices no gap")
 
     if h is None or not np.any(h):
         h = _w0_cut(*g_star.hankel_eigh)
@@ -272,18 +271,10 @@ def duality_gap(cert: GapCertificate, g_o, t: float) -> float:
 
     The squared norm of the part of the residual t g* - g_o orthogonal to h,
     with the bits of its row in a path's segment table, whose gap adds the
-    pricing of f_approx to it (_segment_samples).  The bound certifies the
-    interval only for t at or above the certificate's own t_star.
+    pricing of f_approx to it (_segment_samples).  Every certificate prices
+    (none has h = 0), but only for t at or above its own t_star.
     """
-    _require_direction(cert)
     return float(_orth_norm2(t * cert.g_tilde_star.values - as_impulse(g_o).values, cert.h))
-
-
-def _require_direction(cert: GapCertificate) -> None:
-    if cert.degenerate:
-        raise DegenerateCertificateError(
-            "certificate has h = 0 (g* = 0); the gap is undefined"
-        )
 
 
 def _segment_samples(
@@ -294,9 +285,7 @@ def _segment_samples(
     is feasible_upper_bound at ts[j]: the objective of the exactly feasible
     point g_hat = g* / max(1, nuclear_norm), nuclear_norm the Hankel nuclear
     norm of g*.  The gap is duality_gap at ts[j] plus f(g_hat) - f(g*), so
-    the lower end f_approx - gap is f(g*) - duality_gap to rounding.
-    Raises DegenerateCertificateError for h = 0."""
-    _require_direction(cert)
+    the lower end f_approx - gap is f(g*) - duality_gap to rounding."""
     g_star = cert.g_tilde_star.values
     t = ts[:, None]
     f_hat = _objective(g_star / max(1.0, nuclear_norm), g_o, t)
@@ -315,8 +304,7 @@ def next_breakpoint(cert: GapCertificate, g_o, eps: float, t_max: float) -> floa
     stays exact in the direction of h and the gap never reaches eps; a gap
     that already reaches eps at t* (c <= 0) raises RuntimeError.
     """
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError("eps must be positive and finite")
+    eps = _require_positive("eps", eps)
     t_star = cert.t_star
     if t_star >= t_max:
         return float(t_max)

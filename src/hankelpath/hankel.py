@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,6 +206,19 @@ def _require_count(name: str, value, low: int) -> None:
     but a config file's true is no count."""
     if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low):
         raise ValueError(f"{name} must be an integer >= {low}")
+
+
+def _require_positive(name: str, value) -> float:
+    """float(value) of a real number in (0, largest float]; anything else, a
+    bool or 10**400 too, raises ValueError."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # an int compares exactly, where float(10**400) overflows; a float32
+    # converts exactly, where comparing it with the largest float overflows
+    finite = real and (
+        value <= sys.float_info.max if isinstance(value, int) else math.isfinite(value))
+    if not (finite and 0 < value):
+        raise ValueError(f"{name} must be positive and finite")
+    return float(value)
 
 
 def _require_finite(a: np.ndarray) -> None:

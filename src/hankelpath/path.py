@@ -33,9 +33,9 @@ from .certificates import (
     next_breakpoint,
     subgradient_vector,
 )
-# hankel_singular_values is not called here; bench/run.py wraps
-# hankelpath.path.hankel_singular_values
-from .hankel import _require_count, as_impulse, compute_t_max, hankel_singular_values
+from .hankel import _require_count, _require_positive, as_impulse, compute_t_max
+# not called here; bench/run.py wraps hankelpath.path.hankel_singular_values
+from .hankel import hankel_singular_values
 from .solver import SolveResult, SolverOptions, solve_constrained
 
 
@@ -193,11 +193,11 @@ def compute_path(
         positive and finite or so small next to ||g_o|| that the zero
         model's level t1 underflows to 0, or fewer than 2 grid points.
     PathAborted
-        If any breakpoint solve fails to converge, or stops at g~ = 0 (whose
-        certificate prices no gap); the partial path rides on the exception.
+        If any breakpoint solve fails to converge, or stops at g~ = 0, which
+        has no certificate; the partial path, each solve with its
+        certificate, rides on the exception.
     """
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError("eps must be positive and finite")
+    eps = _require_positive("eps", eps)
     _require_count("grid_points_per_segment", grid_points_per_segment, 2)
     g_o = as_impulse(g_o)
     if not np.any(g_o.values):
@@ -223,7 +223,7 @@ def compute_path(
         return PathResult(
             exact_solutions=solutions,
             samples=np.concatenate(segments),
-            epsilon=float(eps),
+            epsilon=eps,
             t_max=t_max,
             bootstrap_t=t_first,
             partial=partial,
@@ -246,10 +246,13 @@ def compute_path(
                 f"(primal {res.primal_residual:.3g}, dual {res.dual_residual:.3g})",
                 finish(partial=True),
             )
+        try:
+            cert = subgradient_vector(res.g_tilde, t_i, g_o=g_o, h=res.dual_direction)
+        except DegenerateCertificateError as exc:
+            raise PathAborted(str(exc), finish(partial=True)) from exc
         # the splitting state stays here, for the next warm start only
         warm = res.admm_state
         solutions.append(dataclasses.replace(res, admm_state=None, dual_direction=None))
-        cert = subgradient_vector(res.g_tilde, t_i, g_o=g_o, h=res.dual_direction)
         certificates.append(cert)
 
         if t_i >= t_max * (1.0 - 1e-12):
@@ -265,7 +268,7 @@ def compute_path(
                 cert, g_o.values, np.linspace(t_i, t_next, grid_points_per_segment),
                 res.nuclear_norm_value,
             ))
-        except (RuntimeError, DegenerateCertificateError) as exc:
+        except RuntimeError as exc:
             raise PathAborted(str(exc), finish(partial=True)) from exc
         t_i = t_next
 

@@ -45,8 +45,6 @@ original problem.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +55,7 @@ from .hankel import (
     ImpulseResponse,
     _require_count,
     _require_finite,
+    _require_positive,
     adjoint_fast,
     as_impulse,
     compute_t_max,
@@ -100,7 +99,7 @@ class SolverOptions:
     primal_tol / dual_tol are relative to unit-norm data: the solver works
     on the fit divided by ||g_o||^2, the problem of g_o / ||g_o|| at level
     t / ||g_o||, and both default to 2e-9 (1e-9 * (1 + 1)); each must be a
-    positive finite real number, not a bool, else ValueError.
+    positive finite real number (hankel._require_positive), else ValueError.
     The stopping thresholds additionally scale with problem size and with
     min(1, 2 (t / ||g_o||)^2): the normalized fit term's curvature is
     2 (t / ||g_o||)^2, so without that factor the solution error at small t
@@ -120,11 +119,7 @@ class SolverOptions:
     def __post_init__(self):
         _require_count("max_iters", self.max_iters, 1)
         for name in ("primal_tol", "dual_tol"):
-            tol = getattr(self, name)
-            real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
-            # an int compares exactly, where math.isfinite(10**400) overflows
-            if not (real and 0 < tol <= sys.float_info.max):
-                raise ValueError(f"{name} must be positive and finite")
+            _require_positive(name, getattr(self, name))
 
 
 @dataclass(frozen=True, slots=True)
@@ -366,15 +361,15 @@ def solve_constrained(
     g_o : ImpulseResponse or 1-d array-like
         Target impulse response (odd length; padded by ImpulseResponse).
     t : float
-        Positive regularization parameter.
+        Positive finite regularization parameter.
     opts : SolverOptions, optional
     warm_start : tuple (X, U_dual, rho), optional
         Splitting state to start from instead of the cold start (see Notes),
         usually the admm_state of a solve at a nearby t.  X and U_dual are
         exactly symmetric n-by-n matrices whose sums of squares and that of
-        X + U_dual are finite; they are copied, not modified.  rho is in the
-        units of the original problem.  The stopping rule is the same as for
-        a cold start.
+        X + U_dual are finite; they are copied, not modified.  rho, positive
+        and finite, is in the units of the original problem.  The stopping
+        rule is the same as for a cold start.
     stop_above : float, optional
         Stop at the first iteration whose state has its certified lower
         bound (SolveResult.bounds[0]) at or above stop_above, and report it
@@ -395,10 +390,11 @@ def solve_constrained(
     Raises
     ------
     ValueError
-        For t <= 0, a malformed warm start, data whose ||g_o||^2 underflows
-        to 0 or overflows (the loop divides by it), or a t so small next to
-        ||g_o|| that the loop's fit curvature 2 t^2 / ||g_o||^2, or 1e-8
-        times it, is not a normal float (t below about 1e-150 ||g_o||).
+        For a t or warm-start rho that fails hankel._require_positive, a
+        malformed warm start, data whose ||g_o||^2 underflows to 0 or
+        overflows (the loop divides by it), or a t so small next to ||g_o||
+        that the loop's fit curvature 2 t^2 / ||g_o||^2, or 1e-8 times it, is
+        not a normal float (t below about 1e-150 ||g_o||).
     np.linalg.LinAlgError
         When an iterate turns non-finite, before anything decomposes it or
         does arithmetic on it, or when a decomposition fails.
@@ -435,8 +431,7 @@ def solve_constrained(
     """
     if opts is None:
         opts = SolverOptions()
-    if not np.isfinite(t) or t <= 0:
-        raise ValueError("t must be positive")
+    t = _require_positive("t", t)
     g_o = as_impulse(g_o)
     gvec = g_o.values
     n = g_o.n
@@ -445,7 +440,6 @@ def solve_constrained(
     if warm_start is not None:
         X0, U0, rho = warm_start
         X, U_dual = np.array(X0, dtype=float), np.array(U0, dtype=float)
-        rho = float(rho)
         if X.shape != (n, n) or U_dual.shape != (n, n):
             raise ValueError(
                 f"warm start must be {n}-by-{n}, got {X.shape} and {U_dual.shape}"
@@ -459,8 +453,7 @@ def solve_constrained(
         # and vouches for them to the projection on that ground
         if not ((X == X.T).all() and (U_dual == U_dual.T).all()):
             raise ValueError("warm-start X and U_dual must be exactly symmetric")
-        if not np.isfinite(rho) or rho <= 0:
-            raise ValueError("warm-start rho must be positive")
+        rho = _require_positive("warm-start rho", rho)
 
     closed = compute_t_max(g_o) <= t
     if closed:
@@ -625,7 +618,7 @@ def solve_constrained(
         a.setflags(write=False)
     return SolveResult(
         g_tilde=g_tilde,
-        t=float(t),
+        t=t,
         objective=obj,
         iterations=it,
         primal_residual=r_pri,

@@ -22,7 +22,7 @@ _CONJ_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """Poles strictly inside the unit disc plus matching residues.
+    """Poles strictly inside the unit disc plus matching finite residues.
 
     Complex poles must come in conjugate pairs with conjugate residues so the
     impulse response is real.
@@ -38,9 +38,9 @@ class SystemSpec:
             raise ValueError("poles and residues must have equal length")
         if not poles:
             raise ValueError("system must have at least one pole")
+        if not all(map(cmath.isfinite, poles + residues)):
+            raise ValueError("non-finite pole or residue")
         for p in poles:
-            if not (np.isfinite(p.real) and np.isfinite(p.imag)):
-                raise ValueError("non-finite pole")
             if abs(p) >= 1.0:
                 raise ValueError(f"unstable pole {p!r}: |pole| must be < 1")
         _check_conjugate_closure(poles, residues)

@@ -1,10 +1,11 @@
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 import hankelpath as hp
-from hankelpath.hankel import symmetric_singular_values
+from hankelpath.hankel import _require_positive, symmetric_singular_values
 
 from oracles import adjoint_double_sum, inner_product_pair
 
@@ -231,6 +232,61 @@ class TestMultiplicities:
             lhs = hp.hankel_adjoint(hp.hankel_embed(g).entries)
             rhs = hp.multiplicities(n) * g
             assert np.array_equal(lhs, rhs)
+
+
+# each positive real parameter of the package: its name in the error, and a
+# call on the fixture data g with the parameter set to v
+POSITIVE_PARAMETERS = {
+    "SolverOptions.primal_tol": ("primal_tol", lambda g, v: hp.SolverOptions(primal_tol=v)),
+    "SolverOptions.dual_tol": ("dual_tol", lambda g, v: hp.SolverOptions(dual_tol=v)),
+    "solve_constrained.t": ("t", lambda g, v: hp.solve_constrained(g, v)),
+    "solve_constrained.rho": (
+        "warm-start rho",
+        lambda g, v: hp.solve_constrained(
+            g, 0.3 * hp.compute_t_max(g), warm_start=(np.zeros((g.n, g.n)),) * 2 + (v,)),
+    ),
+    "compute_path.eps": ("eps", lambda g, v: hp.compute_path(g, v)),
+    "next_breakpoint.eps": (
+        "eps",
+        lambda g, v: hp.next_breakpoint(
+            hp.subgradient_vector(g, 1.0), g, v, hp.compute_t_max(g)),
+    ),
+}
+
+
+class TestPositiveParameters:
+    """One rule for every positive real parameter (_require_positive): a real
+    number in (0, largest float], where an int compares exactly.  A bool, a
+    string, an int beyond the float range, NaN, an infinity, 0 and negative
+    values raise ValueError naming the parameter, before anything warns."""
+
+    @pytest.mark.parametrize("value", [True, "0.01", 10**400, np.nan, np.inf, 0, -1],
+                             ids=["bool", "string", "huge-int", "nan", "inf", "zero", "negative"])
+    @pytest.mark.parametrize("where", sorted(POSITIVE_PARAMETERS))
+    def test_rejected(self, sixth_order_impulse, where, value):
+        name, call = POSITIVE_PARAMETERS[where]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
+                call(sixth_order_impulse, value)
+
+    @pytest.mark.parametrize("value", [np.float64(0.5), np.int64(1)], ids=["float64", "int64"])
+    @pytest.mark.parametrize("where", sorted(POSITIVE_PARAMETERS))
+    def test_numpy_scalars_accepted(self, sixth_order_impulse, where, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            POSITIVE_PARAMETERS[where][1](sixth_order_impulse, value)
+
+    def test_value_returned_as_a_float(self):
+        # a float32 or float16 compares without overflow, and an int exactly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for value in (np.int64(3), 3, np.float32(0.5), np.float16(2.0), sys.float_info.max):
+                out = _require_positive("x", value)
+                assert type(out) is float and out == value
+            for value in (2**1024 - 1, np.float32(np.inf), np.float16(np.nan)):
+                with pytest.raises(ValueError, match="^x must be positive and finite$"):
+                    _require_positive("x", value)
 
 
 class TestFileFormats:

@@ -319,15 +319,14 @@ class TestComputePath:
 
     def test_degenerate_breakpoint_aborts_with_partial_path(self):
         # the first solve of g_o = [2] at eps = 1e-16 ||g_o||^2 (t = 1e-16)
-        # stops after one iteration at g~ = 0, whose certificate has h = 0
-        # and prices no gap: that ended the path in a
-        # DegenerateCertificateError, not in the documented PathAborted
+        # stops after one iteration at g~ = 0, which has no certificate: the
+        # path ends in the documented PathAborted, and its partial path
+        # keeps no solve without a certificate
         with pytest.raises(hp.PathAborted, match="h = 0") as err:
             hp.compute_path([2.0], 4e-16)
         partial = err.value.partial
         assert partial.partial is True
-        assert partial.m == 1 and partial.certificates[0].degenerate
-        assert not np.any(partial.exact_solutions[0].g_tilde.values)
+        assert partial.m == 0 and partial.certificates == []
         assert len(partial.samples) == 20  # the zero-model segment only
 
     def test_wide_system_sample_gaps_stay_within_eps(self, wide_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -40,6 +41,33 @@ class TestSystemSpec:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=defect):
                 hp.SystemSpec(poles=poles, residues=residues)
+
+    @pytest.mark.parametrize("residue", [np.nan, np.inf, -np.inf, complex(0.5, np.nan)],
+                             ids=["nan", "inf", "-inf", "nan-imag"])
+    def test_rejects_non_finite_residue(self, tmp_path, residue):
+        # such a spec used to construct, tail_energy priced it NaN and
+        # write_system_json wrote "re": nan, which is not JSON; each way in
+        # is now refused: the constructor, replace, the JSON reader and a
+        # random draw at a non-finite residue scale
+        spec = hp.SystemSpec(poles=(0.5,), residues=(1.0,))
+        path = tmp_path / "system.json"
+        c = complex(residue)
+        # json writes NaN and Infinity, which its reader takes
+        path.write_text(json.dumps({"poles": [{"re": 0.5, "im": 0.0}],
+                                    "residues": [{"re": c.real, "im": c.imag}]}))
+        scale = abs(c)  # nan or inf
+        entries = (
+            lambda: hp.SystemSpec(poles=(0.5,), residues=(residue,)),
+            lambda: dataclasses.replace(spec, residues=(residue,)),
+            lambda: hp.read_system_json(path),
+            lambda: hp.random_system(2, 0, residue_scale=scale),
+            lambda: hp.random_system(3, 0, bands=[(1, (0.2, 0.5), 1.0), (2, (0.2, 0.5), scale)]),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for build in entries:
+                with pytest.raises(ValueError, match="non-finite pole or residue"):
+                    build()
 
 
 class TestImpulseResponseOp:
