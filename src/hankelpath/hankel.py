@@ -221,6 +221,13 @@ def _require_positive(name: str, value) -> float:
     return float(value)
 
 
+def _require_real(name: str, value) -> None:
+    """ValueError unless value is a real number that is neither a bool nor
+    NaN; an infinity passes."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and value == value):
+        raise ValueError(f"{name} must be a real number, not NaN")
+
+
 def _require_finite(a: np.ndarray) -> None:
     # the gufuncs return NaNs for a non-finite entry, with a RuntimeWarning
     # from n = 3 on, where np.linalg's wrappers raised; and a finite matrix

@@ -36,7 +36,7 @@ from .certificates import (
 from .hankel import _require_count, _require_positive, as_impulse, compute_t_max
 # not called here; bench/run.py wraps hankelpath.path.hankel_singular_values
 from .hankel import hankel_singular_values
-from .solver import SolveResult, SolverOptions, solve_constrained
+from .solver import SolveResult, SolverOptions, _best_start, solve_constrained
 
 
 # the fields of a sample row, as PathResult.samples names them
@@ -179,8 +179,12 @@ def compute_path(
         Reporting grid per segment (endpoints included, at least 2); does not
         influence the breakpoints.
     solver_opts : SolverOptions, optional
-        Forwarded to every exact solve.  Solves after the first start from
-        the previous breakpoint's splitting state.
+        Forwarded to every exact solve.  The first solve starts cold.  Each
+        later loop solve starts from whichever of the previous breakpoint's
+        splitting state, the cold start and, from the third solve on, the
+        secant through the last two breakpoints' states has the smallest
+        first fixed-point residual at its t (solver._best_start); the
+        closed form at t_max takes no start.
 
     Returns
     -------
@@ -236,9 +240,9 @@ def compute_path(
     max_solves = (t_max - t_first) / math.sqrt(eps) * 10 + 100
 
     t_i = t_first
-    warm = None
+    # the start of the next solve, and (t, X, U_dual) of the solve before the last
+    warm = older = None
     while True:
-        # each breakpoint solve starts from the previous one's splitting state
         res = solve_constrained(g_o, t_i, solver_opts, warm_start=warm)
         if not res.converged:
             raise PathAborted(
@@ -250,8 +254,6 @@ def compute_path(
             cert = subgradient_vector(res.g_tilde, t_i, g_o=g_o, h=res.dual_direction)
         except DegenerateCertificateError as exc:
             raise PathAborted(str(exc), finish(partial=True)) from exc
-        # the splitting state stays here, for the next warm start only
-        warm = res.admm_state
         solutions.append(dataclasses.replace(res, admm_state=None, dual_direction=None))
         certificates.append(cert)
 
@@ -270,6 +272,10 @@ def compute_path(
             ))
         except RuntimeError as exc:
             raise PathAborted(str(exc), finish(partial=True)) from exc
+        # the splitting states stay here, for the next starts only; the
+        # closed form at t_max takes none
+        warm = _best_start(g_o, t_next, t_i, res.admm_state, older) if t_next < t_max else None
+        older = (t_i, *res.admm_state[:2])
         t_i = t_next
 
 

@@ -56,6 +56,7 @@ from .hankel import (
     _require_count,
     _require_finite,
     _require_positive,
+    _require_real,
     adjoint_fast,
     as_impulse,
     compute_t_max,
@@ -351,6 +352,44 @@ def _cold_start(g_o: ImpulseResponse, t: float, idx: np.ndarray, w: np.ndarray):
     return X0, c * D
 
 
+def _best_start(g_o: ImpulseResponse, t: float, t1: float, state: tuple, older=None):
+    """The warm_start of a path solve at level t, or None for the cold start.
+
+    The candidates are state = (X1, U1, rho1), the splitting state of the
+    solve at the previous breakpoint t1, the cold start (_cold_start), and,
+    given older = (t0, X0, U0) of a breakpoint t0 < t1 before it, the secant
+    (X1 + r (X1 - X0), U1 + r (U1 - U0), rho1) with r = (t - t1) / (t1 - t0)
+    of continuation methods (Allgower & Georg, 1990).  Each is priced by the
+    fixed-point residual ||T(z) - z|| = ||H(g) - X|| of the loop's first
+    coefficient update g from it at t, which decomposes nothing; the
+    smallest wins, the previous state on a tie and the cold start only when
+    strictly smallest, and solve_constrained rebuilds the cold start itself.
+    """
+    gvec = g_o.values
+    s2 = float(gvec @ gvec)
+    # the loop's normalized fit terms (solve_constrained), rho in loop units
+    fit_rhs = (2.0 * t / s2) * gvec
+    fit_curv = 2.0 * t * t / s2
+    idx = embed_indices(g_o.n)
+    w = multiplicities(g_o.n)
+
+    def residual(X, U_dual, rho):
+        g = (fit_rhs + rho * adjoint_fast(X - U_dual)) / (fit_curv + rho * w)
+        return _norm(g[idx] - X)
+
+    X1, U1, rho1 = state
+    best, least = state, residual(X1, U1, rho1 / s2)
+    if older is not None and older[0] < t1:
+        t0, X0, U0 = older
+        r = (t - t1) / (t1 - t0)
+        secant = (X1 + r * (X1 - X0), U1 + r * (U1 - U0), rho1)
+        fit = residual(*secant[:2], rho1 / s2)
+        if fit < least:
+            best, least = secant, fit
+    X, U_dual = _cold_start(g_o, t, idx, w)
+    return None if residual(X, U_dual, fit_curv) < least else best
+
+
 def solve_constrained(
     g_o, t: float, opts: SolverOptions | None = None, *, warm_start=None, stop_above=None
 ) -> SolveResult:
@@ -376,6 +415,7 @@ def solve_constrained(
         as converged.  The iterate of such an early exit is only as accurate
         as its bounds: it certifies stop_above <= f*(t), not the residual
         tolerances.  Without it the solve runs to the residual test alone.
+        A real number, infinite or not; a bool or NaN raises ValueError.
 
     Returns
     -------
@@ -391,8 +431,9 @@ def solve_constrained(
     ------
     ValueError
         For a t or warm-start rho that fails hankel._require_positive, a
-        malformed warm start, data whose ||g_o||^2 underflows to 0 or
-        overflows (the loop divides by it), or a t so small next to ||g_o||
+        stop_above that fails hankel._require_real, a malformed warm start,
+        data whose ||g_o||^2 underflows to 0 or overflows (the loop divides
+        by it), or a t so small next to ||g_o||
         that the loop's fit curvature 2 t^2 / ||g_o||^2, or 1e-8 times it, is
         not a normal float (t below about 1e-150 ||g_o||).
     np.linalg.LinAlgError
@@ -432,6 +473,8 @@ def solve_constrained(
     if opts is None:
         opts = SolverOptions()
     t = _require_positive("t", t)
+    if stop_above is not None:
+        _require_real("stop_above", stop_above)
     g_o = as_impulse(g_o)
     gvec = g_o.values
     n = g_o.n

@@ -86,9 +86,11 @@ def _modal_sum(spec: SystemSpec, k_max: int) -> np.ndarray:
 def impulse_response(spec: SystemSpec, k_max: int) -> ImpulseResponse:
     """First k_max impulse-response coefficients g_k = sum_j c_j p_j^(k-1).
 
-    k_max must be odd (the Hankel embedding needs 2n - 1 coefficients).
+    k_max must be a positive odd integer (the Hankel embedding needs 2n - 1
+    coefficients), else ValueError.
     """
-    if k_max < 1 or k_max % 2 == 0:
+    _require_count("k_max", k_max, 1)
+    if k_max % 2 == 0:
         raise ValueError("k_max must be a positive odd integer")
     acc = _modal_sum(spec, k_max)
     scale = 1.0 + float(np.max(np.abs(acc.real)))
@@ -102,7 +104,9 @@ def tail_energy(spec: SystemSpec, k_max: int) -> float:
 
     Expands g_k^2 into cross terms c_j c_l (p_j p_l)^(k-1) and sums the
     geometric tails in closed form; |p_j p_l| < 1 guarantees convergence.
+    k_max must be an integer >= 0, else ValueError.
     """
+    _require_count("k_max", k_max, 0)
     total = 0.0 + 0.0j
     for pj, cj in zip(spec.poles, spec.residues):
         for pl, cl in zip(spec.poles, spec.residues):
@@ -112,9 +116,10 @@ def tail_energy(spec: SystemSpec, k_max: int) -> float:
 
 
 def check_truncation(spec: SystemSpec, k_max: int, tail_tol: float = 1e-8) -> bool:
-    """True iff the discarded tail energy is <= tail_tol times the kept energy."""
-    head = float(np.sum(_modal_sum(spec, k_max).real ** 2))
-    return tail_energy(spec, k_max) <= tail_tol * head
+    """True iff the discarded tail energy is <= tail_tol times the kept energy.
+    k_max must be an integer >= 0 (tail_energy checks it), else ValueError."""
+    tail = tail_energy(spec, k_max)
+    return tail <= tail_tol * float(np.sum(_modal_sum(spec, k_max).real ** 2))
 
 
 # ---------------------------------------------------------------------------

@@ -70,17 +70,20 @@ def wide_path(order100_spec):
     return g_o, hp.compute_path(g_o, eps=40.0)
 
 
-def path_solves(monkeypatch, g_o, eps):
-    """(compute_path(g_o, eps), its solves as solve_constrained returned
-    them): the path keeps no splitting state, so tests that read it record
-    each solve on the way."""
+def path_solves(monkeypatch, g_o, eps, starts=None, **options):
+    """(compute_path(g_o, eps, **options), its solves as solve_constrained
+    returned them): the path keeps no splitting state, so tests that read it
+    record each solve on the way.  A list passed as starts gets each solve's
+    warm_start, None for a cold start."""
     real = hp.path.solve_constrained
     solves = []
 
     def recording(*args, **kwargs):
+        if starts is not None:
+            starts.append(kwargs.get("warm_start"))
         solves.append(real(*args, **kwargs))
         return solves[-1]
 
     with monkeypatch.context() as m:
         m.setattr(hp.path, "solve_constrained", recording)
-        return hp.compute_path(g_o, eps), solves
+        return hp.compute_path(g_o, eps, **options), solves

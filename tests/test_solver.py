@@ -671,6 +671,33 @@ class TestStopInside:
         assert not res.converged
         assert res.iterations == 3
 
+    @pytest.mark.parametrize("bad", [True, False, "0.1", math.nan, np.float64(math.nan), 1j],
+                             ids=["True", "False", "str", "nan", "np-nan", "complex"])
+    def test_stop_above_checked_where_it_enters(self, sixth_order_impulse, bad):
+        # a bool stopped after one iteration as 1.0 (or 0.0), a string ended
+        # in TypeError inside the loop and NaN ran silently to the residual
+        # test; each is refused before the solve starts
+        g_o = sixth_order_impulse
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="stop_above must be a real number"):
+                hp.solve_constrained(g_o, 0.5 * hp.compute_t_max(g_o), stop_above=bad)
+
+    def test_stop_above_takes_infinities_and_numpy_floats(self, sixth_order_impulse):
+        # -inf stops at the first state, inf never stops early, and a NumPy
+        # float stops where the same float does
+        g_o = sixth_order_impulse
+        t = 0.5 * hp.compute_t_max(g_o)
+        plain = hp.solve_constrained(g_o, t)
+        assert hp.solve_constrained(g_o, t, stop_above=-math.inf).iterations == 1
+        never = hp.solve_constrained(g_o, t, stop_above=math.inf)
+        assert never.iterations == plain.iterations and never.bounds == plain.bounds
+        lo = plain.objective - 100e-6 * (1 + g_o.norm() ** 2)
+        early = hp.solve_constrained(g_o, t, stop_above=lo)
+        numpy_early = hp.solve_constrained(g_o, t, stop_above=np.float64(lo))
+        assert early.iterations == numpy_early.iterations < plain.iterations
+        assert early.bounds == numpy_early.bounds
+
 
 class TestFreeDualNorm:
     """The stop test's nu = max(<U_dual, X>, 0) + delta bounds ||U_dual||_2
@@ -986,19 +1013,141 @@ class TestWarmStart:
         with pytest.raises(ValueError, match="symmetric"):
             hp.solve_constrained(g_o, 0.1, warm_start=tuple(start))
 
-    def test_path_solves_start_from_previous_breakpoint(self, sixth_order_impulse, monkeypatch):
-        pr, solves = path_solves(monkeypatch, sixth_order_impulse, 0.01)
-        assert pr.m == 5
-        first, second = solves[:2]
-        assert np.array_equal(pr.exact_solutions[1].g_tilde.values, second.g_tilde.values)
-        again = hp.solve_constrained(
-            sixth_order_impulse, pr.breakpoints[1], warm_start=first.admm_state
-        )
-        assert np.array_equal(again.g_tilde.values, second.g_tilde.values)
-        assert again.iterations == second.iterations
+    def test_path_solves_start_from_previous_breakpoint(self, sixth_order_impulse,
+                                                        order100_path, monkeypatch):
+        # each loop solve after the first starts from what _best_start picked
+        # at its t (TestBestStart): the previous breakpoint's state itself,
+        # the cold start (None) or the secant.  Rebuilt from that start, the
+        # solve returns the path's bits; the fixture path picks the cold
+        # start every time, the order-100 path all three
+        picked = set()
+        for g_o, eps, m in ((sixth_order_impulse, 0.01, 5), (order100_path[0], 12.0, 10)):
+            starts = []
+            pr, solves = path_solves(monkeypatch, g_o, eps, starts=starts)
+            assert pr.m == m and solves[-1].iterations == 0
+            assert starts[0] is None and starts[-1] is None
+            for i in range(1, m - 1):
+                start = starts[i]
+                picked.add("cold" if start is None else
+                           "previous" if start is solves[i - 1].admm_state else "secant")
+                again = hp.solve_constrained(g_o, pr.breakpoints[i], warm_start=start)
+                assert np.array_equal(again.g_tilde.values, solves[i].g_tilde.values)
+                assert np.array_equal(pr.exact_solutions[i].g_tilde.values, again.g_tilde.values)
+                assert again.iterations == solves[i].iterations
+        assert picked == {"cold", "previous", "secant"}
 
     def test_rank1_path_solve_count(self, rank1_impulse):
         assert hp.compute_path(rank1_impulse, eps=1e-4).m == 44
+
+
+def _first_residual(g_o, t, state):
+    """||H(g) - X|| for the first coefficient update g a solve at t takes
+    from state = (X, U_dual, rho), rho in the units of the original problem:
+    g = (2 t g_o + rho adjoint(X - U_dual)) / (2 t^2 + rho w), written with
+    the public embedding and adjoint."""
+    X, U, rho = state
+    g = (2.0 * t * g_o.values + rho * hp.hankel_adjoint(X - U)) / (
+        2.0 * t * t + rho * hp.multiplicities(g_o.n))
+    return np.linalg.norm(hp.hankel_embed(g).entries - X)
+
+
+class TestBestStart:
+    """solver._best_start picks the start of each loop solve after a path's
+    first: of the previous breakpoint's state, the cold start and the secant
+    through the last two states, the one with the smallest first residual
+    ||H(g) - X||, the previous state on a tie, and None for the cold start."""
+
+    @staticmethod
+    def _candidates(g_o, pr, solves, i):
+        """{name: state} of the candidates for the path's i-th solve."""
+        n = g_o.n
+        t = pr.breakpoints[i]
+        X1, U1, rho1 = solves[i - 1].admm_state
+        out = {"previous": solves[i - 1].admm_state}
+        out["cold"] = (*hp.solver._cold_start(
+            g_o, t, hp.hankel.embed_indices(n), hp.multiplicities(n)), 2.0 * t * t)
+        if i >= 2:
+            X0, U0, _ = solves[i - 2].admm_state
+            t0, t1 = pr.breakpoints[i - 2 : i]
+            r = (t - t1) / (t1 - t0)
+            out["secant"] = (X1 + r * (X1 - X0), U1 + r * (U1 - U0), rho1)
+        return out
+
+    def test_smallest_first_residual_wins(self, sixth_order_impulse, order100_path, monkeypatch):
+        # along both gated paths the pick is the candidate whose first
+        # residual, written out with the public embedding, is smallest; a
+        # cold pick is the solve without a start, bit for bit
+        picked = []
+        for g_o, eps in ((sixth_order_impulse, 0.01), (order100_path[0], 12.0)):
+            starts = []
+            pr, solves = path_solves(monkeypatch, g_o, eps, starts=starts)
+            for i in range(1, pr.m - 1):
+                candidates = self._candidates(g_o, pr, solves, i)
+                residual = {k: _first_residual(g_o, pr.breakpoints[i], c)
+                            for k, c in candidates.items()}
+                best = min(residual, key=residual.get)
+                # no near-tie in either path: the second best is 1 % off
+                assert sorted(residual.values())[1] > 1.01 * residual[best]
+                if best == "cold":
+                    assert starts[i] is None
+                    cold = hp.solve_constrained(g_o, pr.breakpoints[i])
+                    assert np.array_equal(cold.g_tilde.values, solves[i].g_tilde.values)
+                    assert cold.iterations == solves[i].iterations
+                    assert cold.bounds == solves[i].bounds
+                else:
+                    assert all(np.array_equal(a, b) for a, b in zip(starts[i], candidates[best]))
+                picked.append(best)
+        assert {"previous", "secant", "cold"} <= set(picked)
+
+    def test_ties_go_to_the_previous_state(self, sixth_order_impulse):
+        # a secant through two equal states is that state, and the cold start
+        # at its own penalty prices as the cold start: the previous state
+        # wins both ties, and is returned as it came
+        g_o = sixth_order_impulse
+        t_max = hp.compute_t_max(g_o)
+        t1, t = 0.3 * t_max, 0.35 * t_max
+        state = hp.solve_constrained(g_o, t1).admm_state
+        older = (0.25 * t_max, state[0], state[1])
+        assert hp.solver._best_start(g_o, t, t1, state, older) is state
+        n = g_o.n
+        cold = (*hp.solver._cold_start(
+            g_o, t, hp.hankel.embed_indices(n), hp.multiplicities(n)), 2.0 * t * t)
+        assert hp.solver._best_start(g_o, t, t1, cold) is cold
+        assert hp.solver._best_start(g_o, t, t1, cold, older) is cold
+
+    def test_cold_start_only_when_strictly_best(self, sixth_order_impulse):
+        # the zero state prices worse than the cold start, which then wins;
+        # and a solve from the None returned is the cold solve
+        g_o = sixth_order_impulse
+        t = 0.4 * hp.compute_t_max(g_o)
+        zeros = np.zeros((g_o.n, g_o.n))
+        zero = (zeros, zeros, 2.0 * t * t)
+        assert hp.solver._best_start(g_o, t, 0.3 * t, zero) is None
+        plain = hp.solve_constrained(g_o, t)
+        again = hp.solve_constrained(g_o, t, warm_start=None)
+        assert np.array_equal(plain.g_tilde.values, again.g_tilde.values)
+        assert (plain.iterations, plain.bounds) == (again.iterations, again.bounds)
+
+    def test_no_secant_before_the_third_solve(self, order100_path, monkeypatch):
+        # one pick per loop solve after the first, none for the first solve
+        # or the closed form at t_max; the pick for the second solve gets no
+        # earlier state, so it offers no secant, and each later one gets the
+        # breakpoint before the previous one
+        g_o = order100_path[0]
+        real = hp.solver._best_start
+        calls = []
+
+        def recording(g, t, t1, state, older=None):
+            calls.append((t, t1, older))
+            return real(g, t, t1, state, older)
+
+        monkeypatch.setattr(hp.path, "_best_start", recording)
+        pr = hp.compute_path(g_o, 12.0)
+        assert len(calls) == pr.m - 2
+        ts = pr.breakpoints
+        assert [(t, t1) for t, t1, _ in calls] == list(zip(ts[1:-1], ts[:-2]))
+        assert calls[0][2] is None
+        assert [older[0] for _, _, older in calls[1:]] == ts[:-3]
 
 
 def _stopping_thresholds(g_o, t):
@@ -1246,22 +1395,26 @@ class TestVouchedIterates:
                     res.iterations, res.primal_residual, res.dual_residual, res.converged,
                     res.bounds, res.singular_values.tobytes(), X.tobytes(), U.tobytes(), rho)
 
+        warm = 0
         for g_o, eps in ((sixth_order_impulse, 0.01), (order100_path[0], 12.0)):
-            _, warm = path_solves(monkeypatch, g_o, eps)
-            loop = [(res, prev) for res, prev in zip(warm[1:], warm) if res.iterations]
+            starts = []
+            _, solves = path_solves(monkeypatch, g_o, eps, starts=starts)
+            # each loop solve after the first, with the start the path picked
+            loop = [(res, start) for res, start in zip(solves[1:], starts[1:]) if res.iterations]
             assert len(loop) >= 3
+            warm += sum(start is not None for _, start in loop)
             runs = []
             for strip in (False, True):
                 with monkeypatch.context() as m:
                     if strip:
                         m.setattr(hp.solver, "project_nuclear_ball", checked)
                     runs.append([
-                        fields(hp.solve_constrained(g_o, res.t, warm_start=prev.admm_state))
-                        for res, prev in loop
+                        fields(hp.solve_constrained(g_o, res.t, warm_start=start))
+                        for res, start in loop
                     ] + [fields(hp.solve_constrained(g_o, res.t)) for res, _ in loop])
             assert runs[0] == runs[1]
             assert runs[0][:len(loop)] == [fields(res) for res, _ in loop]
-        assert marked and all(marked)
+        assert warm and marked and all(marked)
 
 
 class TestResidualBalancing:

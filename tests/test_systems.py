@@ -115,6 +115,25 @@ class TestImpulseResponseOp:
             assert np.all(np.isreal(g.values))
 
 
+@pytest.mark.parametrize("bad", [3.0, True, -1, "3", None, np.float64(3.0)],
+                         ids=["float", "True", "negative", "str", "None", "np-float"])
+@pytest.mark.parametrize("fn", [hp.impulse_response, hp.tail_energy, hp.check_truncation],
+                         ids=lambda fn: fn.__name__)
+def test_k_max_checked_as_a_count(fn, bad):
+    # hankel._require_count's rule at each entry: 3.0 and True ended in
+    # NumPy's TypeError and tail_energy(spec, -1) returned a number; a NumPy
+    # integer counts as the int it equals
+    spec = hp.SystemSpec(poles=(0.5, -0.2), residues=(1.0, 0.3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="k_max must be an integer"):
+            fn(spec, bad)
+    counted, plain = fn(spec, np.int64(5)), fn(spec, 5)
+    if fn is hp.impulse_response:
+        counted, plain = counted.values, plain.values
+    assert np.array_equal(counted, plain)
+
+
 class TestCheckTruncation:
     def test_fast_pole_is_negligible(self):
         spec = hp.SystemSpec(poles=(0.5,), residues=(1.0,))

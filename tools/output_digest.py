@@ -22,6 +22,10 @@ digest does not: the path and the --verify iterations of fixture systems
 0-19, the --verify iterations of systems 0-119, and the path iterations of
 the order-100 seeds, in total and seed by seed.  Counting wraps the solve
 calls and leaves their results alone, so it does not change the digest.
+One more line, outside the digest, counts the path iterations of two
+regimes the gated paths do not reach: the fine path of fixture system 10 at
+eps = 1e-6 ||g_o||^2 (1,066 solves, about 1 s) and the order-100 system of
+seed 4 at n = 100 (k_max 199, eps 40).
 
 Last it prints two soundness lines, which the digest does not cover.  The
 first costs no solve: g_o / t_max is feasible, so f*(t_max) = 0, and it
@@ -136,6 +140,15 @@ def main() -> int:
         per_seed.append(path_iters[0] - before)
     counts["path iterations, order-100 seeds 4-8"] = "%d (%s)" % (
         sum(per_seed), " ".join(map(str, per_seed)))
+    fine = hp.impulse_response(hp.random_system(6, 10, bands=FIXTURE_BANDS), 31)
+    wide = hp.impulse_response(hp.random_system(100, 4, bands=ORDER100_BANDS), 199)
+    regimes = []
+    for g_o, eps in ((fine, 1e-6 * fine.norm() ** 2), (wide, 40.0)):
+        before = path_iters[0]
+        hp.compute_path(g_o, eps)
+        regimes.append(path_iters[0] - before)
+    counts["path iterations, fixture system 10 at 1e-6 ||g_o||^2 and order-100 seed 4 at "
+           "n = 100"] = "%d and %d" % tuple(regimes)
     print(digest.hexdigest())
     print("verify failures:", failures)
     for name, total in counts.items():
